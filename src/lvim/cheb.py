@@ -33,7 +33,6 @@ __all__ = [
     "CollocationGrid",
     "OperatorSet",
     "cgl_nodes",
-    "basis_matrices",
     "build_operators",
     "interpolate",
 ]
@@ -100,7 +99,7 @@ class OperatorSet:
 
 @lru_cache(maxsize=None)
 def _ref_basis(n: int):
-    """Basis, derivative and antiderivative values at the CGL nodes of size n.
+    """Basis and antiderivative values at the CGL nodes of size n.
 
     Returned arrays are read-only and shared between callers.
     """
@@ -116,17 +115,6 @@ def _ref_basis(n: int):
         t_all[:, k] = 2.0 * tau * t_all[:, k - 1] - t_all[:, k - 2]
     phi = t_all[:, :n].copy()
 
-    # T'_k = k * U_{k-1}.  The second-kind recurrence stays exact at the
-    # endpoints (U_{k-1}(+-1) = (+-1)^(k-1) k), so no special-casing of
-    # tau = +-1 is needed.
-    dphi = np.zeros((m, n))
-    dphi[:, 1] = 1.0
-    u_prev = np.ones(m)
-    u = 2.0 * tau
-    for k in range(2, n):
-        dphi[:, k] = k * u
-        u, u_prev = 2.0 * tau * u - u_prev, u
-
     # Antiderivatives normalized to vanish at tau = -1:
     # integral of T_0 is tau + 1, of T_1 is (tau^2 - 1)/2, and for k >= 2
     # 0.5 * (T_{k+1}/(k+1) - T_{k-1}/(k-1)) minus its value at -1.
@@ -140,19 +128,9 @@ def _ref_basis(n: int):
     # to exact zero so downstream operators keep an exactly zero first row.
     iphi[0, :] = 0.0
 
-    for a in (phi, dphi, iphi):
+    for a in (phi, iphi):
         a.setflags(write=False)
-    return phi, dphi, iphi
-
-
-def basis_matrices(grid: CollocationGrid):
-    """Return ``(phi, dphi, iphi)`` for the grid's reference domain.
-
-    ``phi[j, k] = T_k(tau_j)``, ``dphi`` holds the derivatives and
-    ``iphi`` the antiderivatives (zero at the left endpoint).  All three
-    are ``M x N`` with ``M = N`` and are read-only.
-    """
-    return _ref_basis(grid.n_basis)
+    return phi, iphi
 
 
 def _ref_diff_matrix(n: int) -> np.ndarray:
@@ -183,7 +161,7 @@ def _ref_diff_matrix(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ref_operators(n: int):
     """Reference-domain integration/differentiation matrices for size n."""
-    phi, _, iphi = _ref_basis(n)
+    phi, iphi = _ref_basis(n)
     # Right-divide by phi via an LU solve on the transposed system; never
     # form the explicit inverse.
     try:
@@ -230,7 +208,7 @@ def interpolate(grid: CollocationGrid, node_values: np.ndarray, t_query: float):
     if not lo <= t_query <= hi:
         raise ValueError(
             f"t_query={t_query!r} outside segment [{lo!r}, {hi!r}]")
-    phi, _, _ = _ref_basis(grid.n_basis)
+    phi, _ = _ref_basis(grid.n_basis)
     vals = np.asarray(node_values, dtype=float)
     coeffs = np.linalg.solve(phi, vals)
     tau = 2.0 * (t_query - grid.t_start) / grid.t_len - 1.0

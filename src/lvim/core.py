@@ -22,6 +22,7 @@ convergence on longer segments.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -66,7 +67,9 @@ class OdeSystem:
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
         g = np.asarray(self.rhs(t, x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        # a finite sum implies finite entries; only a sum that is not
+        # finite (possibly by overflow) needs the element-wise test
+        if not math.isfinite(sum(g.ravel().tolist())) and not np.all(np.isfinite(g)):
             raise DomainViolationError(
                 f"right-hand side returned a non-finite value at t={t!r}",
                 t=t, state=np.array(x, dtype=float))

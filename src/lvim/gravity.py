@@ -1,10 +1,13 @@
 """Spherical-harmonic gravity field: file loading, acceleration, potential.
 
-The acceleration is evaluated with the recursive V/W formulation in
-body-fixed Cartesian coordinates (no frame rotation is applied). The
-potential is evaluated through fully normalized associated Legendre
-functions; it exists so the acceleration can be cross-checked against
-a finite-difference gradient computed by an unrelated code path.
+The acceleration is evaluated with the recursive V/W formulation
+(Montenbruck & Gill, *Satellite Orbits*, 2000, sec. 3.2) in body-fixed
+Cartesian coordinates (no frame rotation is applied).  Each model
+precomputes the recursion factors and the linear map from the V/W values
+to the acceleration, so a call is one recursion and one small matrix
+product.  The potential is evaluated through fully normalized associated
+Legendre functions; it exists so the acceleration can be cross-checked
+against a finite-difference gradient computed by an unrelated code path.
 """
 
 from __future__ import annotations
@@ -33,6 +36,41 @@ def _denorm_factor(n: int, m: int) -> float:
     return math.sqrt(k * math.factorial(n - m) / math.factorial(n + m))
 
 
+def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndarray:
+    """Linear map from the flat V/W values to the acceleration.
+
+    ``gravity_accel`` lists ``V_nm`` for ``0 <= m <= n < size`` column by
+    column (m outer, n inner) and then ``W_nm`` in the same order; the
+    product of that ``2L`` list with the returned ``2L x 3`` matrix is the
+    acceleration.  The unnormalized coefficients, the ``(n-m+1)(n-m+2)``
+    factors and ``scale`` are folded in here, once per model.
+    """
+    half = size * (size + 1) // 2
+    g = np.zeros((2, half, 3))  # [V or W, flat (n, m) index, component]
+
+    def at(n, m):
+        return m * size - m * (m - 1) // 2 + n - m
+
+    for n in range(size - 1):
+        for m in range(n + 1):
+            cnm, snm = c[n, m], s[n, m]
+            k = n - m + 1
+            g[:, at(n + 1, m), 2] -= k * cnm, k * snm
+            if m == 0:
+                g[0, at(n + 1, 1), 0] -= cnm
+                g[1, at(n + 1, 1), 1] -= cnm
+                continue
+            up, down = at(n + 1, m + 1), at(n + 1, m - 1)
+            fac = k * (k + 1)
+            g[:, up, 0] -= 0.5 * cnm, 0.5 * snm
+            g[:, up, 1] += 0.5 * snm, -0.5 * cnm
+            g[:, down, 0] += 0.5 * fac * cnm, 0.5 * fac * snm
+            g[:, down, 1] += 0.5 * fac * snm, -0.5 * fac * cnm
+    g = scale * g.reshape(2 * half, 3)
+    g.setflags(write=False)
+    return g
+
+
 @dataclass(frozen=True)
 class GravityModel:
     """Immutable gravity field truncated at a maximum degree.
@@ -51,8 +89,8 @@ class GravityModel:
     _s: np.ndarray = field(init=False, repr=False, compare=False)
     _cbar: np.ndarray = field(init=False, repr=False, compare=False)
     _sbar: np.ndarray = field(init=False, repr=False, compare=False)
-    _c_rows: tuple = field(init=False, repr=False, compare=False)
-    _s_rows: tuple = field(init=False, repr=False, compare=False)
+    _recur: tuple = field(init=False, repr=False, compare=False)
+    _g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
@@ -90,13 +128,13 @@ class GravityModel:
         object.__setattr__(self, "_sbar", sbar)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_s", s)
-        # plain-float copies keep the evaluation loop off numpy scalars
-        object.__setattr__(
-            self, "_c_rows", tuple(tuple(float(v) for v in c[n, : n + 1]) for n in range(nmax + 1))
-        )
-        object.__setattr__(
-            self, "_s_rows", tuple(tuple(float(v) for v in s[n, : n + 1]) for n in range(nmax + 1))
-        )
+        # _recur[m] holds the plain-float factors ((2n-1)/(n-m), (n+m-1)/(n-m))
+        # of the column recursion for n = m+1 .. nmax+1
+        size = nmax + 2
+        object.__setattr__(self, "_recur", tuple(
+            tuple(((2 * n - 1) / (n - m), (n + m - 1) / (n - m)) for n in range(m + 1, size))
+            for m in range(size)))
+        object.__setattr__(self, "_g", _accel_map(c, s, size, self.mu / self.r_ref ** 2))
 
     def truncate(self, degree: int) -> "GravityModel":
         """Return a copy keeping only terms of degree <= the given degree."""
@@ -164,13 +202,12 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
         x, y, z = complex(q[0]), complex(q[1]), complex(q[2])
     else:
         x, y, z = float(q[0]), float(q[1]), float(q[2])
-    r_real = math.sqrt(float(np.real(x)) ** 2 + float(np.real(y)) ** 2 + float(np.real(z)) ** 2)
+    r_real = math.sqrt(x.real ** 2 + y.real ** 2 + z.real ** 2)
     if not r_real > 0.9 * model.r_ref:
         raise DomainViolationError(
             f"|q| = {r_real:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
             state=np.asarray(q),
         )
-    nmax = model.degree
     R = model.r_ref
     r2 = x * x + y * y + z * z
     # scaled coordinates shared by every recursion step
@@ -179,46 +216,25 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     zf = z * R / r2
     rf = R * R / r2
 
-    size = nmax + 2
-    V = [[0.0] * size for _ in range(size)]
-    W = [[0.0] * size for _ in range(size)]
-    V[0][0] = R / r2 ** 0.5
-    for m in range(1, size):
-        V[m][m] = (2 * m - 1) * (xf * V[m - 1][m - 1] - yf * W[m - 1][m - 1])
-        W[m][m] = (2 * m - 1) * (xf * W[m - 1][m - 1] + yf * V[m - 1][m - 1])
-    for m in range(size - 1):
-        V[m + 1][m] = (2 * m + 1) * zf * V[m][m]
-        W[m + 1][m] = (2 * m + 1) * zf * W[m][m]
-        for n in range(m + 2, size):
-            V[n][m] = ((2 * n - 1) * zf * V[n - 1][m] - (n + m - 1) * rf * V[n - 2][m]) / (n - m)
-            W[n][m] = ((2 * n - 1) * zf * W[n - 1][m] - (n + m - 1) * rf * W[n - 2][m]) / (n - m)
-
-    C, S = model._c_rows, model._s_rows
-    ax = 0.0
-    ay = 0.0
-    az = 0.0
-    for n in range(nmax + 1):
-        for m in range(n + 1):
-            c = C[n][m]
-            s = S[n][m]
-            if m == 0:
-                ax += -c * V[n + 1][1]
-                ay += -c * W[n + 1][1]
-            else:
-                fac = (n - m + 1) * (n - m + 2)
-                ax += 0.5 * (
-                    -c * V[n + 1][m + 1]
-                    - s * W[n + 1][m + 1]
-                    + fac * (c * V[n + 1][m - 1] + s * W[n + 1][m - 1])
-                )
-                ay += 0.5 * (
-                    -c * W[n + 1][m + 1]
-                    + s * V[n + 1][m + 1]
-                    + fac * (-c * W[n + 1][m - 1] + s * V[n + 1][m - 1])
-                )
-            az += (n - m + 1) * (-c * V[n + 1][m] - s * W[n + 1][m])
-    scale = model.mu / (R * R)
-    return np.array([scale * ax, scale * ay, scale * az])
+    # V_nm and W_nm column by column, in the row order of model._g
+    V = []
+    W = []
+    v, w = R / r2 ** 0.5, 0.0
+    for m, column in enumerate(model._recur):
+        if m:
+            k = 2 * m - 1
+            v, w = k * (xf * v - yf * w), k * (xf * w + yf * v)
+        V.append(v)
+        W.append(w)
+        v1, w1, v2, w2 = v, w, 0.0, 0.0
+        for a, b in column:
+            a *= zf
+            b *= rf
+            v1, v2 = a * v1 - b * v2, v1
+            w1, w2 = a * w1 - b * w2, w1
+            V.append(v1)
+            W.append(w1)
+    return np.array(V + W) @ model._g
 
 
 def gravity_potential(model: GravityModel, q) -> float:

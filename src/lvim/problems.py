@@ -483,8 +483,7 @@ def leo(model: GravityModel) -> ProblemSpec:
     eye = np.eye(3)
 
     def rhs(t, x):
-        acc = gravity_accel(model, x[:3])
-        return np.array([x[3], x[4], x[5], acc[0], acc[1], acc[2]])
+        return np.concatenate((x[3:], gravity_accel(model, x[:3])))
 
     def jac(t, x):
         q = x[:3]

@@ -223,15 +223,15 @@ def sample_at(traj: RkTrajectory, times: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sample times outside the integrated span [{t_lo!r}, {t_hi!r}]")
 
-    out = np.empty((query.size, traj.states.shape[1]))
-    for i, tq in enumerate(query):
-        pos = int(np.searchsorted(traj.times, tq))
-        if pos < traj.times.size and traj.times[pos] == tq:
-            out[i] = traj.states[pos]
-            continue
-        idx = min(max(pos - 1, 0), traj.step_h.size - 1)
-        h = traj.step_h[idx]
-        theta = (tq - traj.times[idx]) / h
-        tv = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
-        out[i] = traj.states[idx] + h * (traj.dense_q[idx] @ tv)
+    # one sorted search and one batched quartic for all queries; queries
+    # within the slack beyond either end use the first or last step
+    pos = np.searchsorted(traj.times, query)
+    hit = traj.times[np.minimum(pos, traj.times.size - 1)] == query
+    idx = np.clip(pos - 1, 0, traj.step_h.size - 1)
+    h = traj.step_h[idx]
+    theta = (query - traj.times[idx]) / h
+    powers = np.stack([theta, theta ** 2, theta ** 3, theta ** 4], axis=1)
+    out = traj.states[idx] + h[:, np.newaxis] * np.einsum(
+        "qdk,qk->qd", traj.dense_q[idx], powers)
+    out[hit] = traj.states[pos[hit]]
     return out

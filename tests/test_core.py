@@ -14,7 +14,7 @@ from lvim.core import (
     march,
     residual,
 )
-from lvim.errors import ConvergenceError
+from lvim.errors import ConvergenceError, DomainViolationError
 
 
 def decay_system(rate=1.0):
@@ -143,3 +143,17 @@ def test_fd_jacobian_fallback():
                            jac=None, name="cubic")
     j = sys_no_jac.eval_jac(0.0, np.array([0.5]))
     assert j[0, 0] == pytest.approx(-3 * 0.25, rel=1e-6)
+
+
+def test_eval_rhs_finiteness_check():
+    """An overflowing sum of finite entries is not a domain exit; a NaN
+    or an infinity in any entry is."""
+    def constant(values):
+        return OdeSystem(dim=2, rhs=lambda t, x: np.array(values), jac=None,
+                         name="constant")
+
+    g = constant([1e308, 1e308]).eval_rhs(0.0, np.zeros(2))
+    assert np.array_equal(g, [1e308, 1e308])
+    for bad in ([math.nan, 0.0], [math.inf, -math.inf]):
+        with pytest.raises(DomainViolationError):
+            constant(bad).eval_rhs(0.0, np.zeros(2))

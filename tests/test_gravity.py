@@ -136,6 +136,96 @@ def test_truncation_prefix_is_bitwise(model8):
     assert 0 < np.max(np.abs(a8 - a2)) < 1e-3
 
 
+def _reference_accel(model, q):
+    """The original double-loop evaluation of the V/W sums, kept as a
+    reference for the table-driven kernel."""
+    x, y, z = (float(v) for v in q)
+    nmax = model.degree
+    R = model.r_ref
+    r2 = x * x + y * y + z * z
+    xf, yf, zf, rf = x * R / r2, y * R / r2, z * R / r2, R * R / r2
+    size = nmax + 2
+    V = [[0.0] * size for _ in range(size)]
+    W = [[0.0] * size for _ in range(size)]
+    V[0][0] = R / r2 ** 0.5
+    for m in range(1, size):
+        V[m][m] = (2 * m - 1) * (xf * V[m - 1][m - 1] - yf * W[m - 1][m - 1])
+        W[m][m] = (2 * m - 1) * (xf * W[m - 1][m - 1] + yf * V[m - 1][m - 1])
+    for m in range(size - 1):
+        V[m + 1][m] = (2 * m + 1) * zf * V[m][m]
+        W[m + 1][m] = (2 * m + 1) * zf * W[m][m]
+        for n in range(m + 2, size):
+            V[n][m] = ((2 * n - 1) * zf * V[n - 1][m] - (n + m - 1) * rf * V[n - 2][m]) / (n - m)
+            W[n][m] = ((2 * n - 1) * zf * W[n - 1][m] - (n + m - 1) * rf * W[n - 2][m]) / (n - m)
+    ax = ay = az = 0.0
+    for n in range(nmax + 1):
+        for m in range(n + 1):
+            c, s = float(model._c[n, m]), float(model._s[n, m])
+            if m == 0:
+                ax += -c * V[n + 1][1]
+                ay += -c * W[n + 1][1]
+            else:
+                fac = (n - m + 1) * (n - m + 2)
+                ax += 0.5 * (-c * V[n + 1][m + 1] - s * W[n + 1][m + 1]
+                             + fac * (c * V[n + 1][m - 1] + s * W[n + 1][m - 1]))
+                ay += 0.5 * (-c * W[n + 1][m + 1] + s * V[n + 1][m + 1]
+                             + fac * (-c * W[n + 1][m - 1] + s * V[n + 1][m - 1]))
+            az += (n - m + 1) * (-c * V[n + 1][m] - s * W[n + 1][m])
+    scale = model.mu / (R * R)
+    return np.array([scale * ax, scale * ay, scale * az])
+
+
+def _kernel_points():
+    """Seeded field points from 0.95 to 3 r_ref, plus fixed polar,
+    near-polar and equatorial ones."""
+    rng = np.random.default_rng(20)
+    dirs = rng.normal(size=(14, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, np.newaxis]
+    radii = rng.uniform(0.95, 3.0, 14)
+    fixed = np.array([[0.0, 0.0, 1.0], [1e-7, 0.0, -1.0], [0.0, 1e-9, 1.0],
+                      [1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [-1.0, 1.0, 0.0]])
+    fixed /= np.linalg.norm(fixed, axis=1)[:, np.newaxis]
+    radii_fixed = np.array([0.95, 1.3, 3.0, 0.95, 1.1, 2.2])
+    return np.vstack([dirs * radii[:, np.newaxis],
+                      fixed * radii_fixed[:, np.newaxis]]) * R_REF
+
+
+def _degree3(coeffs):
+    return GravityModel(mu=MU, r_ref=R_REF, degree=3,
+                        coeffs={(0, 0): (1.0, 0.0), **coeffs})
+
+
+@pytest.mark.parametrize("case", ["deg0", "deg1", "deg2", "deg8", "s_m_ge_1", "s_m_0"])
+def test_kernel_matches_reference_loop(model8, case):
+    model = {
+        "deg0": lambda: model8.truncate(0),
+        "deg1": lambda: model8.truncate(1),
+        "deg2": lambda: model8.truncate(2),
+        "deg8": lambda: model8,
+        "s_m_ge_1": lambda: _degree3({
+            (1, 1): (2e-6, -3e-6), (2, 0): (J2_BAR, 0.0), (2, 1): (-1e-6, 4e-6),
+            (2, 2): (2.4e-6, -1.4e-6), (3, 1): (2e-6, 2.5e-7),
+            (3, 2): (9e-7, -6e-7), (3, 3): (7e-7, 1.4e-6)}),
+        # the old loop reads S at m = 0 only in the z component, where it
+        # multiplies W_n0, which is identically zero
+        "s_m_0": lambda: _degree3({(2, 0): (J2_BAR, 3e-4), (3, 0): (9.6e-7, -2e-4),
+                                   (3, 3): (7e-7, 1.4e-6)}),
+    }[case]()
+    for q in _kernel_points():
+        a = gravity_accel(model, q)
+        ref = _reference_accel(model, q)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.linalg.norm(ref), (case, q)
+
+
+def test_complex_input_with_zero_imaginary_part(model8):
+    for q in _kernel_points()[::4]:
+        a = gravity_accel(model8, q)
+        ac = gravity_accel(model8, q.astype(complex))
+        assert np.iscomplexobj(ac)
+        assert np.all(ac.imag == 0.0)
+        assert np.max(np.abs(ac.real - a)) <= 1e-15 * np.linalg.norm(a)
+
+
 def test_interior_guard(model2):
     with pytest.raises(DomainViolationError):
         gravity_accel(model2, np.array([0.1 * R_REF, 0.0, 0.0]))

@@ -43,10 +43,55 @@ def test_dense_output_exact_at_stored_steps():
     assert np.array_equal(vals, tr.states)
 
 
+def _sample_loop(traj, query):
+    """Per-query reference: search, exact hit or quartic on the step."""
+    out = np.empty((query.size, traj.states.shape[1]))
+    for i, tq in enumerate(query):
+        pos = int(np.searchsorted(traj.times, tq))
+        if pos < traj.times.size and traj.times[pos] == tq:
+            out[i] = traj.states[pos]
+            continue
+        idx = min(max(pos - 1, 0), traj.step_h.size - 1)
+        h = traj.step_h[idx]
+        theta = (tq - traj.times[idx]) / h
+        tv = np.array([theta, theta ** 2, theta ** 3, theta ** 4])
+        out[i] = traj.states[idx] + h * (traj.dense_q[idx] @ tv)
+    return out
+
+
+def test_sample_at_matches_per_query_loop():
+    tr = rk45_integrate(OSC, 0.0, 10.0, np.array([1.0, 0.0]),
+                        RkConfig(rel_tol=1e-8, abs_tol=1e-10))
+    slack = 1e-12 * 10.0
+    rng = np.random.default_rng(7)
+    query = np.concatenate([
+        rng.uniform(0.0, 10.0, 200),
+        tr.times[::3],                      # step boundaries, both ends
+        [0.0 - 0.5 * slack, 10.0 + 0.5 * slack],  # clamped extrapolation
+        np.nextafter(tr.times[1:-1], np.inf),
+        np.nextafter(tr.times[1:-1], -np.inf),
+    ])
+    rng.shuffle(query)
+    got = sample_at(tr, query)
+    ref = _sample_loop(tr, query)
+    assert got.shape == ref.shape == (query.size, 2)
+    assert np.max(np.abs(got - ref)) <= 4e-16
+    hit = np.isin(query, tr.times)
+    assert np.array_equal(got[hit], ref[hit])
+    assert np.array_equal(sample_at(tr, np.array([0.0, 10.0])),
+                          tr.states[[0, -1]])
+
+
 def test_sample_outside_span_raises():
     tr = rk45_integrate(DECAY, 0.0, 1.0, np.array([1.0]), RkConfig())
     with pytest.raises(ValueError):
         sample_at(tr, np.array([1.5]))
+    with pytest.raises(ValueError):
+        sample_at(tr, np.array([-1e-9]))
+    with pytest.raises(ValueError):
+        sample_at(RkTrajectory(times=tr.times, states=tr.states,
+                               segment_iterations=tr.segment_iterations,
+                               total_rhs_evals=0, wall_time=0.0), tr.times)
 
 
 def test_eval_accounting_exact():
