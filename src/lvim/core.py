@@ -46,6 +46,13 @@ __all__ = [
 _JACOBIAN_MODES = ("full", "frozen")
 
 
+def _max_of(a: np.ndarray) -> float:
+    """``float(np.max(a))`` of a non-negative array, taken exactly over a
+    Python list (cheaper on small arrays); a NaN anywhere gives NaN."""
+    v = a.ravel().tolist()
+    return math.nan if math.isnan(sum(v)) else max(v)
+
+
 @dataclass
 class OdeSystem:
     """A first-order system ``dx/dt = rhs(t, x)`` with optional Jacobian.
@@ -194,6 +201,7 @@ def _iterate(ops, system, x0, config, t_start, frozen):
     # Constant initial guess: every node starts at the incoming state.
     x = np.repeat(x0[np.newaxis, :], m, axis=0)
     j_frozen = system.eval_jac(t_nodes[0], x0) if frozen else None
+    js = None if frozen else np.empty((m, system.dim, system.dim))
 
     history = []
     corr = np.inf
@@ -204,10 +212,11 @@ def _iterate(ops, system, x0, config, t_start, frozen):
         if frozen:
             delta = hr @ j_frozen.T - pr
         else:
-            js = np.stack([system.eval_jac(t_nodes[j], x[j]) for j in range(m)])
+            for j in range(m):
+                js[j] = system.eval_jac(t_nodes[j], x[j])
             delta = np.einsum("jab,jb->ja", js, hr) - pr
         x += delta
-        corr = float(np.max(np.abs(delta)))
+        corr = _max_of(np.abs(delta))
         history.append(corr)
         if corr < config.tol:
             return SegmentResult(node_states=x, iterations=it,

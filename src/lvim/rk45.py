@@ -11,20 +11,22 @@ sampled at arbitrary times without re-integrating.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import OdeSystem, Trajectory
+from .core import OdeSystem, Trajectory, _max_of
 from .errors import ConvergenceError, DomainViolationError
 
 __all__ = ["RkConfig", "RkTrajectory", "rk45_integrate", "sample_at"]
 
-# Dormand-Prince coefficients.  _B holds the fifth-order weights, _E the
-# difference between the fifth- and fourth-order weights (so h * _E @ K is
-# the embedded error estimate), and _P maps the seven stages onto the
-# quartic dense-output polynomial in the normalized step coordinate.
+# Dormand-Prince coefficients.  _A[6] is the fifth-order solution row (the
+# seventh stage is evaluated there), _E the fifth- minus fourth-order weights
+# (h * _E @ K is the embedded error estimate), and _P maps the seven stages
+# onto the quartic dense-output polynomial in the normalized step coordinate.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 
 _A = (
@@ -36,8 +38,6 @@ _A = (
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
@@ -56,6 +56,9 @@ _P = np.array([
      -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+
+# stages 1-5 as (c_s, a_s); a Python-float c_s keeps t + c_s * h off numpy
+_STAGES = tuple((float(_C[s]), _A[s]) for s in range(1, 6))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -102,12 +105,12 @@ class RkTrajectory(Trajectory):
 def _initial_step(system, t0, x0, f0, cfg, span):
     """Standard two-probe heuristic for the starting step size."""
     sc = cfg.abs_tol + cfg.rel_tol * np.abs(x0)
-    d0 = np.max(np.abs(x0) / sc)
-    d1 = np.max(np.abs(f0) / sc)
+    d0 = _max_of(np.abs(x0) / sc)
+    d1 = _max_of(np.abs(f0) / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = system.eval_rhs(t0 + h0, x0 + h0 * f0)
-    d2 = np.max(np.abs(f1 - f0) / sc) / h0
+    d2 = _max_of(np.abs(f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -138,24 +141,24 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     if not np.all(np.isfinite(x)):
         raise DomainViolationError("initial state is not finite", t=t0, state=x)
 
-    import time as _time
-    t_wall = _time.perf_counter()
+    t_wall = time.perf_counter()
     evals_before = system.rhs_evals
+    rhs = system.eval_rhs
+    atol, rtol, h_max = cfg.abs_tol, cfg.rel_tol, cfg.h_max
 
     t = t0
-    f_cur = system.eval_rhs(t, x)
+    f_cur = rhs(t, x)
     h = cfg.h_init if cfg.h_init is not None else \
         _initial_step(system, t0, x, f_cur, cfg, tf - t0)
-    h = min(h, cfg.h_max, tf - t0)
+    h = float(min(h, h_max, tf - t0))
 
     times = [t0]
     states = [x.copy()]
     step_h = []
-    dense_q = []
-    n_acc = 0
-    n_rej = 0
-    attempts = 0
+    stages = []
+    n_acc = n_rej = attempts = 0
     k = np.empty((7, system.dim))
+    ax = np.abs(x)
 
     while t < tf:
         if attempts >= cfg.max_steps:
@@ -166,44 +169,45 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         h = min(h, tf - t)
 
         k[0] = f_cur
-        for s in range(1, 7):
-            xs = x + h * (_A[s] @ k[:s])
-            k[s] = system.eval_rhs(t + _C[s] * h, xs)
-        x_new = x + h * (_B @ k)
-        if not np.all(np.isfinite(x_new)):
+        for s, (c, a) in enumerate(_STAGES, 1):
+            k[s] = rhs(t + c * h, x + h * a.dot(k[:s]))
+        x_new = x + h * _A[6].dot(k[:6])
+        k[6] = rhs(t + h, x_new)
+        if not math.isfinite(sum(x_new.tolist())) and not np.all(np.isfinite(x_new)):
             raise DomainViolationError(
                 f"state became non-finite during the step at t={t!r}",
                 t=t, state=x_new)
 
-        e = h * (_E @ k)
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err = float(np.max(np.abs(e) / sc))
+        ax_new = np.abs(x_new)
+        e = h * _E.dot(k)
+        err = _max_of(np.abs(e) / (atol + rtol * np.maximum(ax, ax_new)))
 
         if err <= 1.0:
             step_h.append(h)
-            dense_q.append(k.T @ _P)
-            t_new = tf if h == tf - t else t + h
-            times.append(t_new)
+            stages.append(k.copy())
+            t = tf if h == tf - t else t + h
+            times.append(t)
             states.append(x_new)
-            x = x_new
-            t = t_new
+            x, ax = x_new, ax_new
             n_acc += 1
             if t < tf:
-                f_cur = system.eval_rhs(t, x)
+                f_cur = rhs(t, x)
             factor = _MAX_FACTOR if err == 0.0 else \
                 min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         else:
             n_rej += 1
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-        h = min(h * factor, cfg.h_max)
+        h = min(h * factor, h_max)
 
-    wall = _time.perf_counter() - t_wall
+    # dense output of all accepted steps at once: step i's k.T @ _P
+    dense_q = np.matmul(np.array(stages).transpose(0, 2, 1), _P)
+    wall = time.perf_counter() - t_wall
     return RkTrajectory(times=np.array(times), states=np.array(states),
                         segment_iterations=np.empty(0, dtype=int),
                         total_rhs_evals=system.rhs_evals - evals_before,
                         wall_time=wall,
                         steps_accepted=n_acc, steps_rejected=n_rej,
-                        step_h=np.array(step_h), dense_q=np.array(dense_q))
+                        step_h=np.array(step_h), dense_q=dense_q)
 
 
 def sample_at(traj: RkTrajectory, times: np.ndarray) -> np.ndarray:

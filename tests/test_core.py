@@ -157,3 +157,17 @@ def test_eval_rhs_finiteness_check():
     for bad in ([math.nan, 0.0], [math.inf, -math.inf]):
         with pytest.raises(DomainViolationError):
             constant(bad).eval_rhs(0.0, np.zeros(2))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_nan_correction_never_converges():
+    # at the zero state the residual is exactly zero, so inf * 0 puts NaN
+    # in every second correction entry, behind finite zeros; a maximum
+    # that skipped the NaN would call the sweep converged
+    sys_ = OdeSystem(dim=2, rhs=lambda t, x: np.zeros(2),
+                     jac=lambda t, x: np.array([[0.0, 0.0], [0.0, np.inf]]),
+                     name="nan-jac")
+    ops = build_operators(CollocationGrid(5, 0.0, 0.5))
+    with pytest.raises(ConvergenceError):
+        iterate_segment(ops, sys_, np.zeros(2),
+                        SolverConfig(n_basis=5, dt=0.5, tol=1e-10, max_iter=3))

@@ -1,11 +1,16 @@
 """Reference integrator: accuracy, dense output, accounting, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
+from lvim import problems
 from lvim.core import OdeSystem
 from lvim.errors import ConvergenceError, DomainViolationError
-from lvim.rk45 import RkConfig, RkTrajectory, rk45_integrate, sample_at
+from lvim.gravity import bundled_gravity_path, load_gravity_model
+from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, rk45_integrate,
+                       sample_at)
 
 DECAY = OdeSystem(dim=1, rhs=lambda t, x: -x, jac=None, name="decay")
 
@@ -131,3 +136,125 @@ def test_trajectory_is_core_trajectory():
     assert isinstance(tr, Trajectory)
     assert isinstance(tr, RkTrajectory)
     assert len(tr.segment_iterations) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_state_overflow_raises_domain_violation():
+    # the rhs stays finite while the state runs past the largest double
+    const = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308]), jac=None,
+                      name="const")
+    with pytest.raises(DomainViolationError, match="state became non-finite"):
+        rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
+
+
+def test_tableau_rows():
+    for row, c in zip(_A, _C):
+        assert abs(math.fsum(row) - c) <= 4 * np.finfo(float).eps
+    fifth = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+    assert np.array_equal(_A[6], fifth)
+
+
+# ------------------------------------------------------- pinned step loop
+# The step loop as it was written before the stage-row form: every stage
+# through ``@``, the fifth-order solution through a separate 7-weight row,
+# ``np.max`` reductions and the dense output formed per accepted step.  The
+# production loop must reproduce it bit for bit.
+_B_REF = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+
+def _initial_step_ref(system, t0, x0, f0, cfg, span):
+    sc = cfg.abs_tol + cfg.rel_tol * np.abs(x0)
+    d0 = np.max(np.abs(x0) / sc)
+    d1 = np.max(np.abs(f0) / sc)
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = system.eval_rhs(t0 + h0, x0 + h0 * f0)
+    d2 = np.max(np.abs(f1 - f0) / sc) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, cfg.h_max, span)
+
+
+def _integrate_ref(system, t0, tf, x0, cfg):
+    x = np.asarray(x0, dtype=float)
+    evals_before = system.rhs_evals
+    t = t0
+    f_cur = system.eval_rhs(t, x)
+    h = cfg.h_init if cfg.h_init is not None else \
+        _initial_step_ref(system, t0, x, f_cur, cfg, tf - t0)
+    h = min(h, cfg.h_max, tf - t0)
+    times, states, step_h, dense_q = [t0], [x.copy()], [], []
+    n_acc = n_rej = 0
+    k = np.empty((7, system.dim))
+    while t < tf:
+        h = min(h, tf - t)
+        k[0] = f_cur
+        for s in range(1, 7):
+            xs = x + h * (_A[s] @ k[:s])
+            k[s] = system.eval_rhs(t + _C[s] * h, xs)
+        x_new = x + h * (_B_REF @ k)
+        assert np.all(np.isfinite(x_new))
+        e = h * (_E @ k)
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err = float(np.max(np.abs(e) / sc))
+        if err <= 1.0:
+            step_h.append(h)
+            dense_q.append(k.T @ _P)
+            t_new = tf if h == tf - t else t + h
+            times.append(t_new)
+            states.append(x_new)
+            x = x_new
+            t = t_new
+            n_acc += 1
+            if t < tf:
+                f_cur = system.eval_rhs(t, x)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            n_rej += 1
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h = min(h * factor, cfg.h_max)
+    return dict(times=np.array(times), states=np.array(states),
+                step_h=np.array(step_h), dense_q=np.array(dense_q),
+                steps_accepted=n_acc, steps_rejected=n_rej,
+                total_rhs_evals=system.rhs_evals - evals_before)
+
+
+def _spec_case(spec, tf=None):
+    return spec.system, spec.t0, spec.tf if tf is None else tf, spec.x0, \
+        spec.rk_defaults
+
+
+_PINNED = {
+    "pendulum": lambda: _spec_case(problems.pendulum()),
+    "mathieu": lambda: _spec_case(problems.mathieu(0.3, 0.5), tf=20.0),
+    "decay-h_init": lambda: (DECAY, 0.0, 5.0, np.array([1.0]),
+                             RkConfig(h_init=1e-3)),
+    "osc-h_max": lambda: (OSC, 0.0, 10.0, np.array([1.0, 0.0]),
+                          RkConfig(rel_tol=1e-8, abs_tol=1e-10, h_max=0.05)),
+    "leo-degree2": lambda: _spec_case(problems.leo(
+        load_gravity_model(bundled_gravity_path("egm8.txt")).truncate(2))),
+    "exact-end": lambda: (DECAY, 0.0, 1.0, np.array([1.0]),
+                          RkConfig(rel_tol=1e-3, abs_tol=1e-6, h_init=0.25,
+                                   h_max=0.25)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_step_loop_matches_reference_bitwise(name):
+    system, t0, tf, x0, cfg = _PINNED[name]()
+    ref = _integrate_ref(system, t0, tf, x0, cfg)
+    tr = rk45_integrate(system, t0, tf, x0, cfg)
+    for key in ("times", "states", "step_h", "dense_q"):
+        got, want = getattr(tr, key), ref[key]
+        assert got.dtype == want.dtype and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+    for key in ("steps_accepted", "steps_rejected", "total_rhs_evals"):
+        assert getattr(tr, key) == ref[key], key
+    if name == "mathieu":
+        assert tr.steps_rejected > 0
+    if name == "osc-h_max":
+        assert tr.step_h.max() == 0.05
+    if name == "exact-end":
+        assert np.all(tr.step_h == 0.25) and tr.times[-1] == tf
