@@ -7,14 +7,13 @@ and a shooting wrapper for boundary-value problems (``shooting``).  The
 ``lvim`` console script drives all of it.
 """
 
-from .cheb import CollocationGrid, OperatorSet, build_operators, cgl_nodes, interpolate
+from .cheb import OperatorSet, build_operators, cgl_nodes, interpolate
 from .core import (
     OdeSystem,
     SegmentResult,
     SolverConfig,
     Trajectory,
     iterate_segment,
-    iterate_segment_frozen,
     march,
 )
 from .errors import ConvergenceError, DomainViolationError
@@ -32,7 +31,6 @@ from .shooting import ShotResult, shoot_scalar, solve_buckled_bar
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollocationGrid",
     "OperatorSet",
     "build_operators",
     "cgl_nodes",
@@ -42,7 +40,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "iterate_segment",
-    "iterate_segment_frozen",
     "march",
     "ConvergenceError",
     "DomainViolationError",

@@ -1,9 +1,9 @@
-"""Chebyshev-Gauss-Lobatto grids and collocation operator matrices.
+"""Chebyshev-Gauss-Lobatto nodes and collocation operator matrices.
 
 Each state component is represented on a time segment by the degree
 ``N - 1`` Chebyshev interpolant through its values at the ``N``
 Gauss-Lobatto nodes.  Differentiating or integrating that interpolant is
-then a dense ``M x M`` matrix product in node space.  This module builds
+then a dense ``N x N`` matrix product in node space.  This module builds
 the three matrices the solver needs:
 
 ``q_mat``
@@ -12,25 +12,25 @@ the three matrices the solver needs:
     node values -> node values of the running integral from the segment
     start (so its first row is identically zero),
 ``h_mat``
-    the commutator ``P T - T P`` with ``T = diag(physical nodes)``, which
-    appears in the Jacobian feedback term of the iteration.
+    the commutator ``P T - T P`` with ``T = diag(node times)``, which
+    appears in the Jacobian feedback term of the iteration.  Its entries
+    are ``P_ij (t_j - t_i)``, so only node time differences enter.
 
-All reference-domain quantities depend only on the node count, so they
-are computed once per ``N`` and cached; mapping to a physical segment of
-length ``t_len`` is a cheap scaling.
+All three are closed-form products and sums: no linear solve, no
+inverse.  The reference-domain matrices depend only on the node count
+and are cached per ``N``; a segment of length ``dt`` rescales them, so
+an operator set depends on ``(N, dt)`` only, never on where the segment
+starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularBasisError
-
 __all__ = [
-    "CollocationGrid",
     "OperatorSet",
     "cgl_nodes",
     "build_operators",
@@ -55,70 +55,56 @@ def cgl_nodes(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CollocationGrid:
-    """One collocation segment: ``n_basis`` Chebyshev polynomials sampled at
-    as many Gauss-Lobatto nodes on ``[t_start, t_start + t_len]``.
-
-    The node count always equals the basis size, so the interpolation
-    problem on the segment is square.
-    """
-
-    n_basis: int
-    t_start: float
-    t_len: float
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    physical_nodes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n_basis < 2:
-            raise ValueError(f"n_basis must be >= 2, got {self.n_basis}")
-        if not self.t_len > 0.0:
-            raise ValueError(f"t_len must be positive, got {self.t_len}")
-        tau = cgl_nodes(self.n_basis)
-        phys = self.t_start + 0.5 * self.t_len * (tau + 1.0)
-        phys.setflags(write=False)
-        object.__setattr__(self, "nodes", tau)
-        object.__setattr__(self, "physical_nodes", phys)
-
-
-@dataclass(frozen=True)
 class OperatorSet:
-    """Differentiation, integration and commutator matrices for one grid.
+    """Differentiation, integration and commutator matrices for one
+    segment length.
 
-    ``p_mat`` and ``q_mat`` act on physical-time node values; ``h_mat``
-    is built from the grid's physical node times.  The first rows of
-    ``p_mat`` and ``h_mat`` are exactly zero, which is what pins the
-    initial condition during the iteration.
+    ``offsets`` are the node times relative to the segment start,
+    ``dt/2 * (tau + 1)``.  The first rows of ``p_mat`` and ``h_mat`` are
+    exactly zero, which is what pins the initial condition during the
+    iteration.
     """
 
     p_mat: np.ndarray
     q_mat: np.ndarray
     h_mat: np.ndarray
-    grid: CollocationGrid
+    offsets: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _ref_basis(n: int):
-    """Basis and antiderivative values at the CGL nodes of size n.
+def _ref_operators(n: int):
+    """Reference-domain ``P``, ``Q``, ``-P o dtau`` and nodes for size n.
+
+    ``P = iphi @ V^-1``: ``iphi`` holds the antiderivatives of ``T_k``
+    at the nodes, and the CGL Vandermonde matrix ``V[j, k] = T_k(tau_j)``
+    has the explicit inverse ``V^-1[k, j] = 2 T_k(tau_j) / ((n-1) c_k c_j)``
+    (discrete orthogonality).  ``Q`` is the CGL differentiation matrix,
+    off-diagonal ``c_i (-1)^(i+j) / (c_j (tau_i - tau_j))`` (Trefethen,
+    *Spectral Methods in MATLAB*, ch. 6).  Here ``c = 2`` at the two
+    endpoints and 1 elsewhere.  The node differences are taken in the
+    trigonometric form ``2 sin(pi(i+j)/2m) sin(pi(i-j)/2m)``, ``m = n - 1``,
+    which avoids the cancellation of subtracting nearby nodes
+    (Baltensperger & Trummer, SIAM J. Sci. Comput. 2003).
 
     Returned arrays are read-only and shared between callers.
     """
     tau = cgl_nodes(n)
-    m = n
+    m = n - 1
+    c = np.ones(n)
+    c[0] = c[-1] = 2.0
 
     # T_k by the three-term recurrence; one extra degree is needed for the
     # antiderivative of the highest basis polynomial.
-    t_all = np.empty((m, n + 1))
+    t_all = np.empty((n, n + 1))
     t_all[:, 0] = 1.0
     t_all[:, 1] = tau
     for k in range(2, n + 1):
         t_all[:, k] = 2.0 * tau * t_all[:, k - 1] - t_all[:, k - 2]
-    phi = t_all[:, :n].copy()
 
     # Antiderivatives normalized to vanish at tau = -1:
     # integral of T_0 is tau + 1, of T_1 is (tau^2 - 1)/2, and for k >= 2
     # 0.5 * (T_{k+1}/(k+1) - T_{k-1}/(k-1)) minus its value at -1.
-    iphi = np.empty((m, n))
+    iphi = np.empty((n, n))
     iphi[:, 0] = tau + 1.0
     iphi[:, 1] = 0.5 * (tau * tau - 1.0)
     for k in range(2, n):
@@ -127,90 +113,71 @@ def _ref_basis(n: int):
     # The first row is an integral from the left endpoint to itself; pin it
     # to exact zero so downstream operators keep an exactly zero first row.
     iphi[0, :] = 0.0
+    v_inv = (2.0 / m) * t_all[:, :n].T / np.outer(c, c)
+    p_ref = iphi @ v_inv
 
-    for a in (phi, iphi):
-        a.setflags(write=False)
-    return phi, iphi
-
-
-def _ref_diff_matrix(n: int) -> np.ndarray:
-    """Closed-form CGL differentiation matrix on [-1, 1] for n nodes.
-
-    Off-diagonal entries are ``c_i (-1)^(i+j) / (c_j (tau_i - tau_j))``
-    with ``c = 2`` at the two endpoints and 1 elsewhere (Trefethen,
-    *Spectral Methods in MATLAB*, ch. 6).  The node differences are taken
-    in the trigonometric form ``2 sin(pi(i+j)/2m) sin(pi(i-j)/2m)``,
-    ``m = n - 1``, which avoids the cancellation of subtracting nearby
-    nodes (Baltensperger & Trummer, SIAM J. Sci. Comput. 2003).
-    """
-    m = n - 1
     i = np.arange(n)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
-    c = np.ones(n)
-    c[0] = c[-1] = 2.0
-    diff = 2.0 * np.sin(np.pi * (i + j) / (2 * m)) * np.sin(np.pi * (i - j) / (2 * m))
-    np.fill_diagonal(diff, 1.0)
-    q_ref = (c[:, np.newaxis] / c[np.newaxis, :]) * (-1.0) ** (i + j) / diff
+    dtau = 2.0 * np.sin(np.pi * (i + j) / (2 * m)) * np.sin(np.pi * (i - j) / (2 * m))
+    np.fill_diagonal(dtau, 1.0)
+    q_ref = (c[:, np.newaxis] / c[np.newaxis, :]) * (-1.0) ** (i + j) / dtau
     # negative-sum trick: each row of a differentiation matrix annihilates
     # constants, so pin the diagonal to make that hold to the last bit
     np.fill_diagonal(q_ref, 0.0)
     np.fill_diagonal(q_ref, -q_ref.sum(axis=1))
-    return q_ref
+    np.fill_diagonal(dtau, 0.0)
+    h_ref = -p_ref * dtau
+
+    for a in (p_ref, q_ref, h_ref):
+        a.setflags(write=False)
+    return p_ref, q_ref, h_ref, tau
 
 
-@lru_cache(maxsize=None)
-def _ref_operators(n: int):
-    """Reference-domain integration/differentiation matrices for size n."""
-    phi, iphi = _ref_basis(n)
-    # Right-divide by phi via an LU solve on the transposed system; never
-    # form the explicit inverse.
-    try:
-        p_ref = np.linalg.solve(phi.T, iphi.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasisError(
-            f"collocation basis for N={n} is numerically singular") from exc
-    if not np.all(np.isfinite(p_ref)):
-        raise SingularBasisError(
-            f"collocation basis for N={n} produced non-finite operators")
-    q_ref = _ref_diff_matrix(n)
-    q_ref.setflags(write=False)
-    p_ref.setflags(write=False)
-    return p_ref, q_ref
+def build_operators(n_basis: int, dt: float) -> OperatorSet:
+    """Build the operator set for segments of ``n_basis`` nodes and length
+    ``dt``.
 
-
-def build_operators(grid: CollocationGrid) -> OperatorSet:
-    """Build the physical-time operator set for one segment.
-
-    The reference-domain solves are cached per basis size; this call only
-    rescales them to the segment length and forms the commutator from the
-    physical node times.
+    The reference-domain matrices are cached per node count; this call
+    only rescales them: ``P = dt/2 P_ref``, ``Q = Q_ref / (dt/2)`` and
+    ``H = (dt/2)^2 (-P_ref o dtau)``, which equals ``P T - T P`` for the
+    node times of any segment of this length.
     """
-    p_ref, q_ref = _ref_operators(grid.n_basis)
-    half = 0.5 * grid.t_len
+    if n_basis < 2:
+        raise ValueError(f"n_basis must be >= 2, got {n_basis}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    p_ref, q_ref, h_ref, tau = _ref_operators(n_basis)
+    half = 0.5 * dt
     p_mat = half * p_ref
     q_mat = q_ref / half
-    t = grid.physical_nodes
-    h_mat = p_mat * t[np.newaxis, :] - t[:, np.newaxis] * p_mat
-    for a in (p_mat, q_mat, h_mat):
+    h_mat = (half * half) * h_ref
+    offsets = half * (tau + 1.0)
+    for a in (p_mat, q_mat, h_mat, offsets):
         a.setflags(write=False)
-    return OperatorSet(p_mat=p_mat, q_mat=q_mat, h_mat=h_mat, grid=grid)
+    return OperatorSet(p_mat=p_mat, q_mat=q_mat, h_mat=h_mat, offsets=offsets)
 
 
-def interpolate(grid: CollocationGrid, node_values: np.ndarray, t_query: float):
-    """Evaluate the segment interpolant at one physical time.
+def interpolate(t_nodes: np.ndarray, node_values: np.ndarray, t_query: float):
+    """Evaluate the interpolant through one segment's nodes at one time.
 
-    ``node_values`` may be a length-M vector or an ``M x D`` array; the
-    result is a scalar or a length-D vector accordingly.  ``t_query``
-    must lie inside the segment.
+    ``t_nodes`` are the segment's CGL node times, ascending.
+    ``node_values`` may be a length-N vector or an ``N x D`` array; the
+    result is a scalar or a length-D vector accordingly.  Uses the
+    barycentric formula with weights ``(-1)^j``, halved at the two ends
+    (Berrut & Trefethen, SIAM Review 2004); a query on a node returns
+    that node's value exactly.  ``t_query`` must lie inside the segment.
     """
-    lo = grid.t_start
-    hi = grid.t_start + grid.t_len
-    if not lo <= t_query <= hi:
-        raise ValueError(
-            f"t_query={t_query!r} outside segment [{lo!r}, {hi!r}]")
-    phi, _ = _ref_basis(grid.n_basis)
+    t = np.asarray(t_nodes, dtype=float)
     vals = np.asarray(node_values, dtype=float)
-    coeffs = np.linalg.solve(phi, vals)
-    tau = 2.0 * (t_query - grid.t_start) / grid.t_len - 1.0
-    tau = min(1.0, max(-1.0, tau))
-    return np.polynomial.chebyshev.chebval(tau, coeffs)
+    if not t[0] <= t_query <= t[-1]:
+        raise ValueError(
+            f"t_query={t_query!r} outside segment [{t[0]!r}, {t[-1]!r}]")
+    d = t_query - t
+    hit = np.flatnonzero(d == 0.0)
+    if hit.size:
+        return vals[hit[0]]
+    w = (-1.0) ** np.arange(t.size)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    w /= d
+    return w @ vals / w.sum()

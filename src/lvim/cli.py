@@ -20,19 +20,20 @@ and iteration counts are the efficiency metrics.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import problems
-from .cheb import CollocationGrid, build_operators
+from .cheb import build_operators, cgl_nodes
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError, DomainViolationError
 from .gravity import (GravityModel, bundled_gravity_path, gravity_potential,
@@ -47,31 +48,6 @@ EXIT_USAGE = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_ASSERT = 3
 EXIT_SELF_TEST = 4
-
-PROBLEM_NAMES = (
-    "blasius",
-    "emden",
-    "white-dwarf",
-    "mathieu",
-    "pendulum",
-    "buckled-bar",
-    "elastica",
-    "leo",
-)
-
-# Problem-level parameter defaults the solver configs do not carry.  The
-# solver defaults themselves (N, dt, tol, jacobian mode, spans) live in the
-# problem factories; --print-defaults echoes both from one place.
-PROBLEM_PARAMS = {
-    "blasius": {"xi_max": 10.0},
-    "emden": {"xi_start": 1e-3},
-    "white-dwarf": {"c_param": 0.3, "eta_start": 1e-3},
-    "mathieu": {"delta": 0.5, "epsilon": 0.1},
-    "pendulum": {"theta0": 3.1329},
-    "buckled-bar": {"load_type": "dead", "load": 50.0, "guesses": (12.9, 13.1)},
-    "elastica": {"a_param": 1.0, "c_param": 1.2},
-    "leo": {"gravity_file": "egm_test.txt", "degree": None},
-}
 
 # Default secant seeds per load case.  Dead loads above the buckling
 # threshold have multiple equilibria; the two P=50 pairs land on distinct
@@ -128,45 +104,71 @@ def _resolve_gravity(path: str) -> str:
         raise ValueError(f"gravity file not found: {path!r}")
 
 
-def _load_model(args) -> GravityModel:
-    model = load_gravity_model(_resolve_gravity(args.gravity_file))
-    if args.degree is not None:
-        model = model.truncate(args.degree)
-    return model
+def _leo_model(gravity_file: str, degree: Optional[int]) -> GravityModel:
+    model = load_gravity_model(_resolve_gravity(gravity_file))
+    return model if degree is None else model.truncate(degree)
 
 
-def _build_spec(args) -> Tuple[problems.ProblemSpec, List[str]]:
-    """Build the requested problem from its factory plus flag overrides."""
-    name = args.problem
-    notes: List[str] = []
-    if name == "blasius":
-        xi_max = args.t_end if args.t_end is not None else 10.0
-        f2, spec = problems.blasius_pair(xi_max=xi_max)
-        notes.append(f"wall slope from matching shoot: {f2:.12g}")
-        return spec, notes
-    if name == "emden":
-        spec = problems.emden_chandrasekhar()
-    elif name == "white-dwarf":
-        spec = problems.white_dwarf(c_param=args.c_param if args.c_param is not None else 0.3)
-    elif name == "mathieu":
-        spec = problems.mathieu(delta=args.delta, epsilon=args.epsilon)
-    elif name == "pendulum":
-        spec = problems.pendulum()
-    elif name == "elastica":
-        a = args.a_param if args.a_param is not None else 1.0
-        c = args.c_param if args.c_param is not None else 1.2
-        spec = problems.elastica(a, c)
-        if spec.notes:
-            notes.append(spec.notes)
-    elif name == "leo":
-        spec = problems.leo(_load_model(args))
-        if spec.notes:
-            notes.append(spec.notes)
-    else:
-        raise ValueError(f"unhandled problem {name!r}")
-    if args.t_end is not None:
-        spec = replace(spec, tf=args.t_end)
-    return spec, notes
+def _leo(gravity_file: str = "egm_test.txt",
+         degree: Optional[int] = None) -> problems.ProblemSpec:
+    """The orbit problem in a field read from a file path or bundled name."""
+    return problems.leo(_leo_model(gravity_file, degree))
+
+
+def _late(name: str) -> Callable[..., problems.ProblemSpec]:
+    """``problems.<name>``, looked up on every call, so that a wrapper set
+    on the module later (a tracer, a test's monkeypatch) is the one run.
+    The signature, and with it every default, stays the factory's own."""
+    @functools.wraps(getattr(problems, name))
+    def factory(**kwargs):
+        return getattr(problems, name)(**kwargs)
+    return factory
+
+
+# the signature (and with it the defaults) stays blasius_pair's own
+@functools.wraps(problems.blasius_pair)
+def _blasius(**kwargs) -> problems.ProblemSpec:
+    return problems.blasius_pair(**kwargs)[1]
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """A CLI problem: a factory returning its ProblemSpec, and the flags
+    that set the factory's arguments (argument name -> argparse dest).
+
+    Those flags default to None, so a flag left unset leaves the
+    factory's own default in force; nothing here repeats a default.
+    """
+
+    factory: Callable[..., problems.ProblemSpec]
+    flags: Dict[str, str] = field(default_factory=dict)
+
+    def arguments(self, args=None) -> dict:
+        """The factory arguments the flags set, factory defaults filled in."""
+        params = inspect.signature(self.factory).parameters
+        out = {}
+        for arg, dest in self.flags.items():
+            value = getattr(args, dest, None)
+            out[arg] = params[arg].default if value is None else value
+        return out
+
+
+PROBLEMS = {
+    "blasius": _Problem(_blasius, {"xi_max": "t_end"}),
+    "emden": _Problem(_late("emden_chandrasekhar")),
+    "white-dwarf": _Problem(_late("white_dwarf"), {"c_param": "c_param"}),
+    "mathieu": _Problem(_late("mathieu"), {"delta": "delta", "epsilon": "epsilon"}),
+    "pendulum": _Problem(_late("pendulum")),
+    "buckled-bar": _Problem(_late("buckled_bar"),
+                            {"load_type": "load_type", "load": "load"}),
+    "elastica": _Problem(_late("elastica"), {"a": "a_param", "c": "c_param"}),
+    "leo": _Problem(_leo, {"gravity_file": "gravity_file", "degree": "degree"}),
+}
+
+
+def _bar_guesses(load_type: str, load: float) -> Tuple[float, float]:
+    """Stock secant seeds of a load case: its first BAR_GUESSES pair."""
+    return BAR_GUESSES.get((load_type, load), ((0.05, 0.1),))[0]
 
 
 def _config_from(args, default: SolverConfig) -> SolverConfig:
@@ -216,6 +218,25 @@ def _march_with_retry(spec, cfg: SolverConfig, tol_pinned: bool,
     raise last_exc
 
 
+def _shoot_bar(args, kwargs: dict, cfg: SolverConfig, with_oracle: bool):
+    """The bar is a boundary value problem: shoot it with the collocation
+    solver and, for a comparison, again with the oracle.  Returns the
+    trajectory, the oracle trajectory (or None) and the notes."""
+    guesses = tuple(args.guesses) if args.guesses is not None \
+        else _bar_guesses(**kwargs)
+    shot = solve_buckled_bar(kwargs["load_type"], kwargs["load"], guesses,
+                             config=cfg)
+    note = (f"shoot: theta_prime_0={shot.theta_prime_0:.12g} "
+            f"alpha={shot.alpha:.12g} residual={shot.residual:.3g} "
+            f"outer={shot.outer_iters} inner={shot.inner_iters}")
+    if not with_oracle:
+        return shot.trajectory, None, [note]
+    ref = solve_buckled_bar(kwargs["load_type"], kwargs["load"], guesses,
+                            config=cfg, integrator="rk45")
+    return (shot.trajectory, ref.trajectory,
+            [f"{note} (oracle {ref.theta_prime_0:.12g})"])
+
+
 def _growth_note(x0: np.ndarray, states: np.ndarray, notes: List[str]) -> None:
     start = max(1.0, float(np.max(np.abs(x0))))
     peak = float(np.max(np.abs(states)))
@@ -231,10 +252,6 @@ def _energy_drift(model: GravityModel, states: np.ndarray) -> float:
     return float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
 def _report_csv(spec, trajectory) -> str:
     buf = io.StringIO()
     rows = np.column_stack([trajectory.times, trajectory.states])
@@ -242,9 +259,31 @@ def _report_csv(spec, trajectory) -> str:
     return buf.getvalue()
 
 
-def _base_report(spec, cfg: SolverConfig, rk_cfg: RkConfig, trajectory,
-                 wall: float, notes: List[str], total_iterations: int) -> dict:
-    return {
+def cmd_solve(args) -> int:
+    """``run`` and ``compare``: one solve path.  ``compare`` adds the
+    oracle run, the per-dimension discrepancy and the ``--assert-below``
+    gate."""
+    t_start = time.perf_counter()
+    compare = args.command == "compare"
+    problem = PROBLEMS[args.problem]
+    kwargs = problem.arguments(args)
+    spec = problem.factory(**kwargs)
+    if args.t_end is not None:
+        spec = replace(spec, tf=args.t_end)
+    cfg = _config_from(args, spec.lvim_defaults)
+    rk_cfg = _rk_from(args, spec.rk_defaults)
+    if args.problem == "buckled-bar":
+        trajectory, oracle, notes = _shoot_bar(args, kwargs, cfg, compare)
+    else:
+        notes = [spec.notes] if spec.notes else []
+        trajectory, cfg = _march_with_retry(spec, cfg, args.tol is not None, notes)
+        oracle = rk45_integrate(spec.system, spec.t0, spec.tf, spec.x0,
+                                rk_cfg) if compare else None
+    if compare:
+        reference = sample_at(oracle, trajectory.times)
+        discrepancy = np.max(np.abs(trajectory.states - reference), axis=0)
+    _growth_note(spec.x0, trajectory.states, notes)
+    report = {
         "problem": spec.name,
         "config": {
             "n": cfg.n_basis,
@@ -255,102 +294,29 @@ def _base_report(spec, cfg: SolverConfig, rk_cfg: RkConfig, trajectory,
             "abs_tol": rk_cfg.abs_tol,
         },
         "samples": np.column_stack([trajectory.times, trajectory.states]).tolist(),
-        "total_iterations": total_iterations,
+        "total_iterations": int(np.sum(trajectory.segment_iterations)),
         "total_rhs_evals": int(trajectory.total_rhs_evals),
-        "wall_time_s": wall,
+        "wall_time_s": time.perf_counter() - t_start,
         "notes": "; ".join(notes),
     }
-
-
-def _solve_bar(args, integrator: str):
-    load_type = args.load_type.replace("-", "_")
-    load = args.load if args.load is not None else 50.0
-    if args.guesses is not None:
-        guesses = tuple(args.guesses)
-    else:
-        pairs = BAR_GUESSES.get((load_type, load))
-        guesses = pairs[0] if pairs else (0.05, 0.1)
-    spec = problems.buckled_bar(load_type, load)
-    cfg = _config_from(args, spec.lvim_defaults)
-    shot = solve_buckled_bar(load_type, load, guesses, config=cfg,
-                             integrator=integrator)
-    return spec, cfg, shot
-
-
-def cmd_run(args) -> int:
-    t_start = time.perf_counter()
-    notes: List[str] = []
-    if args.problem == "buckled-bar":
-        spec, cfg, shot = _solve_bar(args, "lvim")
-        trajectory = shot.trajectory
-        notes.append(
-            f"shoot: theta_prime_0={shot.theta_prime_0:.12g} "
-            f"alpha={shot.alpha:.12g} residual={shot.residual:.3g} "
-            f"outer={shot.outer_iters} inner={shot.inner_iters}"
-        )
-        total_iterations = int(np.sum(trajectory.segment_iterations))
-        rk_cfg = _rk_from(args, spec.rk_defaults)
-    else:
-        spec, notes = _build_spec(args)
-        cfg = _config_from(args, spec.lvim_defaults)
-        rk_cfg = _rk_from(args, spec.rk_defaults)
-        trajectory, cfg = _march_with_retry(spec, cfg, args.tol is not None, notes)
-        total_iterations = int(np.sum(trajectory.segment_iterations))
-    _growth_note(spec.x0, trajectory.states, notes)
-    wall = time.perf_counter() - t_start
-    report = _base_report(spec, cfg, rk_cfg, trajectory, wall, notes,
-                          total_iterations)
     if args.problem == "leo":
-        report["energy_drift"] = _energy_drift(_load_model(args),
+        report["energy_drift"] = _energy_drift(_leo_model(**kwargs),
                                                trajectory.states)
+    if compare:
+        report["max_discrepancy"] = [float(v) for v in discrepancy]
+        report["oracle_steps_accepted"] = int(oracle.steps_accepted)
+        report["oracle_steps_rejected"] = int(oracle.steps_rejected)
+        report["oracle_rhs_evals"] = int(oracle.total_rhs_evals)
     if args.format == "json":
-        _emit(_report_json(report), args.out)
+        _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
         _emit(_report_csv(spec, trajectory), args.out)
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    t_start = time.perf_counter()
-    notes: List[str] = []
-    if args.problem == "buckled-bar":
-        spec, cfg, shot = _solve_bar(args, "lvim")
-        _, _, oracle_shot = _solve_bar(args, "rk45")
-        trajectory = shot.trajectory
-        oracle = oracle_shot.trajectory
-        total_iterations = int(np.sum(trajectory.segment_iterations))
-        rk_cfg = _rk_from(args, spec.rk_defaults)
-        notes.append(
-            f"shoot: theta_prime_0={shot.theta_prime_0:.12g} "
-            f"(oracle {oracle_shot.theta_prime_0:.12g})"
-        )
-    else:
-        spec, notes = _build_spec(args)
-        cfg = _config_from(args, spec.lvim_defaults)
-        rk_cfg = _rk_from(args, spec.rk_defaults)
-        trajectory, cfg = _march_with_retry(spec, cfg, args.tol is not None, notes)
-        total_iterations = int(np.sum(trajectory.segment_iterations))
-        oracle = rk45_integrate(spec.system, spec.t0, spec.tf, spec.x0, rk_cfg)
-    reference = sample_at(oracle, trajectory.times)
-    discrepancy = np.max(np.abs(trajectory.states - reference), axis=0)
-    _growth_note(spec.x0, trajectory.states, notes)
-    wall = time.perf_counter() - t_start
-    report = _base_report(spec, cfg, rk_cfg, trajectory, wall, notes,
-                          total_iterations)
-    report["max_discrepancy"] = [float(v) for v in discrepancy]
-    report["oracle_steps_accepted"] = int(oracle.steps_accepted)
-    report["oracle_steps_rejected"] = int(oracle.steps_rejected)
-    report["oracle_rhs_evals"] = int(oracle.total_rhs_evals)
-    if args.format == "json":
-        _emit(_report_json(report), args.out)
-    else:
-        _emit(_report_csv(spec, trajectory), args.out)
-    if args.assert_below is not None and float(np.max(discrepancy)) > args.assert_below:
-        sys.stderr.write(
-            f"assertion failed: max discrepancy {float(np.max(discrepancy)):.3e}"
-            f" exceeds {args.assert_below:.3e}\n"
-        )
-        return EXIT_ASSERT
+    if compare and args.assert_below is not None:
+        worst = float(np.max(discrepancy))
+        if worst > args.assert_below:
+            sys.stderr.write(f"assertion failed: max discrepancy {worst:.3e}"
+                             f" exceeds {args.assert_below:.3e}\n")
+            return EXIT_ASSERT
     return EXIT_OK
 
 
@@ -365,9 +331,8 @@ def _ops_exactness(n: int, dt: float) -> float:
     built.  Every degree k >= 1 already has a scale of at least ``2/dt``
     (exactly ``2/dt`` for k = 1), so the floor only levels the k = 0 row
     with the others."""
-    grid = CollocationGrid(n, 0.0, dt)
-    ops = build_operators(grid)
-    tau = (2.0 * (grid.physical_nodes - grid.t_start) / dt) - 1.0
+    ops = build_operators(n, dt)
+    tau = cgl_nodes(n)
     worst = 0.0
     for k in range(n):
         coef = np.zeros(k + 1)
@@ -384,51 +349,56 @@ def _ops_exactness(n: int, dt: float) -> float:
     return worst
 
 
+def _commutator_defect(n: int, dt: float) -> float:
+    """Worst ``max|H - (P T - T P)| / (max|P| max(1, max|t|))`` over
+    segments of length dt starting at t0 = 0, 17.3 and 1e4, with ``T`` the
+    diagonal of the node times ``t = t0 + offsets``: H is built without
+    absolute times and must equal the commutator wherever a segment
+    starts."""
+    ops = build_operators(n, dt)
+    worst = 0.0
+    for t0 in (0.0, 17.3, 1e4):
+        t = t0 + ops.offsets
+        commutator = ops.p_mat * t - t[:, np.newaxis] * ops.p_mat
+        worst = max(worst, np.max(np.abs(ops.h_mat - commutator))
+                    / (np.max(np.abs(ops.p_mat)) * max(1.0, np.max(np.abs(t)))))
+    return worst
+
+
 def cmd_ops_check(args) -> int:
     all_ok = True
     print(f"{'N':>4}  {'exact(dt=1)':>12}  {'exact(dt=500)':>13}  "
-          f"{'zero rows':>9}  {'shift':>9}  verdict")
+          f"{'zero rows':>9}  {'commutator':>10}  verdict")
     for n in args.n_list:
         r1 = _ops_exactness(n, 1.0)
         r500 = _ops_exactness(n, 500.0)
-        ops_a = build_operators(CollocationGrid(n, 0.0, 1.3))
-        ops_b = build_operators(CollocationGrid(n, 17.3, 1.3))
-        zero_rows = (np.all(ops_a.p_mat[0] == 0.0)
-                     and np.all(ops_a.h_mat[0] == 0.0))
-        shift = max(np.max(np.abs(ops_a.q_mat - ops_b.q_mat)),
-                    np.max(np.abs(ops_a.p_mat - ops_b.p_mat)),
-                    np.max(np.abs(ops_a.h_mat - ops_b.h_mat)))
-        ok = r1 < 1e-12 and r500 < 1e-9 and zero_rows and shift < 1e-12
+        ops = build_operators(n, 1.3)
+        zero_rows = (np.all(ops.p_mat[0] == 0.0)
+                     and np.all(ops.h_mat[0] == 0.0))
+        commutator = _commutator_defect(n, 1.3)
+        ok = r1 < 1e-12 and r500 < 1e-9 and zero_rows and commutator < 1e-12
         all_ok = all_ok and ok
         print(f"{n:>4}  {r1:>12.3e}  {r500:>13.3e}  "
-              f"{str(zero_rows):>9}  {shift:>9.3e}  {'pass' if ok else 'FAIL'}")
+              f"{str(zero_rows):>9}  {commutator:>10.3e}  "
+              f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_SELF_TEST
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LVIM_THREADS", "")
-    try:
-        return max(0, int(raw)) if raw else 0
-    except ValueError:
-        return 0
-
-
-def _run_jobs(jobs: List[Tuple[str, Callable[[], np.ndarray]]]):
-    """Run (label, job) pairs, possibly in parallel; results keep order."""
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda item: item[1](), jobs))
-    else:
-        results = [job() for _, job in jobs]
-    return [(label, res) for (label, _), res in zip(jobs, results)]
-
-
-def _sweep_files(out: Optional[str], labels: Sequence[str]) -> List[Optional[str]]:
-    if not out:
-        return [None] * len(labels)
-    stem, ext = os.path.splitext(out)
-    return [f"{stem}-{label}{ext or '.csv'}" for label in labels]
+def _emit_curves(curves: List[Tuple[str, Trajectory]], header: Sequence[str],
+                 out: Optional[str]) -> None:
+    """Write labeled curves: with ``out``, one file per curve with the
+    label inserted before the extension; else to stdout, each table after
+    a ``# label`` line."""
+    for label, tr in curves:
+        buf = io.StringIO()
+        path = None
+        if out:
+            stem, ext = os.path.splitext(out)
+            path = f"{stem}-{label}{ext or '.csv'}"
+        else:
+            buf.write(f"# {label}\n")
+        _write_table(buf, header, np.column_stack([tr.times, tr.states]))
+        _emit(buf.getvalue(), path)
 
 
 def cmd_sweep(args) -> int:
@@ -443,86 +413,46 @@ def cmd_sweep(args) -> int:
         _emit(buf.getvalue(), args.out)
         return EXIT_OK
 
+    curves = []
     if args.kind == "elastica-regimes":
-        jobs = []
         for a, c in ELASTICA_SWEEP_TRIPLES:
             spec = problems.elastica(a, c)
-            jobs.append((
-                f"regime{problems.elastica_regime(a, c)}",
-                lambda spec=spec: march(spec.system, spec.t0, spec.tf,
-                                        spec.x0, spec.lvim_defaults),
-            ))
-        results = _run_jobs(jobs)
-        paths = _sweep_files(args.out, [label for label, _ in results])
-        for (label, tr), path in zip(results, paths):
-            buf = io.StringIO()
-            _write_table(buf, ("x", "y"),
-                         np.column_stack([tr.times, tr.states]))
-            if path is None and args.out is None:
-                sys.stdout.write(f"# {label}\n")
-            _emit(buf.getvalue(), path)
+            curves.append((f"regime{problems.elastica_regime(a, c)}",
+                           march(spec.system, spec.t0, spec.tf, spec.x0,
+                                 spec.lvim_defaults)))
+        _emit_curves(curves, ("x", "y"), args.out)
         return EXIT_OK
 
-    if args.kind == "bar-load":
-        cases = [("dead", 25.0, pair) for pair in BAR_GUESSES[("dead", 25.0)]]
-        cases += [("dead", 50.0, pair) for pair in BAR_GUESSES[("dead", 50.0)]]
-        jobs = []
-        for i, (load_type, load, pair) in enumerate(cases):
-            k = sum(1 for c in cases[: i + 1]
-                    if (c[0], c[1]) == (load_type, load))
-            jobs.append((
-                f"{load_type}-P{load:g}-branch{k}",
-                lambda lt=load_type, p=load, g=pair:
-                    solve_buckled_bar(lt, p, g).trajectory,
-            ))
-        results = _run_jobs(jobs)
-        paths = _sweep_files(args.out, [label for label, _ in results])
-        for (label, tr), path in zip(results, paths):
-            buf = io.StringIO()
-            _write_table(buf, ("s", "theta", "theta_prime"),
-                         np.column_stack([tr.times, tr.states]))
-            if path is None and args.out is None:
-                sys.stdout.write(f"# {label}\n")
-            _emit(buf.getvalue(), path)
-        return EXIT_OK
-
-    raise ValueError(f"unhandled sweep {args.kind!r}")
+    for load in (25.0, 50.0):  # bar-load
+        for k, pair in enumerate(BAR_GUESSES[("dead", load)], 1):
+            curves.append((f"dead-P{load:g}-branch{k}",
+                           solve_buckled_bar("dead", load, pair).trajectory))
+    _emit_curves(curves, ("s", "theta", "theta_prime"), args.out)
+    return EXIT_OK
 
 
 def _print_defaults() -> None:
-    """Dump every problem's default configuration from the factories."""
+    """Dump, per problem, the default of every value a flag can set, keyed
+    by the flag's name, as a bare run would use it."""
     table = {}
-    for name in PROBLEM_NAMES:
-        if name == "blasius":
-            _, spec = problems.blasius_pair()
-        elif name == "emden":
-            spec = problems.emden_chandrasekhar()
-        elif name == "white-dwarf":
-            spec = problems.white_dwarf()
-        elif name == "mathieu":
-            spec = problems.mathieu()
-        elif name == "pendulum":
-            spec = problems.pendulum()
-        elif name == "buckled-bar":
-            spec = problems.buckled_bar("dead", 50.0)
-        elif name == "elastica":
-            spec = problems.elastica(1.0, 1.2)
-        else:
-            spec = problems.leo(load_gravity_model(bundled_gravity_path()))
+    for name, problem in PROBLEMS.items():
+        kwargs = problem.arguments()
+        spec = problem.factory(**kwargs)
         cfg = spec.lvim_defaults
         entry = {
             "n": cfg.n_basis,
             "dt": cfg.dt,
             "tol": cfg.tol,
             "jacobian": cfg.jacobian_mode,
-            "t0": spec.t0,
             "t_end": spec.tf,
             "rel_tol": spec.rk_defaults.rel_tol,
             "abs_tol": spec.rk_defaults.abs_tol,
         }
-        entry.update(PROBLEM_PARAMS[name])
+        entry.update((problem.flags[arg], value) for arg, value in kwargs.items())
+        if name == "buckled-bar":
+            entry["guesses"] = _bar_guesses(**kwargs)
         table[name] = entry
-    json.dump(table, sys.stdout, indent=2, default=str)
+    json.dump(table, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
@@ -535,18 +465,18 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--jacobian", choices=("full", "frozen"))
     parser.add_argument("--rel-tol", type=float, help="oracle relative tolerance")
     parser.add_argument("--abs-tol", type=float, help="oracle absolute tolerance")
-    parser.add_argument("--gravity-file", default="egm_test.txt",
+    parser.add_argument("--gravity-file",
                         help="coefficient file path or bundled name")
     parser.add_argument("--degree", type=int, help="truncate the gravity field")
-    parser.add_argument("--delta", type=float, default=0.5,
-                        help="Mathieu stiffness offset")
-    parser.add_argument("--epsilon", type=float, default=0.1,
+    parser.add_argument("--delta", type=float, help="Mathieu stiffness offset")
+    parser.add_argument("--epsilon", type=float,
                         help="Mathieu modulation amplitude")
     parser.add_argument("--a-param", type=float, help="elastica a")
     parser.add_argument("--c-param", type=float,
                         help="elastica c / white-dwarf density parameter")
-    parser.add_argument("--load-type", default="dead",
-                        choices=("dead", "perpendicular-follower", "tangent-follower"))
+    parser.add_argument("--load-type", choices=problems.BAR_LOAD_TYPES,
+                        type=lambda s: s.replace("-", "_"),
+                        help="bar load convention (- and _ both accepted)")
     parser.add_argument("--load", type=float, help="bar end load")
     parser.add_argument("--guesses", type=float, nargs=2, metavar=("A", "B"),
                         help="secant seeds for the bar shoot")
@@ -562,11 +492,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     run_p = sub.add_parser("run", help="solve one benchmark")
-    run_p.add_argument("problem", nargs="?", choices=PROBLEM_NAMES)
+    run_p.add_argument("problem", nargs="?", choices=tuple(PROBLEMS))
     _add_common_flags(run_p)
 
     cmp_p = sub.add_parser("compare", help="solve and check against the oracle")
-    cmp_p.add_argument("problem", nargs="?", choices=PROBLEM_NAMES)
+    cmp_p.add_argument("problem", nargs="?", choices=tuple(PROBLEMS))
     _add_common_flags(cmp_p)
     cmp_p.add_argument("--assert-below", type=float,
                        help="exit 3 if any discrepancy exceeds this")
@@ -603,10 +533,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
         if args.problem is None:
             parser.error(
-                f"a problem is required (one of: {', '.join(PROBLEM_NAMES)})")
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_compare(args)
+                f"a problem is required (one of: {', '.join(PROBLEMS)})")
+        return cmd_solve(args)
     except SystemExit as exc:
         # argparse exits on usage errors and --help; keep the function API
         # returning an int either way

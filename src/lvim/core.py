@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cheb import CollocationGrid, OperatorSet, build_operators
+from .cheb import OperatorSet, build_operators
 from .errors import ConvergenceError, DomainViolationError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Trajectory",
     "residual",
     "iterate_segment",
-    "iterate_segment_frozen",
     "march",
 ]
 
@@ -51,6 +50,12 @@ def _max_of(a: np.ndarray) -> float:
     Python list (cheaper on small arrays); a NaN anywhere gives NaN."""
     v = a.ravel().tolist()
     return math.nan if math.isnan(sum(v)) else max(v)
+
+
+def _overflow(what: str, t: float, x: np.ndarray) -> DomainViolationError:
+    # math.exp and friends raise OverflowError where numpy would return inf
+    return DomainViolationError(f"{what} overflowed at t={float(t)!r}",
+                                t=t, state=np.array(x, dtype=float))
 
 
 @dataclass
@@ -73,19 +78,25 @@ class OdeSystem:
 
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
-        g = np.asarray(self.rhs(t, x), dtype=float)
+        try:
+            g = np.asarray(self.rhs(t, x), dtype=float)
+        except OverflowError as exc:
+            raise _overflow("right-hand side", t, x) from exc
         # a finite sum implies finite entries; only a sum that is not
         # finite (possibly by overflow) needs the element-wise test
         if not math.isfinite(sum(g.ravel().tolist())) and not np.all(np.isfinite(g)):
             raise DomainViolationError(
-                f"right-hand side returned a non-finite value at t={t!r}",
+                f"right-hand side returned a non-finite value at t={float(t)!r}",
                 t=t, state=np.array(x, dtype=float))
         return g
 
     def eval_jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.jac is not None:
+        if self.jac is None:
+            return self._fd_jac(t, x)
+        try:
             return np.asarray(self.jac(t, x), dtype=float)
-        return self._fd_jac(t, x)
+        except OverflowError as exc:
+            raise _overflow("Jacobian", t, x) from exc
 
     def _fd_jac(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -159,30 +170,16 @@ class Trajectory:
     wall_time: float = 0.0
 
 
-def _segment_times(ops: OperatorSet, t_start: Optional[float]) -> np.ndarray:
-    """Physical node times, optionally shifted to a different segment start.
-
-    Operator matrices are shift-invariant in the segment start (``P`` and
-    ``Q`` do not depend on it at all and ``H`` only through differences of
-    node times), so a cached operator set built for one segment can be
-    reused for any later segment of the same length; only the evaluation
-    times move.
-    """
-    grid = ops.grid
-    if t_start is None or t_start == grid.t_start:
-        return grid.physical_nodes
-    return t_start + (grid.physical_nodes - grid.t_start)
-
-
 def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
              t_nodes: Optional[np.ndarray] = None) -> np.ndarray:
     """Collocation residual ``Q @ x - g`` at the segment nodes.
 
     Column ``d`` is the derivative of the interpolant of state component
     ``d`` minus the rhs component, both sampled at the nodes.  The rhs is
-    evaluated node-by-node in ascending time order.
+    evaluated node-by-node in ascending time order, at ``t_nodes``
+    (default: a segment starting at 0).
     """
-    t = ops.grid.physical_nodes if t_nodes is None else t_nodes
+    t = ops.offsets if t_nodes is None else t_nodes
     x = np.asarray(node_states, dtype=float)
     g = np.empty_like(x)
     for j in range(t.size):
@@ -190,13 +187,24 @@ def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
     return ops.q_mat @ x - g
 
 
-def _iterate(ops, system, x0, config, t_start, frozen):
+def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
+                    config: SolverConfig, t_start: float = 0.0) -> SegmentResult:
+    """Iterate one segment starting at ``t_start`` to convergence.
+
+    ``config.jacobian_mode`` picks the Jacobian in the feedback term:
+    "full" re-evaluates it at every node of every sweep, "frozen"
+    evaluates it once at the incoming state and reuses it (the two agree
+    for linear constant-coefficient systems).  Stops as soon as the
+    max-norm of the node correction drops below ``config.tol`` and raises
+    :class:`ConvergenceError` if the iteration budget runs out.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(
             f"initial state has shape {x0.shape}, expected ({system.dim},)")
-    t_nodes = _segment_times(ops, t_start)
-    m = ops.grid.n_basis
+    t_nodes = t_start + ops.offsets
+    m = t_nodes.size
+    frozen = config.jacobian_mode == "frozen"
 
     # Constant initial guess: every node starts at the incoming state.
     x = np.repeat(x0[np.newaxis, :], m, axis=0)
@@ -228,32 +236,6 @@ def _iterate(ops, system, x0, config, t_start, frozen):
         "reducing dt usually restores convergence")
 
 
-def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
-                    config: SolverConfig, t_start: Optional[float] = None
-                    ) -> SegmentResult:
-    """Iterate one segment to convergence, re-evaluating the Jacobian at
-    every node of every sweep.
-
-    Stops as soon as the max-norm of the node correction drops below
-    ``config.tol`` and raises :class:`ConvergenceError` if the iteration
-    budget runs out.  ``t_start`` shifts the evaluation times so a cached
-    operator set can serve any segment of equal length.
-    """
-    return _iterate(ops, system, x0, config, t_start, frozen=False)
-
-
-def iterate_segment_frozen(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
-                           config: SolverConfig, t_start: Optional[float] = None
-                           ) -> SegmentResult:
-    """Iterate one segment with the Jacobian evaluated once at the segment
-    start and reused for every node and sweep.
-
-    Equivalent to :func:`iterate_segment` for linear systems; cheaper per
-    sweep whenever Jacobian evaluations dominate.
-    """
-    return _iterate(ops, system, x0, config, t_start, frozen=True)
-
-
 def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
           config: SolverConfig) -> Trajectory:
     """Integrate ``[t0, tf]`` by marching fixed-length segments.
@@ -268,8 +250,6 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     if not tf > t0:
         raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
     x0 = np.asarray(x0, dtype=float)
-    step = iterate_segment_frozen if config.jacobian_mode == "frozen" \
-        else iterate_segment
 
     span = tf - t0
     n_full = int(np.floor(span / config.dt + 1e-12))
@@ -296,10 +276,9 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     for i, (t_seg, seg_len) in enumerate(zip(starts, lens)):
         ops = ops_cache.get(seg_len)
         if ops is None:
-            ops = build_operators(CollocationGrid(config.n_basis, t_seg, seg_len))
-            ops_cache[seg_len] = ops
+            ops = ops_cache[seg_len] = build_operators(config.n_basis, seg_len)
         try:
-            res = step(ops, system, x, config, t_start=t_seg)
+            res = iterate_segment(ops, system, x, config, t_start=t_seg)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"segment {i} (t={t_seg:g}): {exc}") from exc
@@ -307,8 +286,7 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
             raise DomainViolationError(
                 f"segment {i} (t={t_seg:g}): {exc}",
                 t=exc.t, state=exc.state) from exc
-        t_nodes = _segment_times(ops, t_seg)
-        times.extend(t_nodes[1:])
+        times.extend(t_seg + ops.offsets[1:])
         states.extend(res.node_states[1:])
         iters.append(res.iterations)
         x = res.node_states[-1]

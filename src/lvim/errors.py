@@ -5,14 +5,6 @@ class LvimError(Exception):
     """Base class for all solver-specific errors."""
 
 
-class SingularBasisError(LvimError):
-    """The collocation basis matrix could not be factorized.
-
-    Usually signals duplicate nodes or a basis size too large for the
-    floating-point format.
-    """
-
-
 class DomainViolationError(LvimError):
     """A right-hand side was evaluated outside its domain of validity.
 

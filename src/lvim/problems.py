@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cheb import CollocationGrid, interpolate
+from .cheb import interpolate
 from .core import OdeSystem, SolverConfig, march
 from .errors import ConvergenceError, DomainViolationError
 from .gravity import GravityModel, gravity_accel
@@ -291,11 +291,9 @@ def _refine_crossing(config: SolverConfig, t_grid, thdot, i: int):
     if len(times) < m:
         f0, f1 = thdot[i], thdot[i + 1]
         return t_grid[i] + (t_grid[i + 1] - t_grid[i]) * f0 / (f0 - f1)
-    grid = CollocationGrid(n_basis=m, t_start=float(times[0]),
-                           t_len=float(times[-1] - times[0]))
 
     def f(t):
-        return float(interpolate(grid, vals, float(t)))
+        return float(interpolate(times, vals, float(t)))
 
     a, b = t_grid[i], t_grid[i + 1]
     fa, fb = f(a), f(b)
@@ -346,7 +344,8 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
 BAR_LOAD_TYPES = ("dead", "perpendicular_follower", "tangent_follower")
 
 
-def buckled_bar(load_type: str, load: float, alpha: float = 0.0) -> ProblemSpec:
+def buckled_bar(load_type: str = "dead", load: float = 50.0,
+                alpha: float = 0.0) -> ProblemSpec:
     """Post-buckling rod bending in arc length, unit stiffness and length.
 
     The load direction follows the named convention: fixed for a dead
@@ -410,7 +409,7 @@ def elastica_regime(a: float, c: float) -> int:
     raise ValueError(f"(a, c) = ({a:g}, {c:g}) sits on or outside the family boundaries")
 
 
-def elastica(a: float, c: float, x_margin: float = 1e-3) -> ProblemSpec:
+def elastica(a: float = 1.0, c: float = 1.2, x_margin: float = 1e-3) -> ProblemSpec:
     """Planar rod centerline as a single quadrature in x.
 
     The slope field blows up at |x| = c, so the span stops short of it

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvim.cheb import CollocationGrid, build_operators, cgl_nodes, interpolate
+from lvim import cheb
+from lvim.cheb import build_operators, cgl_nodes, interpolate
 
 
 def chebvals(tau, coef):
@@ -29,9 +30,9 @@ def test_cgl_nodes_endpoints_and_order():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        CollocationGrid(1, 0.0, 1.0)
+        build_operators(1, 1.0)
     with pytest.raises(ValueError):
-        CollocationGrid(5, 0.0, 0.0)
+        build_operators(5, 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 5, 7, 13, 26])
@@ -46,9 +47,8 @@ def test_operator_exactness(n, dt):
     and ``q @ ones`` sums entries of size ``~N^2/dt``, so its roundoff
     grows like ``1/dt``; an absolute bound on it would fail at small dt
     however q is built."""
-    grid = CollocationGrid(n, 0.3, dt)
-    ops = build_operators(grid)
-    tau = grid.nodes
+    ops = build_operators(n, dt)
+    tau = cgl_nodes(n)
     tol = 1e-9 if (n, dt) == (26, 500.0) else 1e-12
     for k in range(n):
         coef = np.zeros(k + 1)
@@ -62,24 +62,49 @@ def test_operator_exactness(n, dt):
 
 def test_first_rows_pinned_to_zero():
     for n in (2, 5, 13):
-        ops = build_operators(CollocationGrid(n, -2.0, 3.7))
+        ops = build_operators(n, 3.7)
         assert np.all(ops.p_mat[0] == 0.0)
         assert np.all(ops.h_mat[0] == 0.0)
 
 
-def test_shift_invariance():
-    a = build_operators(CollocationGrid(7, 0.0, 1.3))
-    b = build_operators(CollocationGrid(7, 17.3, 1.3))
-    assert np.array_equal(a.q_mat, b.q_mat)
-    assert np.array_equal(a.p_mat, b.p_mat)
-    assert np.max(np.abs(a.h_mat - b.h_mat)) < 1e-12
+def test_h_matches_commutator():
+    """H is built from node time differences only; it must equal the
+    commutator P T - T P, T = diag(t0 + offsets), wherever the segment
+    starts."""
+    for n in (2, 5, 13, 26):
+        ops = build_operators(n, 1.3)
+        for t0 in (0.0, 17.3, 1e4):
+            t = t0 + ops.offsets
+            commutator = ops.p_mat * t - t[:, np.newaxis] * ops.p_mat
+            scale = np.max(np.abs(ops.p_mat)) * max(1.0, np.max(np.abs(t)))
+            assert np.max(np.abs(ops.h_mat - commutator)) <= 1e-12 * scale
+
+
+def test_operators_call_no_lapack(monkeypatch):
+    """Operators and interpolation are closed-form sums and products, so
+    no result depends on which LAPACK build rounds last."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    cheb._ref_operators.cache_clear()
+    try:
+        for n in (2, 5, 7, 13, 26):
+            ops = build_operators(n, 0.7)
+            t = 0.3 + ops.offsets
+            mid = 0.5 * (t[0] + t[1])
+            assert interpolate(t, 2.0 * t - 1.0, mid) == pytest.approx(
+                2.0 * mid - 1.0, rel=1e-14)
+    finally:
+        cheb._ref_operators.cache_clear()
 
 
 def test_n2_operators_are_two_point_rules():
     # with two nodes the interpolant is the chord, so differentiation is
     # the finite difference and integration the trapezoid
     dt = 0.4
-    ops = build_operators(CollocationGrid(2, 0.0, dt))
+    ops = build_operators(2, dt)
     assert np.allclose(ops.q_mat, np.array([[-1.0, 1.0], [-1.0, 1.0]]) / dt)
     assert np.allclose(ops.p_mat, np.array([[0.0, 0.0], [0.5, 0.5]]) * dt)
 
@@ -87,28 +112,28 @@ def test_n2_operators_are_two_point_rules():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
 def test_interpolate_reproduces_nodes(coef):
-    grid = CollocationGrid(5, 1.0, 2.0)
-    vals = chebvals(grid.nodes, np.asarray(coef))
-    for t, v in zip(grid.physical_nodes, vals):
-        assert interpolate(grid, vals, float(t)) == pytest.approx(v, abs=1e-12)
+    t_nodes = 1.0 + build_operators(5, 2.0).offsets
+    vals = chebvals(cgl_nodes(5), np.asarray(coef))
+    for t, v in zip(t_nodes, vals):
+        assert interpolate(t_nodes, vals, float(t)) == v
 
 
 def test_interpolate_matches_polynomial_between_nodes():
-    grid = CollocationGrid(7, 0.0, 2.0)
+    t_nodes = build_operators(7, 2.0).offsets
     poly = np.array([0.3, -1.2, 0.5, 0.0, 2.0, -0.7, 0.1])
-    vals = chebvals(grid.nodes, poly)
+    vals = chebvals(cgl_nodes(7), poly)
     for t in np.linspace(0.0, 2.0, 17):
         tau = t - 1.0
-        assert interpolate(grid, vals, t) == pytest.approx(
+        assert interpolate(t_nodes, vals, t) == pytest.approx(
             chebvals(tau, poly), abs=1e-12)
 
 
 def test_interpolate_vector_values_and_domain_check():
-    grid = CollocationGrid(5, 0.0, 1.0)
-    vals = np.column_stack([grid.physical_nodes, grid.physical_nodes ** 2])
-    out = interpolate(grid, vals, 0.5)
+    t_nodes = build_operators(5, 1.0).offsets
+    vals = np.column_stack([t_nodes, t_nodes ** 2])
+    out = interpolate(t_nodes, vals, 0.5)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(0.5, abs=1e-13)
     assert out[1] == pytest.approx(0.25, abs=1e-13)
     with pytest.raises(ValueError):
-        interpolate(grid, vals, 1.5)
+        interpolate(t_nodes, vals, 1.5)

@@ -1,13 +1,18 @@
 """Command-line harness: exit codes, report formats, self-test, sweeps."""
 
+import functools
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from jsonschema import validate
 
+import lvim
+from lvim import cli, problems
 from lvim.cli import main
 
 
@@ -114,6 +119,72 @@ def test_print_defaults(capsys):
     assert table["white-dwarf"]["c_param"] == 0.3
 
 
+def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
+    """Every problem lists exactly the values its flags can set, each one
+    equal to what a bare ``lvim run <name>`` passes on: factory arguments
+    to the factory, solver settings to the march (or the bar shoot)."""
+    assert main(["run", "--print-defaults"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert set(table) == set(cli.PROBLEMS)
+    dests = set(vars(cli._build_parser().parse_args(["run"])))
+    common = {"n", "dt", "tol", "jacobian", "t_end", "rel_tol", "abs_tol"}
+
+    class Captured(Exception):
+        pass
+
+    for name, problem in cli.PROBLEMS.items():
+        listed = table[name]
+        extra = {"guesses"} if name == "buckled-bar" else set()
+        assert set(listed) == common | set(problem.flags.values()) | extra
+        assert set(listed) <= dests
+        seen = {}
+
+        @functools.wraps(problem.factory)
+        def factory(**kwargs):
+            seen["kwargs"] = kwargs
+            seen["spec"] = problem.factory(**kwargs)
+            return seen["spec"]
+
+        def stop(*args, **kwargs):
+            seen["args"], seen["config"] = args, kwargs.get("config")
+            raise Captured
+
+        with monkeypatch.context() as m:
+            m.setitem(cli.PROBLEMS, name, replace(problem, factory=factory))
+            m.setattr(cli, "march", stop)
+            m.setattr(cli, "solve_buckled_bar", stop)
+            with pytest.raises(Captured):
+                main(["run", name])
+        for arg, value in seen["kwargs"].items():
+            assert listed[problem.flags[arg]] == value, (name, arg)
+        spec = seen["spec"]
+        if name == "buckled-bar":
+            cfg, tf = seen["config"], spec.tf
+            assert listed["guesses"] == list(seen["args"][2])
+        else:
+            _, _, tf, _, cfg = seen["args"]
+        assert (listed["n"], listed["dt"], listed["tol"], listed["jacobian"]) \
+            == (cfg.n_basis, cfg.dt, cfg.tol, cfg.jacobian_mode), name
+        assert listed["t_end"] == tf
+        assert (listed["rel_tol"], listed["abs_tol"]) \
+            == (spec.rk_defaults.rel_tol, spec.rk_defaults.abs_tol)
+
+
+def test_factories_are_looked_up_per_call(monkeypatch, tmp_path):
+    # a wrapper set on lvim.problems after import (a tracer, a spy) runs
+    calls = []
+    real = problems.mathieu
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(problems, "mathieu", spy)
+    assert main(["run", "mathieu", "--t-end", "1",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert calls == [{"delta": 0.5, "epsilon": 0.1}]
+
+
 def test_retry_ladder_relaxes_and_warns(tmp_path):
     out = tmp_path / "m.json"
     assert main(["run", "mathieu", "--epsilon", "1.0", "--format", "json",
@@ -149,6 +220,13 @@ def test_bad_parameter_is_usage_error(capsys):
     assert main(["run", "elastica", "--a-param", "1.0",
                  "--c-param", "1.5"]) == 1
     capsys.readouterr()
+
+
+def test_rhs_overflow_is_exit_2(capsys):
+    # frozen mode drives the Emden iterate far enough for math.exp to
+    # overflow; that is a solver failure, not a usage error
+    assert main(["run", "emden", "--jacobian", "frozen"]) == 2
+    assert "overflowed" in capsys.readouterr().err
 
 
 def test_pinned_tolerance_failure_is_exit_2(tmp_path, capsys):
@@ -201,8 +279,7 @@ def test_frequency_sweep_table(tmp_path):
     assert rows[0, 1] > rows[1, 1]  # softening spring
 
 
-def test_bar_sweep_writes_labeled_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("LVIM_THREADS", "3")
+def test_bar_sweep_writes_labeled_files(tmp_path):
     out = tmp_path / "bar.csv"
     assert main(["sweep", "bar-load", "--out", str(out)]) == 0
     produced = sorted(p.name for p in tmp_path.iterdir())
@@ -223,7 +300,11 @@ def test_elastica_sweep_stdout_labels(capsys):
 # ------------------------------------------------------------- entrypoint
 
 def test_console_script_runs():
+    # the child imports the same lvim as this process, installed or not
+    src = os.path.dirname(os.path.dirname(lvim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "lvim.cli", "ops-check", "5"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout

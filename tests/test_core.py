@@ -1,19 +1,15 @@
 """Iteration core: convergence, initial-condition handling, accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lvim.cheb import CollocationGrid, build_operators
-from lvim.core import (
-    OdeSystem,
-    SolverConfig,
-    iterate_segment,
-    iterate_segment_frozen,
-    march,
-    residual,
-)
+import lvim
+from lvim import problems
+from lvim.cheb import build_operators
+from lvim.core import OdeSystem, SolverConfig, iterate_segment, march, residual
 from lvim.errors import ConvergenceError, DomainViolationError
 
 
@@ -42,23 +38,23 @@ MATHIEU = OdeSystem(
 
 
 def test_segment_matches_exponential():
-    ops = build_operators(CollocationGrid(13, 0.0, 1.0))
+    ops = build_operators(13, 1.0)
     res = iterate_segment(ops, decay_system(), np.array([1.0]),
                           SolverConfig(13, 1.0, 1e-12))
     assert res.converged
-    exact = np.exp(-ops.grid.physical_nodes)
+    exact = np.exp(-ops.offsets)
     assert np.max(np.abs(res.node_states[:, 0] - exact)) < 1e-13
 
 
 def test_segment_preserves_initial_condition_exactly():
-    ops = build_operators(CollocationGrid(7, 0.0, 0.5))
+    ops = build_operators(7, 0.5)
     x0 = np.array([0.7, -0.3])
     res = iterate_segment(ops, rotation_system(), x0, SolverConfig(7, 0.5, 1e-12))
     assert np.all(res.node_states[0] == x0)
 
 
 def test_segment_mathieu_default_config_converges():
-    ops = build_operators(CollocationGrid(5, 0.0, 0.5))
+    ops = build_operators(5, 0.5)
     cfg = SolverConfig(5, 0.5, 1e-10)
     res = iterate_segment(ops, MATHIEU, np.array([1.0, 0.0]), cfg)
     assert res.converged
@@ -69,11 +65,12 @@ def test_segment_mathieu_default_config_converges():
 def test_frozen_equals_full_for_constant_jacobian():
     """For a linear constant-coefficient system the two modes see the same
     Jacobian, so the iterates are identical."""
-    ops = build_operators(CollocationGrid(7, 0.0, 0.8))
+    ops = build_operators(7, 0.8)
     x0 = np.array([1.0, 0.0])
     cfg = SolverConfig(7, 0.8, 1e-12)
     full = iterate_segment(ops, rotation_system(), x0, cfg)
-    frozen = iterate_segment_frozen(ops, rotation_system(), x0, cfg)
+    frozen = iterate_segment(ops, rotation_system(), x0,
+                             replace(cfg, jacobian_mode="frozen"))
     assert np.array_equal(full.node_states, frozen.node_states)
     assert full.iterations == frozen.iterations
 
@@ -81,7 +78,7 @@ def test_frozen_equals_full_for_constant_jacobian():
 def test_converged_segment_residual_is_defect_sized():
     # the fixed point zeroes the discretized update, so the collocation
     # defect at the nodes sits at interpolation-truncation scale, not at tol
-    ops = build_operators(CollocationGrid(13, 0.0, 1.0))
+    ops = build_operators(13, 1.0)
     res = iterate_segment(ops, decay_system(), np.array([1.0]),
                           SolverConfig(13, 1.0, 1e-12))
     defect = residual(ops, decay_system(), res.node_states)
@@ -167,7 +164,32 @@ def test_nan_correction_never_converges():
     sys_ = OdeSystem(dim=2, rhs=lambda t, x: np.zeros(2),
                      jac=lambda t, x: np.array([[0.0, 0.0], [0.0, np.inf]]),
                      name="nan-jac")
-    ops = build_operators(CollocationGrid(5, 0.0, 0.5))
+    ops = build_operators(5, 0.5)
     with pytest.raises(ConvergenceError):
         iterate_segment(ops, sys_, np.zeros(2),
                         SolverConfig(n_basis=5, dt=0.5, tol=1e-10, max_iter=3))
+
+
+def test_rhs_overflow_is_domain_violation():
+    """A rhs built on math.exp raises OverflowError where numpy would give
+    inf; the stock Emden march in frozen mode drives one there."""
+    spec = problems.emden_chandrasekhar()
+    cfg = replace(spec.lvim_defaults, jacobian_mode="frozen")
+    with pytest.raises(DomainViolationError) as info:
+        march(spec.system, spec.t0, spec.tf, spec.x0, cfg)
+    assert info.value.t is not None and info.value.state.shape == (2,)
+
+
+def test_jacobian_overflow_is_domain_violation():
+    def jac(t, x):
+        return np.array([[math.exp(x[0])]])
+
+    sys_ = OdeSystem(dim=1, rhs=lambda t, x: x, jac=jac, name="exp-jac")
+    with pytest.raises(DomainViolationError) as info:
+        sys_.eval_jac(2.0, np.array([1e3]))
+    assert info.value.t == 2.0 and info.value.state[0] == 1e3
+
+
+def test_public_names_resolve():
+    for name in lvim.__all__:
+        assert hasattr(lvim, name), name
