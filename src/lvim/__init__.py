@@ -7,7 +7,7 @@ and a shooting wrapper for boundary-value problems (``shooting``).  The
 ``lvim`` console script drives all of it.
 """
 
-from .cheb import OperatorSet, build_operators, cgl_nodes, interpolate
+from .cheb import OperatorSet, build_operators, cgl_nodes
 from .core import (
     OdeSystem,
     SegmentResult,
@@ -34,7 +34,6 @@ __all__ = [
     "OperatorSet",
     "build_operators",
     "cgl_nodes",
-    "interpolate",
     "OdeSystem",
     "SegmentResult",
     "SolverConfig",

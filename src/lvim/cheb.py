@@ -34,7 +34,6 @@ __all__ = [
     "OperatorSet",
     "cgl_nodes",
     "build_operators",
-    "interpolate",
 ]
 
 
@@ -155,29 +154,3 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     for a in (p_mat, q_mat, h_mat, offsets):
         a.setflags(write=False)
     return OperatorSet(p_mat=p_mat, q_mat=q_mat, h_mat=h_mat, offsets=offsets)
-
-
-def interpolate(t_nodes: np.ndarray, node_values: np.ndarray, t_query: float):
-    """Evaluate the interpolant through one segment's nodes at one time.
-
-    ``t_nodes`` are the segment's CGL node times, ascending.
-    ``node_values`` may be a length-N vector or an ``N x D`` array; the
-    result is a scalar or a length-D vector accordingly.  Uses the
-    barycentric formula with weights ``(-1)^j``, halved at the two ends
-    (Berrut & Trefethen, SIAM Review 2004); a query on a node returns
-    that node's value exactly.  ``t_query`` must lie inside the segment.
-    """
-    t = np.asarray(t_nodes, dtype=float)
-    vals = np.asarray(node_values, dtype=float)
-    if not t[0] <= t_query <= t[-1]:
-        raise ValueError(
-            f"t_query={t_query!r} outside segment [{t[0]!r}, {t[-1]!r}]")
-    d = t_query - t
-    hit = np.flatnonzero(d == 0.0)
-    if hit.size:
-        return vals[hit[0]]
-    w = (-1.0) ** np.arange(t.size)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    w /= d
-    return w @ vals / w.sum()

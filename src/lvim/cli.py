@@ -60,6 +60,10 @@ BAR_GUESSES = {
     ("tangent_follower", 25.0): ((0.05, 0.08),),
 }
 
+# The bar shoot marches every shot over s in [0, 1] with the problem's own
+# oracle tolerances, so these flags could not reach it; they are rejected.
+BAR_FIXED = ("t_end", "rel_tol", "abs_tol")
+
 ELASTICA_SWEEP_TRIPLES = ((1.0, 0.5), (1.0, 1.2), (1.0, 1.35))
 
 # Retry ladder: a stalled iteration is retried at a 100x coarser tolerance
@@ -265,6 +269,13 @@ def cmd_solve(args) -> int:
     gate."""
     t_start = time.perf_counter()
     compare = args.command == "compare"
+    if args.problem == "buckled-bar":
+        for dest in BAR_FIXED:
+            if getattr(args, dest) is not None:
+                raise ValueError(
+                    f"--{dest.replace('_', '-')} does not apply to "
+                    "buckled-bar: every shot spans s in [0, 1] at the "
+                    "oracle's stock tolerances")
     problem = PROBLEMS[args.problem]
     kwargs = problem.arguments(args)
     spec = problem.factory(**kwargs)
@@ -450,6 +461,8 @@ def _print_defaults() -> None:
         }
         entry.update((problem.flags[arg], value) for arg, value in kwargs.items())
         if name == "buckled-bar":
+            for dest in BAR_FIXED:
+                del entry[dest]
             entry["guesses"] = _bar_guesses(**kwargs)
         table[name] = entry
     json.dump(table, sys.stdout, indent=2)

@@ -144,12 +144,11 @@ class SolverConfig:
 
 @dataclass
 class SegmentResult:
-    """Converged node states of one segment plus iteration statistics."""
+    """Node states of one converged segment (a segment that does not
+    converge raises) plus its per-sweep correction history."""
 
     node_states: np.ndarray         # (M, D), first row equals the incoming state
     iterations: int
-    final_correction: float
-    converged: bool
     correction_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -228,7 +227,6 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
         history.append(corr)
         if corr < config.tol:
             return SegmentResult(node_states=x, iterations=it,
-                                 final_correction=corr, converged=True,
                                  correction_history=np.array(history))
     raise ConvergenceError(
         f"no convergence within {config.max_iter} iterations on the segment "

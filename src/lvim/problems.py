@@ -13,7 +13,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cheb import interpolate
 from .core import OdeSystem, SolverConfig, march
 from .errors import ConvergenceError, DomainViolationError
 from .gravity import GravityModel, gravity_accel
@@ -36,6 +35,9 @@ __all__ = [
 ]
 
 _ORACLE_DEFAULTS = RkConfig(rel_tol=1e-12, abs_tol=1e-15)
+
+# residual bound for the bracketed roots (white-dwarf edge, pendulum period)
+_ROOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def _white_dwarf_edge(c: float, eta_start: float, x0: np.ndarray) -> float:
         rad = max(x[0] * x[0] - c, 0.0)
         return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
 
-    from scipy.optimize import brentq
+    from .shooting import shoot_scalar
 
     sys_free = OdeSystem(dim=2, rhs=rhs, name="white-dwarf-edge-scan")
     traj = rk45_integrate(sys_free, eta_start, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
@@ -174,7 +176,8 @@ def _white_dwarf_edge(c: float, eta_start: float, x0: np.ndarray) -> float:
     def f(t):
         return float(sample_at(traj, np.array([t]))[0, 0]) - edge
 
-    crossing = brentq(f, traj.times[i], traj.times[i + 1], xtol=1e-12)
+    a, b = traj.times[i], traj.times[i + 1]
+    crossing = shoot_scalar(f, a, b, shoot_tol=_ROOT_TOL, window=(a, b))
     return 0.98 * crossing
 
 
@@ -278,39 +281,15 @@ def pendulum(g_over_l: float = 1.0) -> ProblemSpec:
     )
 
 
-def _refine_crossing(config: SolverConfig, t_grid, thdot, i: int):
-    """Root of the velocity between grid points i and i+1 by local interpolation."""
-    from scipy.optimize import brentq
-
-    # join-deduplicated grid: segment k owns indices k*(m-1) .. k*(m-1)+m-1,
-    # so the owning segment falls out of index arithmetic exactly
-    m = config.n_basis
-    lo = (i // (m - 1)) * (m - 1)
-    times = t_grid[lo:lo + m]
-    vals = thdot[lo:lo + m]
-    if len(times) < m:
-        f0, f1 = thdot[i], thdot[i + 1]
-        return t_grid[i] + (t_grid[i + 1] - t_grid[i]) * f0 / (f0 - f1)
-
-    def f(t):
-        return float(interpolate(times, vals, float(t)))
-
-    a, b = t_grid[i], t_grid[i + 1]
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    return brentq(f, a, b, xtol=1e-12)
-
-
 def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
     """(amplitude, frequency) rows for release-from-rest pendulum swings.
 
     The period is taken as the time of the first velocity zero with the
-    angle back on the release side, refined on the local polynomial.
-    Uses unit g/l and the pendulum's default solver settings.
+    angle back on the release side, refined on the owning segment's
+    interpolant.  Uses unit g/l and the pendulum's default solver settings.
     """
+    from .shooting import shoot_scalar
+
     spec = pendulum(1.0)
     cfg = spec.lvim_defaults
     out = []
@@ -324,16 +303,14 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
         while period is None:
             traj = march(spec.system, t0, t0 + chunk, x, cfg)
             th, thd = traj.states[:, 0], traj.states[:, 1]
-            for i in range(len(traj.times) - 1):
-                if traj.times[i] == 0.0 and thd[i] == 0.0:
-                    continue
-                if thd[i] == 0.0 or thd[i] * thd[i + 1] > 0.0:
-                    continue
-                if th[i] + th[i + 1] <= 0.0:
-                    continue
-                period = _refine_crossing(cfg, traj.times, thd, i)
-                break
-            if period is None:
+            # velocity sign changes away from a node zero, angle positive
+            i = np.flatnonzero((thd[:-1] != 0.0) & (thd[:-1] * thd[1:] <= 0.0)
+                               & (th[:-1] + th[1:] > 0.0))
+            if i.size:
+                a, b = traj.times[i[0]], traj.times[i[0] + 1]
+                period = shoot_scalar(lambda t: sample_at(traj, t)[0, 1], a, b,
+                                      shoot_tol=_ROOT_TOL, window=(a, b))
+            else:
                 t0, x = traj.times[-1], traj.states[-1]
                 if t0 > 4000.0:
                     raise ConvergenceError(f"no period found for amplitude {amp:g} within t = 4000")

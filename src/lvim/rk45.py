@@ -6,7 +6,9 @@ solution is advanced, the embedded fourth-order solution provides the
 error estimate, and the step size follows the standard controller
 ``h * clamp(0.9 * err**(-1/5), 0.2, 5)``.  Every accepted step stores the
 coefficients of the quartic interpolant so the solution can later be
-sampled at arbitrary times without re-integrating.
+sampled at arbitrary times without re-integrating.  :func:`sample_at`
+reads marched trajectories as well, through each segment's Chebyshev
+interpolant, so both kinds are sampled the same way.
 """
 
 from __future__ import annotations
@@ -210,15 +212,21 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
                         step_h=np.array(step_h), dense_q=dense_q)
 
 
-def sample_at(traj: RkTrajectory, times: np.ndarray) -> np.ndarray:
-    """Sample a trajectory at arbitrary times via its dense output.
+def sample_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
+    """Sample a trajectory at arbitrary times, oracle or marched.
 
-    Times that coincide with an accepted step return the stored state
-    exactly.  Queries outside the integrated span raise ``ValueError``.
-    Returns an ``len(times) x D`` array.
+    An oracle trajectory (no segments) is read through its quartic dense
+    output.  A marched trajectory is read through the interpolant of the
+    segment that owns the query: the barycentric formula with weights
+    ``(-1)^j``, halved at the two ends (Berrut & Trefethen, SIAM Review
+    2004), on that segment's ``N = (len(times) - 1) / n_segments + 1``
+    nodes.  Times that coincide with a stored step or node return the
+    stored state exactly.  Queries outside the integrated span raise
+    ``ValueError``.  Returns an ``len(times) x D`` array.
     """
-    if getattr(traj, "dense_q", None) is None or len(traj.dense_q) == 0:
-        raise ValueError("trajectory carries no dense-output data")
+    n_seg = len(traj.segment_iterations)
+    if not n_seg and (getattr(traj, "dense_q", None) is None or len(traj.dense_q) == 0):
+        raise ValueError("trajectory carries neither dense-output data nor segments")
     query = np.atleast_1d(np.asarray(times, dtype=float))
     t_lo = traj.times[0]
     t_hi = traj.times[-1]
@@ -227,10 +235,12 @@ def sample_at(traj: RkTrajectory, times: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sample times outside the integrated span [{t_lo!r}, {t_hi!r}]")
 
-    # one sorted search and one batched quartic for all queries; queries
-    # within the slack beyond either end use the first or last step
+    # one sorted search and one batched evaluation for all queries; queries
+    # within the slack beyond either end use the first or last step (segment)
     pos = np.searchsorted(traj.times, query)
     hit = traj.times[np.minimum(pos, traj.times.size - 1)] == query
+    if n_seg:
+        return _sample_segments(traj, n_seg, query, pos, hit)
     idx = np.clip(pos - 1, 0, traj.step_h.size - 1)
     h = traj.step_h[idx]
     theta = (query - traj.times[idx]) / h
@@ -238,4 +248,22 @@ def sample_at(traj: RkTrajectory, times: np.ndarray) -> np.ndarray:
     out = traj.states[idx] + h[:, np.newaxis] * np.einsum(
         "qdk,qk->qd", traj.dense_q[idx], powers)
     out[hit] = traj.states[pos[hit]]
+    return out
+
+
+def _sample_segments(traj, n_seg, query, pos, hit):
+    """Barycentric evaluation on the owning segments of a marched
+    trajectory; segment ``k`` owns nodes ``k*(N-1) .. k*(N-1) + N-1``."""
+    per, rem = divmod(traj.times.size - 1, n_seg)
+    if rem:
+        raise ValueError(f"{traj.times.size} samples do not split into {n_seg} segments")
+    out = np.empty((query.size, traj.states.shape[1]))
+    out[hit] = traj.states[pos[hit]]
+    miss = ~hit  # only misses reach the division, so none divides by zero
+    seg = np.minimum(np.maximum(pos[miss] - 1, 0) // per, n_seg - 1)
+    rows = (seg * per)[:, np.newaxis] + np.arange(per + 1)
+    w = (-1.0) ** np.arange(per + 1)
+    w[[0, -1]] *= 0.5
+    c = w / (query[miss, np.newaxis] - traj.times[rows])
+    out[miss] = np.einsum("qj,qjd->qd", c, traj.states[rows]) / c.sum(axis=1)[:, np.newaxis]
     return out

@@ -55,6 +55,10 @@ def shoot_scalar(
 ) -> float:
     """Find a root of ``residual_fn`` by secant iteration from two guesses.
 
+    The package's one root finder: besides the bar shoot, it finds the
+    bracketed roots in :mod:`lvim.problems`, with the bracket passed as
+    both guesses and ``window``.  It stops once ``|residual| < shoot_tol``.
+
     If ``window`` is given and a secant step lands outside it, the step is
     replaced by bisection of the tightest sign-changing pair seen so far
     (without a recorded sign change the iteration aborts instead, since the

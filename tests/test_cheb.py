@@ -1,16 +1,27 @@
 """Operator construction: node placement, exactness, pinned rows."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvim import cheb
-from lvim.cheb import build_operators, cgl_nodes, interpolate
+from lvim.cheb import build_operators, cgl_nodes
+from lvim.core import OdeSystem, SolverConfig, Trajectory, march
+from lvim.rk45 import sample_at
 
 
 def chebvals(tau, coef):
     return np.polynomial.chebyshev.chebval(tau, coef)
+
+
+def one_segment(t_nodes, values):
+    """A hand-assembled one-segment trajectory through the given nodes."""
+    states = np.asarray(values, dtype=float).reshape(len(t_nodes), -1)
+    return Trajectory(times=np.asarray(t_nodes, dtype=float), states=states,
+                      segment_iterations=np.array([1]), total_rhs_evals=0)
 
 
 def test_cgl_nodes_five_point():
@@ -94,8 +105,8 @@ def test_operators_call_no_lapack(monkeypatch):
             ops = build_operators(n, 0.7)
             t = 0.3 + ops.offsets
             mid = 0.5 * (t[0] + t[1])
-            assert interpolate(t, 2.0 * t - 1.0, mid) == pytest.approx(
-                2.0 * mid - 1.0, rel=1e-14)
+            got = sample_at(one_segment(t, 2.0 * t - 1.0), mid)[0, 0]
+            assert got == pytest.approx(2.0 * mid - 1.0, rel=1e-14)
     finally:
         cheb._ref_operators.cache_clear()
 
@@ -109,31 +120,75 @@ def test_n2_operators_are_two_point_rules():
     assert np.allclose(ops.p_mat, np.array([[0.0, 0.0], [0.5, 0.5]]) * dt)
 
 
+# Interpolation inside a segment is rk45.sample_at on a marched (or
+# hand-assembled) trajectory: the barycentric formula on the owning segment.
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
 def test_interpolate_reproduces_nodes(coef):
     t_nodes = 1.0 + build_operators(5, 2.0).offsets
     vals = chebvals(cgl_nodes(5), np.asarray(coef))
+    traj = one_segment(t_nodes, vals)
     for t, v in zip(t_nodes, vals):
-        assert interpolate(t_nodes, vals, float(t)) == v
+        assert sample_at(traj, float(t))[0, 0] == v
+    assert np.array_equal(sample_at(traj, t_nodes)[:, 0], vals)
 
 
 def test_interpolate_matches_polynomial_between_nodes():
     t_nodes = build_operators(7, 2.0).offsets
     poly = np.array([0.3, -1.2, 0.5, 0.0, 2.0, -0.7, 0.1])
-    vals = chebvals(cgl_nodes(7), poly)
-    for t in np.linspace(0.0, 2.0, 17):
-        tau = t - 1.0
-        assert interpolate(t_nodes, vals, t) == pytest.approx(
-            chebvals(tau, poly), abs=1e-12)
+    traj = one_segment(t_nodes, chebvals(cgl_nodes(7), poly))
+    t = np.linspace(0.0, 2.0, 17)
+    got = sample_at(traj, t)[:, 0]
+    assert np.max(np.abs(got - chebvals(t - 1.0, poly))) <= 1e-12
 
 
 def test_interpolate_vector_values_and_domain_check():
     t_nodes = build_operators(5, 1.0).offsets
-    vals = np.column_stack([t_nodes, t_nodes ** 2])
-    out = interpolate(t_nodes, vals, 0.5)
-    assert out.shape == (2,)
-    assert out[0] == pytest.approx(0.5, abs=1e-13)
-    assert out[1] == pytest.approx(0.25, abs=1e-13)
+    traj = one_segment(t_nodes, np.column_stack([t_nodes, t_nodes ** 2]))
+    out = sample_at(traj, 0.5)
+    assert out.shape == (1, 2)
+    assert out[0, 0] == pytest.approx(0.5, abs=1e-13)
+    assert out[0, 1] == pytest.approx(0.25, abs=1e-13)
     with pytest.raises(ValueError):
-        interpolate(t_nodes, vals, 1.5)
+        sample_at(traj, 1.5)
+
+
+def test_sample_at_segment_joins():
+    """Each segment owns its interpolant.  Three hand-assembled segments
+    carry three different quadratics that meet at the joins; a query on a
+    join returns the stored state without reaching the barycentric
+    division, and every other query reads the segment that owns it."""
+    offsets = build_operators(5, 0.5).offsets
+    joins = np.array([0.0, 0.5, 1.0, 1.5])
+
+    def piece(k, t):
+        return 0.3 * t + (1.0 - 2.0 * k) * (t - joins[k]) * (t - joins[k + 1])
+
+    times = np.concatenate([joins[k] + offsets[min(k, 1):] for k in range(3)])
+    states = np.concatenate([piece(k, joins[k] + offsets[min(k, 1):])
+                             for k in range(3)])
+    traj = Trajectory(times=times, states=states[:, np.newaxis],
+                      segment_iterations=np.array([1, 1, 1]), total_rhs_evals=0)
+    inner = np.concatenate([np.nextafter(joins[1:-1], -np.inf),
+                            np.nextafter(joins[1:-1], np.inf),
+                            np.linspace(0.0, 1.5, 31) + 0.01 * np.pi])
+    inner = inner[inner < 1.5]
+    owner = np.minimum((inner // 0.5).astype(int), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_joins = sample_at(traj, joins)[:, 0]
+        got = sample_at(traj, inner)[:, 0]
+    assert np.array_equal(at_joins, states[::4])
+    expected = np.array([piece(k, t) for k, t in zip(owner, inner)])
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_sample_at_reads_a_march():
+    # march stores N nodes per segment, joins once: a cubic is reproduced
+    cubic = OdeSystem(dim=1, rhs=lambda t, x: np.array([3.0 * t * t]),
+                      jac=lambda t, x: np.zeros((1, 1)), name="cubic")
+    traj = march(cubic, 0.0, 2.0, np.array([0.0]), SolverConfig(5, 0.5, 1e-14))
+    assert traj.segment_iterations.size == 4
+    query = np.linspace(0.0, 2.0, 41) * (1.0 - 1e-3 * np.pi)
+    assert np.max(np.abs(sample_at(traj, query)[:, 0] - query ** 3)) <= 1e-12

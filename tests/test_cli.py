@@ -134,8 +134,11 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
 
     for name, problem in cli.PROBLEMS.items():
         listed = table[name]
-        extra = {"guesses"} if name == "buckled-bar" else set()
-        assert set(listed) == common | set(problem.flags.values()) | extra
+        keys = common | set(problem.flags.values())
+        if name == "buckled-bar":
+            # the bar shoot rejects the span and oracle-tolerance flags
+            keys = keys - set(cli.BAR_FIXED) | {"guesses"}
+        assert set(listed) == keys
         assert set(listed) <= dests
         seen = {}
 
@@ -159,15 +162,15 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
             assert listed[problem.flags[arg]] == value, (name, arg)
         spec = seen["spec"]
         if name == "buckled-bar":
-            cfg, tf = seen["config"], spec.tf
+            cfg = seen["config"]
             assert listed["guesses"] == list(seen["args"][2])
         else:
             _, _, tf, _, cfg = seen["args"]
+            assert listed["t_end"] == tf
+            assert (listed["rel_tol"], listed["abs_tol"]) \
+                == (spec.rk_defaults.rel_tol, spec.rk_defaults.abs_tol)
         assert (listed["n"], listed["dt"], listed["tol"], listed["jacobian"]) \
             == (cfg.n_basis, cfg.dt, cfg.tol, cfg.jacobian_mode), name
-        assert listed["t_end"] == tf
-        assert (listed["rel_tol"], listed["abs_tol"]) \
-            == (spec.rk_defaults.rel_tol, spec.rk_defaults.abs_tol)
 
 
 def test_factories_are_looked_up_per_call(monkeypatch, tmp_path):
@@ -220,6 +223,15 @@ def test_bad_parameter_is_usage_error(capsys):
     assert main(["run", "elastica", "--a-param", "1.0",
                  "--c-param", "1.5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("flag", ["--t-end", "--rel-tol", "--abs-tol"])
+def test_bar_rejects_flags_it_cannot_honour(command, flag, capsys):
+    # every shot spans s in [0, 1] at the oracle's stock tolerances, so a
+    # span or oracle tolerance on the command line is refused, not echoed
+    assert main([command, "buckled-bar", flag, "0.5"]) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_rhs_overflow_is_exit_2(capsys):
@@ -279,6 +291,26 @@ def test_frequency_sweep_table(tmp_path):
     assert rows[0, 1] > rows[1, 1]  # softening spring
 
 
+# the 16 default amplitudes 0.1, 0.3, .., 3.1 and their frequencies, each
+# period the root of the velocity interpolant on its segment
+DEFAULT_SWEEP_FREQUENCIES = (
+    0.9993750325264462, 0.9943776138609428, 0.9843948500220439,
+    0.9694493731643775, 0.9495711197567751, 0.9247918189146254,
+    0.8951362364557751, 0.8606083466944371, 0.8211689489470162,
+    0.776697716454449, 0.7269244000049797, 0.6712921739223695,
+    0.6086492472219551, 0.5364062602078575, 0.4473251992253771,
+    0.2986415007173966,
+)
+
+
+def test_default_frequency_sweep_is_pinned(tmp_path):
+    out = tmp_path / "freq.csv"
+    assert main(["sweep", "pendulum-frequency", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], [round(0.1 + 0.2 * k, 10) for k in range(16)])
+    assert np.max(np.abs(rows[:, 1] - DEFAULT_SWEEP_FREQUENCIES)) <= 1e-12
+
+
 def test_bar_sweep_writes_labeled_files(tmp_path):
     out = tmp_path / "bar.csv"
     assert main(["sweep", "bar-load", "--out", str(out)]) == 0
@@ -308,3 +340,30 @@ def test_console_script_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: with it made unimportable, every
+    factory (through --print-defaults), the self-test, all three sweeps and
+    an oracle comparison still run."""
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from lvim.cli import main
+out = {str(tmp_path)!r} + "/"
+for argv in (["run", "--print-defaults"], ["ops-check"],
+             ["sweep", "pendulum-frequency", "--amplitudes", "0.5,2.5",
+              "--out", out + "freq.csv"],
+             ["sweep", "elastica-regimes", "--out", out + "e.csv"],
+             ["sweep", "bar-load", "--out", out + "bar.csv"],
+             ["compare", "white-dwarf", "--out", out + "wd.csv"]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{{argv}} exited {{code}}")
+"""
+    src = os.path.dirname(os.path.dirname(lvim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -138,6 +138,14 @@ def test_white_dwarf_edge_detection():
     assert full.tf == 8.0
 
 
+@pytest.mark.parametrize("c, tf", [(0.05, 4.370934634791568),
+                                   (0.3, 3.508675969284288),
+                                   (0.9, 4.601411108178055)])
+def test_white_dwarf_edge_is_pinned(c, tf):
+    # 0.98 x the root of the oracle's dense output on the crossing step
+    assert abs(problems.white_dwarf(c).tf - tf) <= 1e-12
+
+
 def test_white_dwarf_domain_guard():
     spec = problems.white_dwarf(0.3)
     with pytest.raises(DomainViolationError):
