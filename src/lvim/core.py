@@ -67,7 +67,9 @@ class OdeSystem:
     the engine funnels every rhs call through :meth:`eval_rhs`.  When no
     analytic Jacobian is supplied, a central-difference approximation is
     used (step ``1e-6 * (1 + |x_i|)`` per component); those probe
-    evaluations are counted like any other.
+    evaluations, 2 * dim per Jacobian, are counted like any other, so a
+    march spends ``sum(segment_iterations) * N`` rhs evaluations only
+    with an analytic Jacobian.
     """
 
     dim: int

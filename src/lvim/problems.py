@@ -297,7 +297,10 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
         amp = float(amp)
         if not 0.0 < amp < math.pi:
             raise ValueError(f"amplitude {amp:g} outside (0, pi): no oscillation")
-        chunk = 40.0
+        # 64 segments (6.4 at dt = 0.1) just cover the small-amplitude
+        # period 2 pi, so a short swing ends in its first chunk and a long
+        # one marches little past its period
+        chunk = 64 * cfg.dt
         t0, x = 0.0, np.array([amp, 0.0])
         period = None
         while period is None:

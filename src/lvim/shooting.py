@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple, Union
 
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError
-from .problems import BAR_LOAD_TYPES, buckled_bar
-from .rk45 import RkConfig, RkTrajectory, rk45_integrate
+from .problems import buckled_bar
+from .rk45 import RkTrajectory, rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
@@ -118,23 +118,6 @@ def shoot_scalar(
     )
 
 
-def _march_bar(
-    load_type: str,
-    load: float,
-    alpha: float,
-    v0: float,
-    config: Optional[SolverConfig],
-    integrator: str,
-) -> Union[Trajectory, RkTrajectory]:
-    spec = buckled_bar(load_type, load, alpha=alpha)
-    x0 = [0.0, v0]  # theta(0) = 0 exactly; only the slope is guessed
-    if integrator == "lvim":
-        return march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults)
-    if integrator == "rk45":
-        return rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
-    raise ValueError(f"unknown integrator {integrator!r}")
-
-
 def solve_buckled_bar(
     load_type: str,
     load: float,
@@ -148,62 +131,50 @@ def solve_buckled_bar(
 
     ``slope_guesses`` seeds the secant iteration on the root slope; distinct
     pairs can converge to distinct buckled equilibria of the same load.
-    Dead loads take a single secant pass.  Follower loads wrap it in a
-    fixed-point sweep on the load angle: after each converged shot the tip
-    angle is blended into the load angle at half weight (full replacement
-    oscillates at large loads), until load angle and tip angle agree.
+    Every load type runs the same sweep: build the problem at load angle
+    ``alpha`` once, shoot on the root slope, and return the trajectory of
+    the accepted shot itself (no shot is marched twice, so ``inner_iters``
+    counts every march or integration).  A dead load's direction does not
+    depend on ``alpha``, so it stops after one sweep.  A follower load
+    blends the tip angle into the load angle at half weight (full
+    replacement oscillates at large loads) and sweeps again, reseeded near
+    the last root, until load angle and tip angle agree.
     """
-    if load < 0.0:
-        raise ValueError(f"load must be non-negative, got {load!r}")
-    if load_type not in BAR_LOAD_TYPES:
-        raise ValueError(f"load_type must be one of {BAR_LOAD_TYPES}, got {load_type!r}")
-
-    inner_count = 0
-
-    def residual_for(alpha: float) -> Callable[[float], float]:
-        def residual(v: float) -> float:
-            nonlocal inner_count
-            inner_count += 1
-            tr = _march_bar(load_type, load, alpha, v, config, integrator)
-            return float(tr.states[-1, 1])
-
-        return residual
-
-    if load_type == "dead":
-        root = shoot_scalar(
-            residual_for(0.0), slope_guesses[0], slope_guesses[1],
-            shoot_tol=shoot_tol, max_shots=max_shots,
-        )
-        tr = _march_bar(load_type, load, 0.0, root, config, integrator)
-        tip = float(tr.states[-1, 0])
-        return ShotResult(
-            theta_prime_0=root,
-            alpha=tip,
-            trajectory=tr,
-            residual=abs(float(tr.states[-1, 1])),
-            outer_iters=1,
-            inner_iters=inner_count,
-        )
-
-    # Follower loads: the load direction tracks the (unknown) tip angle.
+    dead = load_type == "dead"  # the only load whose direction ignores alpha
     alpha = 0.0
     guesses = (float(slope_guesses[0]), float(slope_guesses[1]))
+    shots = 0
     for sweep in range(1, _OUTER_SWEEP_LIMIT + 1):
-        root = shoot_scalar(
-            residual_for(alpha), guesses[0], guesses[1],
-            shoot_tol=shoot_tol, max_shots=max_shots,
-        )
-        tr = _march_bar(load_type, load, alpha, root, config, integrator)
+        spec = buckled_bar(load_type, load, alpha=alpha)  # validates load and type
+        cfg = config or spec.lvim_defaults
+        shot_trajectories = {}
+
+        def residual(v: float) -> float:
+            nonlocal shots
+            shots += 1
+            x0 = [0.0, v]  # theta(0) = 0 exactly; only the slope is guessed
+            if integrator == "lvim":
+                tr = march(spec.system, spec.t0, spec.tf, x0, cfg)
+            elif integrator == "rk45":
+                tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+            else:
+                raise ValueError(f"unknown integrator {integrator!r}")
+            shot_trajectories[v] = tr
+            return float(tr.states[-1, 1])
+
+        root = shoot_scalar(residual, guesses[0], guesses[1],
+                            shoot_tol=shoot_tol, max_shots=max_shots)
+        tr = shot_trajectories[root]  # shoot_scalar returns an evaluated slope
         tip = float(tr.states[-1, 0])
         mismatch = tip - alpha
-        if abs(mismatch) < shoot_tol:
+        if dead or abs(mismatch) < shoot_tol:
             return ShotResult(
                 theta_prime_0=root,
-                alpha=alpha,
+                alpha=tip if dead else alpha,
                 trajectory=tr,
                 residual=abs(float(tr.states[-1, 1])),
                 outer_iters=sweep,
-                inner_iters=inner_count,
+                inner_iters=shots,
             )
         alpha += 0.5 * mismatch
         # reseed the secant near the last root; the branch moves only a

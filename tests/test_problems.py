@@ -210,6 +210,21 @@ def test_frequency_sweep_against_elliptic_integral():
     assert np.all(np.diff(table[:, 1]) < 0)
 
 
+def test_default_frequency_sweep_marches_short_chunks(monkeypatch):
+    # in 64-segment chunks the 16 default swings (periods 6.3 to 21) march
+    # 2048 segments in all; chunks of 40 time units would march 6400
+    segments = []
+
+    def counted(*args, **kwargs):
+        traj = march(*args, **kwargs)
+        segments.append(len(traj.segment_iterations))
+        return traj
+
+    monkeypatch.setattr(problems, "march", counted)
+    problems.pendulum_frequency_sweep([round(0.1 + 0.2 * k, 10) for k in range(16)])
+    assert sum(segments) <= 2048
+
+
 def test_frequency_sweep_rejects_bad_amplitude():
     with pytest.raises(ValueError):
         problems.pendulum_frequency_sweep([3.2])

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from lvim.core import Trajectory
+from lvim import shooting
+from lvim.cli import BAR_GUESSES
+from lvim.core import Trajectory, march
 from lvim.errors import ConvergenceError
-from lvim.rk45 import RkTrajectory
+from lvim.problems import buckled_bar
+from lvim.rk45 import RkTrajectory, rk45_integrate
 from lvim.shooting import ShotResult, shoot_scalar, solve_buckled_bar
 
 
@@ -162,3 +165,107 @@ def test_bad_load_type():
 def test_negative_load():
     with pytest.raises(ValueError):
         solve_buckled_bar("dead", -5.0, (12.9, 13.1))
+
+
+# ------------------------------------------------ one sweep for every load
+
+# (theta_prime_0, alpha, residual, inner_iters, outer_iters) of every stock
+# seed pair with both integrators, pinned exactly: keeping the accepted shot
+# in place of marching it again must not move a bit
+STOCK_SHOTS = {
+    ("dead", 50.0, (12.9, 13.1), "lvim"):
+        (12.955453669588941, -2.3164304659028425, 7.77346602663815e-14, 6, 1),
+    ("dead", 50.0, (12.9, 13.1), "rk45"):
+        (12.955453779315391, -2.316430471599169, 1.2573969643270289e-13, 6, 1),
+    ("dead", 50.0, (14.05, 14.12), "lvim"):
+        (14.14205382926569, 3.1347979158585004, 4.025456034410519e-11, 7, 1),
+    ("dead", 50.0, (14.05, 14.12), "rk45"):
+        (14.142054008731046, 3.1347979158562094, 3.989233834759964e-11, 7, 1),
+    ("dead", 25.0, (4.5, 4.75), "lvim"):
+        (4.624224460029901, -0.961450723126417, 1.4454233299899262e-11, 6, 1),
+    ("dead", 25.0, (4.5, 4.75), "rk45"):
+        (4.62422445991263, -0.9614507230465494, 1.4456115124406033e-11, 6, 1),
+    ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
+        (1.421807341593739, -0.28631608070902537, 2.294368632465079e-12, 43, 8),
+    ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
+        (1.4218073415872325, -0.28631608070490516, 2.2988789691313904e-12, 43, 8),
+    ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
+        (-5.839093150273038e-14, 0.0, 5.839093150275847e-14, 15, 1),
+    ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
+        (-5.839093181664543e-14, 0.0, 5.839093181667384e-14, 15, 1),
+}
+
+
+def test_stock_shots_cover_every_stock_pair():
+    pairs = {(lt, load, pair) for (lt, load), pairs in BAR_GUESSES.items()
+             for pair in pairs}
+    assert {(lt, load, pair) for lt, load, pair, _ in STOCK_SHOTS} == pairs
+
+
+def _case_id(case):
+    load_type, load, pair, integrator = case
+    return f"{load_type}-{load:g}-{pair[0]}-{integrator}"
+
+
+@pytest.fixture(scope="module")
+def stock_shots():
+    """Each stock case solved once, with the marches and integrations it
+    spent counted."""
+    calls = {"lvim": 0, "rk45": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shooting, "march", counted(march, "lvim"))
+        mp.setattr(shooting, "rk45_integrate", counted(rk45_integrate, "rk45"))
+        for case in STOCK_SHOTS:
+            load_type, load, pair, integrator = case
+            before = dict(calls)
+            res = solve_buckled_bar(load_type, load, pair, integrator=integrator)
+            spent = {k: calls[k] - before[k] for k in calls}
+            out[case] = (res, spent)
+    return out
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_every_shot_is_marched_once(stock_shots, case):
+    res, spent = stock_shots[case]
+    other = "rk45" if case[3] == "lvim" else "lvim"
+    assert spent[case[3]] == res.inner_iters
+    assert spent[other] == 0
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_stock_shots_are_pinned(stock_shots, case):
+    res, _ = stock_shots[case]
+    assert (res.theta_prime_0, res.alpha, res.residual, res.inner_iters,
+            res.outer_iters) == STOCK_SHOTS[case]
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
+    """The trajectory equals, bit for bit, a fresh march at the accepted
+    slope under the final load angle (a dead load ignores the angle)."""
+    load_type, load, _, integrator = case
+    res, _ = stock_shots[case]
+    spec = buckled_bar(load_type, load, alpha=res.alpha)
+    x0 = [0.0, res.theta_prime_0]
+    if integrator == "lvim":
+        fresh = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
+        assert np.array_equal(res.trajectory.segment_iterations,
+                              fresh.segment_iterations)
+    else:
+        fresh = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+    assert np.array_equal(res.trajectory.times, fresh.times)
+    assert np.array_equal(res.trajectory.states, fresh.states)
+    assert res.trajectory.total_rhs_evals == fresh.total_rhs_evals
+
+
+def test_unknown_integrator():
+    with pytest.raises(ValueError, match="unknown integrator"):
+        solve_buckled_bar("dead", 50.0, (12.9, 13.1), integrator="euler")
