@@ -555,7 +555,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConvergenceError, DomainViolationError) as exc:
         sys.stderr.write(f"lvim: solver failed: {exc}\n")
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         sys.stderr.write(f"lvim: error: {exc}\n")
         return EXIT_USAGE
 

@@ -23,7 +23,6 @@ convergence on longer segments.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -168,7 +167,6 @@ class Trajectory:
     states: np.ndarray              # (n, D)
     segment_iterations: np.ndarray  # (n_segments,) of int
     total_rhs_evals: int
-    wall_time: float = 0.0
 
 
 def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
@@ -270,7 +268,6 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     states = [x0.copy()]
     iters = []
     evals_before = system.rhs_evals
-    t_wall = time.perf_counter()
 
     x = x0
     for i, (t_seg, seg_len) in enumerate(zip(starts, lens)):
@@ -291,8 +288,6 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         iters.append(res.iterations)
         x = res.node_states[-1]
 
-    wall = time.perf_counter() - t_wall
     return Trajectory(times=np.array(times), states=np.array(states),
                       segment_iterations=np.array(iters, dtype=int),
-                      total_rhs_evals=system.rhs_evals - evals_before,
-                      wall_time=wall)
+                      total_rhs_evals=system.rhs_evals - evals_before)

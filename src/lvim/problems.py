@@ -8,8 +8,8 @@ benchmark is normally run with.  Systems carry analytic Jacobians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,11 @@ _ROOT_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A benchmark instance: system, initial data, span, default configs."""
+    """A benchmark instance: system, initial data, span, default configs.
+
+    ``rk_defaults`` is a class constant: every problem runs the oracle at
+    the same tolerances.
+    """
 
     name: str
     system: OdeSystem
@@ -50,9 +54,9 @@ class ProblemSpec:
     t0: float
     tf: float
     lvim_defaults: SolverConfig
-    rk_defaults: RkConfig
     state_names: Tuple[str, ...]
     notes: str = ""
+    rk_defaults: ClassVar[RkConfig] = _ORACLE_DEFAULTS
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float)
@@ -108,7 +112,6 @@ def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
         t0=0.0,
         tf=xi_max,
         lvim_defaults=cfg,
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("f", "f_prime", "f_double_prime"),
         notes=f"wall curvature {f2_at_0:.12g} from a {stage1} stage-one solve",
     )
@@ -140,13 +143,16 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
         t0=xi_start,
         tf=8.0,
         lvim_defaults=SolverConfig(n_basis=13, dt=1.0, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("psi", "psi_prime"),
         notes=f"series start at xi = {xi_start:g}",
     )
 
 
-def _white_dwarf_edge(c: float, eta_start: float, x0: np.ndarray) -> float:
+# the white dwarf's series start, off the 2/eta singularity at the origin
+_ETA_START = 1e-3
+
+
+def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
     """Default span end: 2% inside the first phi^2 = c crossing.
 
     Found with the adaptive oracle on a clamped-radicand copy of the
@@ -164,7 +170,7 @@ def _white_dwarf_edge(c: float, eta_start: float, x0: np.ndarray) -> float:
     from .shooting import shoot_scalar
 
     sys_free = OdeSystem(dim=2, rhs=rhs, name="white-dwarf-edge-scan")
-    traj = rk45_integrate(sys_free, eta_start, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
+    traj = rk45_integrate(sys_free, _ETA_START, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
     edge = math.sqrt(c)
     gap = traj.states[:, 0] - edge
     # strict downward crossing; a profile pinned on the edge has no exit
@@ -181,7 +187,7 @@ def _white_dwarf_edge(c: float, eta_start: float, x0: np.ndarray) -> float:
     return 0.98 * crossing
 
 
-def white_dwarf(c_param: float = 0.3, eta_start: float = 1e-3) -> ProblemSpec:
+def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
     """Degenerate-star density profile with a square-root domain edge.
 
     The rhs is only defined while phi^2 stays above c_param; crossing
@@ -191,8 +197,6 @@ def white_dwarf(c_param: float = 0.3, eta_start: float = 1e-3) -> ProblemSpec:
     """
     if not 0.0 <= c_param <= 1.0:
         raise ValueError("c_param must lie in [0, 1]")
-    if eta_start <= 0:
-        raise ValueError("eta_start must be positive")
     c = c_param
     # roundoff slack keeps an exactly-on-edge profile (phi^2 = c) evaluable
     slack = 1e-13 * (1.0 + c)
@@ -218,19 +222,18 @@ def white_dwarf(c_param: float = 0.3, eta_start: float = 1e-3) -> ProblemSpec:
         return np.array([[0.0, 1.0], [-3.0 * x[0] * math.sqrt(rad), -2.0 / t]])
 
     lead = (1.0 - c) ** 1.5
-    phi0 = 1.0 - lead * eta_start**2 / 6.0
-    dphi0 = -lead * eta_start / 3.0
-    tf = _white_dwarf_edge(c, eta_start, np.array([phi0, dphi0]))
+    phi0 = 1.0 - lead * _ETA_START**2 / 6.0
+    dphi0 = -lead * _ETA_START / 3.0
+    tf = _white_dwarf_edge(c, np.array([phi0, dphi0]))
     return ProblemSpec(
         name="white-dwarf",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac, name="white-dwarf"),
         x0=np.array([phi0, dphi0]),
-        t0=eta_start,
+        t0=_ETA_START,
         tf=tf,
         lvim_defaults=SolverConfig(n_basis=5, dt=0.1, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("phi", "phi_prime"),
-        notes=f"series start at eta = {eta_start:g}, c = {c:g}",
+        notes=f"series start at eta = {_ETA_START:g}, c = {c:g}",
     )
 
 
@@ -250,23 +253,19 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
         t0=0.0,
         tf=100.0,
         lvim_defaults=SolverConfig(n_basis=5, dt=0.5, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("x", "x_dot"),
         notes=f"delta = {delta:g}, epsilon = {epsilon:g}",
     )
 
 
-def pendulum(g_over_l: float = 1.0) -> ProblemSpec:
-    """Rigid pendulum released nearly inverted."""
-    if g_over_l <= 0:
-        raise ValueError("g_over_l must be positive")
-    w = g_over_l
+def pendulum() -> ProblemSpec:
+    """Rigid pendulum with unit g/l, released nearly inverted."""
 
     def rhs(t, x):
-        return np.array([x[1], -w * math.sin(x[0])])
+        return np.array([x[1], -math.sin(x[0])])
 
     def jac(t, x):
-        return np.array([[0.0, 1.0], [-w * math.cos(x[0]), 0.0]])
+        return np.array([[0.0, 1.0], [-math.cos(x[0]), 0.0]])
 
     return ProblemSpec(
         name="pendulum",
@@ -275,9 +274,8 @@ def pendulum(g_over_l: float = 1.0) -> ProblemSpec:
         t0=0.0,
         tf=50.0,
         lvim_defaults=SolverConfig(n_basis=5, dt=0.1, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("theta", "theta_dot"),
-        notes=f"g/l = {g_over_l:g}",
+        notes="g/l = 1",
     )
 
 
@@ -286,11 +284,12 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
 
     The period is taken as the time of the first velocity zero with the
     angle back on the release side, refined on the owning segment's
-    interpolant.  Uses unit g/l and the pendulum's default solver settings.
+    interpolant.  Uses the stock pendulum (unit g/l) and its default
+    solver settings.
     """
     from .shooting import shoot_scalar
 
-    spec = pendulum(1.0)
+    spec = pendulum()
     cfg = spec.lvim_defaults
     out = []
     for amp in amplitudes:
@@ -365,7 +364,6 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
         t0=0.0,
         tf=1.0,
         lvim_defaults=SolverConfig(n_basis=7, dt=0.1, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("theta", "theta_prime"),
         notes=f"{load_type} load P = {load:g}, alpha = {alpha:g}",
     )
@@ -389,16 +387,14 @@ def elastica_regime(a: float, c: float) -> int:
     raise ValueError(f"(a, c) = ({a:g}, {c:g}) sits on or outside the family boundaries")
 
 
-def elastica(a: float = 1.0, c: float = 1.2, x_margin: float = 1e-3) -> ProblemSpec:
+def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     """Planar rod centerline as a single quadrature in x.
 
     The slope field blows up at |x| = c, so the span stops short of it
-    by the relative margin.  The rhs never reads the state.
+    by a relative margin of 1e-3.  The rhs never reads the state.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if not 0.0 < x_margin < 1.0:
-        raise ValueError("x_margin must lie in (0, 1)")
     if 2.0 * a * a - c * c <= 0.0:
         raise ValueError("need c < a*sqrt(2) for a real slope field at x = 0")
     a2, c2 = a * a, c * c
@@ -429,9 +425,8 @@ def elastica(a: float = 1.0, c: float = 1.2, x_margin: float = 1e-3) -> ProblemS
         system=OdeSystem(dim=1, rhs=rhs, jac=jac, name="elastica"),
         x0=np.array([0.0]),
         t0=0.0,
-        tf=c * (1.0 - x_margin),
+        tf=c * (1.0 - 1e-3),
         lvim_defaults=SolverConfig(n_basis=7, dt=0.12, tol=1e-10),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("y",),
         notes=notes,
     )
@@ -482,7 +477,6 @@ def leo(model: GravityModel) -> ProblemSpec:
         t0=0.0,
         tf=period,
         lvim_defaults=SolverConfig(n_basis=26, dt=500.0, tol=1e-8, jacobian_mode="frozen"),
-        rk_defaults=_ORACLE_DEFAULTS,
         state_names=("x", "y", "z", "vx", "vy", "vz"),
         notes=f"degree {model.degree} field, one period = {period:.6g} s",
     )

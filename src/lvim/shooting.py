@@ -26,6 +26,10 @@ _DEFAULT_MAX_SHOTS = 60
 
 _OUTER_SWEEP_LIMIT = 50
 
+# the bar's far-end slope residual, and the load-angle / tip-angle
+# mismatch of a follower load, both count as zero below this
+_SHOOT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ShotResult:
@@ -33,7 +37,7 @@ class ShotResult:
 
     ``alpha`` is the load-direction angle used on the final shot.  For the
     self-consistent follower solution it agrees with the tip angle
-    ``trajectory.states[-1, 0]`` to within ``shoot_tol``; for dead loads
+    ``trajectory.states[-1, 0]`` to within ``_SHOOT_TOL``; for dead loads
     (where no such angle exists) it is simply the tip angle itself.
     """
 
@@ -122,9 +126,7 @@ def solve_buckled_bar(
     load_type: str,
     load: float,
     slope_guesses: Tuple[float, float],
-    shoot_tol: float = 1e-10,
     config: Optional[SolverConfig] = None,
-    max_shots: int = _DEFAULT_MAX_SHOTS,
     integrator: str = "lvim",
 ) -> ShotResult:
     """Solve the buckled-bar BVP for one equilibrium branch.
@@ -138,7 +140,9 @@ def solve_buckled_bar(
     depend on ``alpha``, so it stops after one sweep.  A follower load
     blends the tip angle into the load angle at half weight (full
     replacement oscillates at large loads) and sweeps again, reseeded near
-    the last root, until load angle and tip angle agree.
+    the last root, until load angle and tip angle agree.  Both tests, the
+    far-end slope and the angle mismatch, are against ``_SHOOT_TOL``
+    (1e-10); each sweep has ``shoot_scalar``'s default shot budget.
     """
     dead = load_type == "dead"  # the only load whose direction ignores alpha
     alpha = 0.0
@@ -162,12 +166,11 @@ def solve_buckled_bar(
             shot_trajectories[v] = tr
             return float(tr.states[-1, 1])
 
-        root = shoot_scalar(residual, guesses[0], guesses[1],
-                            shoot_tol=shoot_tol, max_shots=max_shots)
+        root = shoot_scalar(residual, guesses[0], guesses[1], shoot_tol=_SHOOT_TOL)
         tr = shot_trajectories[root]  # shoot_scalar returns an evaluated slope
         tip = float(tr.states[-1, 0])
         mismatch = tip - alpha
-        if dead or abs(mismatch) < shoot_tol:
+        if dead or abs(mismatch) < _SHOOT_TOL:
             return ShotResult(
                 theta_prime_0=root,
                 alpha=tip if dead else alpha,

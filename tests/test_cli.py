@@ -1,6 +1,8 @@
 """Command-line harness: exit codes, report formats, self-test, sweeps."""
 
+import dataclasses
 import functools
+import inspect
 import json
 import os
 import subprocess
@@ -173,6 +175,28 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
             == (cfg.n_basis, cfg.dt, cfg.tol, cfg.jacobian_mode), name
 
 
+# factory parameters that no flag sets, each with what does set it
+SET_ELSEWHERE = {
+    ("blasius", "stage1"): "gate C07 solves stage one with lvim and rk45",
+    ("emden", "xi_start"): "gate C04 checks two series starts",
+    ("buckled-bar", "alpha"): "the load-angle sweep of solve_buckled_bar",
+}
+
+
+def test_every_factory_parameter_has_a_setter():
+    """A factory parameter that neither a flag nor a named caller sets is
+    a configuration nothing runs; the oracle tolerances are one constant."""
+    unflagged = {(name, arg) for name, problem in cli.PROBLEMS.items()
+                 for arg in inspect.signature(problem.factory).parameters
+                 if arg not in problem.flags}
+    assert unflagged == set(SET_ELSEWHERE)
+    fields = {f.name for f in dataclasses.fields(problems.ProblemSpec)}
+    assert "rk_defaults" not in fields
+    for name, problem in cli.PROBLEMS.items():
+        spec = problem.factory(**problem.arguments())
+        assert spec.rk_defaults is problems._ORACLE_DEFAULTS, name
+
+
 def test_factories_are_looked_up_per_call(monkeypatch, tmp_path):
     # a wrapper set on lvim.problems after import (a tracer, a spy) runs
     calls = []
@@ -232,6 +256,14 @@ def test_bar_rejects_flags_it_cannot_honour(command, flag, capsys):
     # span or oracle tolerance on the command line is refused, not echoed
     assert main([command, "buckled-bar", flag, "0.5"]) == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "pendulum"], ["sweep", "bar-load"]])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    # the solve runs first; the failed write must still end in an exit code
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("lvim: error: ")
 
 
 def test_rhs_overflow_is_exit_2(capsys):
