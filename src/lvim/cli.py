@@ -6,6 +6,11 @@ problem with the adaptive oracle and reports the per-dimension maximum
 discrepancy; ``ops-check`` self-tests the operator construction;
 ``sweep`` emits parameter-study tables for external plotting.
 
+Under ``run`` and ``compare`` each problem has a sub-parser holding
+exactly the flags it reads (``PROBLEMS``), so a flag meant for another
+problem is a usage error and ``lvim run <problem> --help`` lists only
+that problem's flags.
+
 Exit codes are a stable contract: 0 success, 1 usage error, 2 solver
 non-convergence, 3 an ``--assert-below`` threshold was exceeded, 4
 self-test failure.
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import io
 import json
 import os
 import sys
@@ -60,10 +64,6 @@ BAR_GUESSES = {
     ("tangent_follower", 25.0): ((0.05, 0.08),),
 }
 
-# The bar shoot marches every shot over s in [0, 1] with the problem's own
-# oracle tolerances, so these flags could not reach it; they are rejected.
-BAR_FIXED = ("t_end", "rel_tol", "abs_tol")
-
 ELASTICA_SWEEP_TRIPLES = ((1.0, 0.5), (1.0, 1.2), (1.0, 1.35))
 
 # Retry ladder: a stalled iteration is retried at a 100x coarser tolerance
@@ -85,10 +85,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_table(fh, header: Sequence[str], rows: np.ndarray) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _table(header: Sequence[str], rows: np.ndarray) -> str:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -97,6 +96,13 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any solve, an ``--out`` path in a missing or read-only directory."""
+    folder = os.path.dirname(out) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {out!r}: no writable directory {folder!r}")
 
 
 def _resolve_gravity(path: str) -> str:
@@ -135,17 +141,54 @@ def _blasius(**kwargs) -> problems.ProblemSpec:
     return problems.blasius_pair(**kwargs)[1]
 
 
+# Every problem flag, by argparse dest; the option is the dest with "-"
+# for "_" after "--".  Each defaults to None, so a flag left unset leaves
+# the problem's own value in force; nothing here repeats a default.
+FLAGS = {
+    "n": dict(type=int, help="collocation points per segment"),
+    "dt": dict(type=float, help="segment length"),
+    "tol": dict(type=float, help="iteration tolerance (pinning it disables retries)"),
+    "jacobian": dict(choices=("full", "frozen")),
+    "t_end": dict(type=float, help="integration end"),
+    "rel_tol": dict(type=float, help="oracle relative tolerance"),
+    "abs_tol": dict(type=float, help="oracle absolute tolerance"),
+    "gravity_file": dict(help="coefficient file path or bundled name"),
+    "degree": dict(type=int, help="truncate the gravity field"),
+    "delta": dict(type=float, help="Mathieu stiffness offset"),
+    "epsilon": dict(type=float, help="Mathieu modulation amplitude"),
+    "a_param": dict(type=float, help="elastica a"),
+    "c_param": dict(type=float, help="elastica c / white-dwarf density parameter"),
+    "load_type": dict(choices=problems.BAR_LOAD_TYPES,
+                      type=lambda s: s.replace("-", "_"),
+                      help="bar load convention (- and _ both accepted)"),
+    "load": dict(type=float, help="bar end load"),
+    "guesses": dict(type=float, nargs=2, metavar=("A", "B"),
+                    help="secant seeds for the bar shoot"),
+}
+
+# The solver flags: dest -> (the type of the object holding the setting,
+# its field).  A run starts from the problem's ProblemSpec, its
+# ``lvim_defaults`` SolverConfig and its ``rk_defaults`` RkConfig.
+SETTINGS = {
+    "n": (SolverConfig, "n_basis"),
+    "dt": (SolverConfig, "dt"),
+    "tol": (SolverConfig, "tol"),
+    "jacobian": (SolverConfig, "jacobian_mode"),
+    "t_end": (problems.ProblemSpec, "tf"),
+    "rel_tol": (RkConfig, "rel_tol"),
+    "abs_tol": (RkConfig, "abs_tol"),
+}
+
+
 @dataclass(frozen=True)
 class _Problem:
-    """A CLI problem: a factory returning its ProblemSpec, and the flags
-    that set the factory's arguments (argument name -> argparse dest).
-
-    Those flags default to None, so a flag left unset leaves the
-    factory's own default in force; nothing here repeats a default.
-    """
+    """A CLI problem: a factory returning its ProblemSpec, the flags that
+    set the factory's arguments (argument name -> FLAGS dest), and the
+    other flags it reads (FLAGS dests): by default every solver setting."""
 
     factory: Callable[..., problems.ProblemSpec]
     flags: Dict[str, str] = field(default_factory=dict)
+    reads: Tuple[str, ...] = tuple(SETTINGS)
 
     def arguments(self, args=None) -> dict:
         """The factory arguments the flags set, factory defaults filled in."""
@@ -163,38 +206,37 @@ PROBLEMS = {
     "white-dwarf": _Problem(_late("white_dwarf"), {"c_param": "c_param"}),
     "mathieu": _Problem(_late("mathieu"), {"delta": "delta", "epsilon": "epsilon"}),
     "pendulum": _Problem(_late("pendulum")),
+    # every shot spans s in [0, 1] at the oracle's stock tolerances, so the
+    # bar takes no span or oracle-tolerance flag
     "buckled-bar": _Problem(_late("buckled_bar"),
-                            {"load_type": "load_type", "load": "load"}),
+                            {"load_type": "load_type", "load": "load"},
+                            ("n", "dt", "tol", "jacobian", "guesses")),
     "elastica": _Problem(_late("elastica"), {"a": "a_param", "c": "c_param"}),
     "leo": _Problem(_leo, {"gravity_file": "gravity_file", "degree": "degree"}),
 }
 
 
+def _configure(spec: problems.ProblemSpec, args=None) -> dict:
+    """The spec and its two configs, keyed by type, with every SETTINGS
+    flag set in ``args`` applied."""
+    held = {problems.ProblemSpec: spec, SolverConfig: spec.lvim_defaults,
+            RkConfig: spec.rk_defaults}
+    for dest, (owner, name) in SETTINGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            held[owner] = replace(held[owner], **{name: value})
+    return held
+
+
+def _setting_values(held: dict) -> dict:
+    """Every SETTINGS value in ``held``, keyed by flag dest."""
+    return {dest: getattr(held[owner], name)
+            for dest, (owner, name) in SETTINGS.items()}
+
+
 def _bar_guesses(load_type: str, load: float) -> Tuple[float, float]:
     """Stock secant seeds of a load case: its first BAR_GUESSES pair."""
     return BAR_GUESSES.get((load_type, load), ((0.05, 0.1),))[0]
-
-
-def _config_from(args, default: SolverConfig) -> SolverConfig:
-    cfg = default
-    if args.n is not None:
-        cfg = replace(cfg, n_basis=args.n)
-    if args.dt is not None:
-        cfg = replace(cfg, dt=args.dt)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if args.jacobian is not None:
-        cfg = replace(cfg, jacobian_mode=args.jacobian)
-    return cfg
-
-
-def _rk_from(args, default: RkConfig) -> RkConfig:
-    cfg = default
-    if args.rel_tol is not None:
-        cfg = replace(cfg, rel_tol=args.rel_tol)
-    if args.abs_tol is not None:
-        cfg = replace(cfg, abs_tol=args.abs_tol)
-    return cfg
 
 
 def _march_with_retry(spec, cfg: SolverConfig, tol_pinned: bool,
@@ -256,55 +298,36 @@ def _energy_drift(model: GravityModel, states: np.ndarray) -> float:
     return float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
 
 
-def _report_csv(spec, trajectory) -> str:
-    buf = io.StringIO()
-    rows = np.column_stack([trajectory.times, trajectory.states])
-    _write_table(buf, ("t",) + tuple(spec.state_names), rows)
-    return buf.getvalue()
-
-
 def cmd_solve(args) -> int:
     """``run`` and ``compare``: one solve path.  ``compare`` adds the
     oracle run, the per-dimension discrepancy and the ``--assert-below``
     gate."""
     t_start = time.perf_counter()
     compare = args.command == "compare"
-    if args.problem == "buckled-bar":
-        for dest in BAR_FIXED:
-            if getattr(args, dest) is not None:
-                raise ValueError(
-                    f"--{dest.replace('_', '-')} does not apply to "
-                    "buckled-bar: every shot spans s in [0, 1] at the "
-                    "oracle's stock tolerances")
     problem = PROBLEMS[args.problem]
     kwargs = problem.arguments(args)
-    spec = problem.factory(**kwargs)
-    if args.t_end is not None:
-        spec = replace(spec, tf=args.t_end)
-    cfg = _config_from(args, spec.lvim_defaults)
-    rk_cfg = _rk_from(args, spec.rk_defaults)
+    held = _configure(problem.factory(**kwargs), args)
+    spec = held[problems.ProblemSpec]
     if args.problem == "buckled-bar":
-        trajectory, oracle, notes = _shoot_bar(args, kwargs, cfg, compare)
+        trajectory, oracle, notes = _shoot_bar(args, kwargs, held[SolverConfig],
+                                               compare)
     else:
         notes = [spec.notes] if spec.notes else []
-        trajectory, cfg = _march_with_retry(spec, cfg, args.tol is not None, notes)
+        trajectory, held[SolverConfig] = _march_with_retry(
+            spec, held[SolverConfig], args.tol is not None, notes)
         oracle = rk45_integrate(spec.system, spec.t0, spec.tf, spec.x0,
-                                rk_cfg) if compare else None
+                                held[RkConfig]) if compare else None
     if compare:
         reference = sample_at(oracle, trajectory.times)
         discrepancy = np.max(np.abs(trajectory.states - reference), axis=0)
     _growth_note(spec.x0, trajectory.states, notes)
+    config = _setting_values(held)
+    del config["t_end"]  # the span shows in the samples
+    rows = np.column_stack([trajectory.times, trajectory.states])
     report = {
         "problem": spec.name,
-        "config": {
-            "n": cfg.n_basis,
-            "dt": cfg.dt,
-            "tol": cfg.tol,
-            "jacobian": cfg.jacobian_mode,
-            "rel_tol": rk_cfg.rel_tol,
-            "abs_tol": rk_cfg.abs_tol,
-        },
-        "samples": np.column_stack([trajectory.times, trajectory.states]).tolist(),
+        "config": config,
+        "samples": rows.tolist(),
         "total_iterations": int(np.sum(trajectory.segment_iterations)),
         "total_rhs_evals": int(trajectory.total_rhs_evals),
         "wall_time_s": time.perf_counter() - t_start,
@@ -321,7 +344,7 @@ def cmd_solve(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        _emit(_report_csv(spec, trajectory), args.out)
+        _emit(_table(("t",) + tuple(spec.state_names), rows), args.out)
     if compare and args.assert_below is not None:
         worst = float(np.max(discrepancy))
         if worst > args.assert_below:
@@ -401,15 +424,12 @@ def _emit_curves(curves: List[Tuple[str, Trajectory]], header: Sequence[str],
     label inserted before the extension; else to stdout, each table after
     a ``# label`` line."""
     for label, tr in curves:
-        buf = io.StringIO()
-        path = None
+        text = _table(header, np.column_stack([tr.times, tr.states]))
         if out:
             stem, ext = os.path.splitext(out)
-            path = f"{stem}-{label}{ext or '.csv'}"
+            _emit(text, f"{stem}-{label}{ext or '.csv'}")
         else:
-            buf.write(f"# {label}\n")
-        _write_table(buf, header, np.column_stack([tr.times, tr.states]))
-        _emit(buf.getvalue(), path)
+            _emit(f"# {label}\n{text}", None)
 
 
 def cmd_sweep(args) -> int:
@@ -419,9 +439,7 @@ def cmd_sweep(args) -> int:
         else:
             amps = [round(0.1 + 0.2 * k, 10) for k in range(16)]  # 0.1 .. 3.1
         table = problems.pendulum_frequency_sweep(amps)
-        buf = io.StringIO()
-        _write_table(buf, ("amplitude", "frequency"), table)
-        _emit(buf.getvalue(), args.out)
+        _emit(_table(("amplitude", "frequency"), table), args.out)
         return EXIT_OK
 
     curves = []
@@ -444,59 +462,18 @@ def cmd_sweep(args) -> int:
 
 def _print_defaults() -> None:
     """Dump, per problem, the default of every value a flag can set, keyed
-    by the flag's name, as a bare run would use it."""
+    by the flag's dest, as a bare run would use it."""
     table = {}
     for name, problem in PROBLEMS.items():
         kwargs = problem.arguments()
-        spec = problem.factory(**kwargs)
-        cfg = spec.lvim_defaults
-        entry = {
-            "n": cfg.n_basis,
-            "dt": cfg.dt,
-            "tol": cfg.tol,
-            "jacobian": cfg.jacobian_mode,
-            "t_end": spec.tf,
-            "rel_tol": spec.rk_defaults.rel_tol,
-            "abs_tol": spec.rk_defaults.abs_tol,
-        }
+        values = _setting_values(_configure(problem.factory(**kwargs)))
+        entry = {dest: values[dest] for dest in problem.reads if dest in values}
         entry.update((problem.flags[arg], value) for arg, value in kwargs.items())
-        if name == "buckled-bar":
-            for dest in BAR_FIXED:
-                del entry[dest]
+        if "guesses" in problem.reads:
             entry["guesses"] = _bar_guesses(**kwargs)
         table[name] = entry
     json.dump(table, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--n", type=int, help="collocation points per segment")
-    parser.add_argument("--dt", type=float, help="segment length")
-    parser.add_argument("--tol", type=float,
-                        help="iteration tolerance (pinning it disables the retry ladder)")
-    parser.add_argument("--t-end", type=float, help="integration end")
-    parser.add_argument("--jacobian", choices=("full", "frozen"))
-    parser.add_argument("--rel-tol", type=float, help="oracle relative tolerance")
-    parser.add_argument("--abs-tol", type=float, help="oracle absolute tolerance")
-    parser.add_argument("--gravity-file",
-                        help="coefficient file path or bundled name")
-    parser.add_argument("--degree", type=int, help="truncate the gravity field")
-    parser.add_argument("--delta", type=float, help="Mathieu stiffness offset")
-    parser.add_argument("--epsilon", type=float,
-                        help="Mathieu modulation amplitude")
-    parser.add_argument("--a-param", type=float, help="elastica a")
-    parser.add_argument("--c-param", type=float,
-                        help="elastica c / white-dwarf density parameter")
-    parser.add_argument("--load-type", choices=problems.BAR_LOAD_TYPES,
-                        type=lambda s: s.replace("-", "_"),
-                        help="bar load convention (- and _ both accepted)")
-    parser.add_argument("--load", type=float, help="bar end load")
-    parser.add_argument("--guesses", type=float, nargs=2, metavar=("A", "B"),
-                        help="secant seeds for the bar shoot")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--print-defaults", action="store_true",
-                        help="dump every problem's default configuration and exit")
 
 
 def _build_parser() -> _Parser:
@@ -504,15 +481,22 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
-    run_p = sub.add_parser("run", help="solve one benchmark")
-    run_p.add_argument("problem", nargs="?", choices=tuple(PROBLEMS))
-    _add_common_flags(run_p)
-
-    cmp_p = sub.add_parser("compare", help="solve and check against the oracle")
-    cmp_p.add_argument("problem", nargs="?", choices=tuple(PROBLEMS))
-    _add_common_flags(cmp_p)
-    cmp_p.add_argument("--assert-below", type=float,
-                       help="exit 3 if any discrepancy exceeds this")
+    for command, text in (("run", "solve one benchmark"),
+                          ("compare", "solve and check against the oracle")):
+        cmd_p = sub.add_parser(command, help=text)
+        cmd_p.add_argument("--print-defaults", action="store_true",
+                           help="dump every problem's default configuration and exit")
+        problem_sub = cmd_p.add_subparsers(dest="problem", metavar="problem")
+        for name, problem in PROBLEMS.items():
+            prob_p = problem_sub.add_parser(
+                name, help=problem.factory.__doc__.strip().splitlines()[0])
+            for dest in dict.fromkeys(problem.reads + tuple(problem.flags.values())):
+                prob_p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
+            prob_p.add_argument("--out", help="output path (default stdout)")
+            prob_p.add_argument("--format", choices=("csv", "json"), default="csv")
+            if command == "compare":
+                prob_p.add_argument("--assert-below", type=float,
+                                    help="exit 3 if any discrepancy exceeds this")
 
     ops_p = sub.add_parser("ops-check", help="self-test operator construction")
     ops_p.add_argument("n_list", nargs="*", type=int, default=[5, 13, 26],
@@ -539,6 +523,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if n < 2:
                     parser.error(f"N must be >= 2, got {n}")
             return cmd_ops_check(args)
+        if getattr(args, "out", None):
+            _check_out(args.out)
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.print_defaults:
@@ -556,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"lvim: solver failed: {exc}\n")
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
-        # OSError: an --out path that cannot be written
+        # OSError: an --out path that passed the check but cannot be written
         sys.stderr.write(f"lvim: error: {exc}\n")
         return EXIT_USAGE
 

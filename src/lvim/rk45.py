@@ -117,8 +117,9 @@ def _initial_step(system, t0, x0, f0, cfg, span):
 
 
 def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
-                   cfg: Optional[RkConfig] = None) -> RkTrajectory:
-    """Integrate ``[t0, tf]`` adaptively and return the accepted steps.
+                   cfg: RkConfig) -> RkTrajectory:
+    """Integrate ``[t0, tf]`` adaptively at the tolerances of ``cfg`` and
+    return the accepted steps.
 
     The error test is the mixed-tolerance max norm
     ``max_i |e_i| / (abs_tol + rel_tol * max(|x_i|, |x_new_i|)) <= 1``.
@@ -128,8 +129,6 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     exhausted and :class:`DomainViolationError` when the state or rhs
     leaves the finite domain.
     """
-    if cfg is None:
-        cfg = RkConfig()
     if not tf > t0:
         raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
     x = np.asarray(x0, dtype=float)

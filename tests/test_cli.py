@@ -5,9 +5,12 @@ import functools
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,20 +131,15 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
     assert main(["run", "--print-defaults"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert set(table) == set(cli.PROBLEMS)
-    dests = set(vars(cli._build_parser().parse_args(["run"])))
-    common = {"n", "dt", "tol", "jacobian", "t_end", "rel_tol", "abs_tol"}
+    parser = cli._build_parser()
+    not_settings = {"command", "problem", "print_defaults", "out", "format"}
 
     class Captured(Exception):
         pass
 
     for name, problem in cli.PROBLEMS.items():
         listed = table[name]
-        keys = common | set(problem.flags.values())
-        if name == "buckled-bar":
-            # the bar shoot rejects the span and oracle-tolerance flags
-            keys = keys - set(cli.BAR_FIXED) | {"guesses"}
-        assert set(listed) == keys
-        assert set(listed) <= dests
+        assert set(listed) == set(vars(parser.parse_args(["run", name]))) - not_settings
         seen = {}
 
         @functools.wraps(problem.factory)
@@ -258,12 +256,92 @@ def test_bar_rejects_flags_it_cannot_honour(command, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["run", "pendulum"], ["sweep", "bar-load"]])
-def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
-    # the solve runs first; the failed write must still end in an exit code
+@pytest.mark.parametrize("argv", [
+    ["run", "pendulum"], ["sweep", "bar-load"], ["compare", "blasius"],
+    ["run", "buckled-bar"], ["compare", "buckled-bar", "--format", "json"],
+    ["sweep", "elastica-regimes"], ["sweep", "pendulum-frequency"]])
+def test_unwritable_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # refused before any factory, march, oracle or shoot runs
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the --out path was checked")
+
+    for module, name in ((cli, "march"), (cli, "rk45_integrate"),
+                         (cli, "solve_buckled_bar"), (problems, "blasius_pair"),
+                         (problems, "pendulum_frequency_sweep")):
+        monkeypatch.setattr(module, name, never)
     out = tmp_path / "missing" / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("lvim: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("lvim: error: ") and str(out) in err
+
+
+# What each problem reads, spelled out here rather than taken from the
+# registry: the solver flags, then the problem's own.
+SOLVER_FLAGS = ("n", "dt", "tol", "jacobian", "t_end", "rel_tol", "abs_tol")
+READS = {
+    "blasius": SOLVER_FLAGS,
+    "emden": SOLVER_FLAGS,
+    "white-dwarf": SOLVER_FLAGS + ("c_param",),
+    "mathieu": SOLVER_FLAGS + ("delta", "epsilon"),
+    "pendulum": SOLVER_FLAGS,
+    "buckled-bar": ("n", "dt", "tol", "jacobian", "load_type", "load", "guesses"),
+    "elastica": SOLVER_FLAGS + ("a_param", "c_param"),
+    "leo": SOLVER_FLAGS + ("gravity_file", "degree"),
+}
+# a well-formed value for every flag, so that only ownership decides
+VALUES = {"n": ["7"], "dt": ["0.5"], "tol": ["1e-8"], "jacobian": ["full"],
+          "t_end": ["1"], "rel_tol": ["1e-8"], "abs_tol": ["1e-10"],
+          "gravity_file": ["egm8.txt"], "degree": ["3"], "delta": ["3"],
+          "epsilon": ["0.2"], "a_param": ["1"], "c_param": ["0.9"],
+          "load_type": ["dead"], "load": ["7"], "guesses": ["1", "2"]}
+
+
+def _option(dest):
+    return "--" + dest.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name,dest", [
+    (name, dest) for name in READS for dest in VALUES
+    if dest not in READS[name] + SOLVER_FLAGS])
+def test_foreign_flag_is_refused(command, name, dest, capsys):
+    # a flag meant for another problem is a usage error, not silently
+    # dropped (the bar's refused solver flags have their own test above)
+    assert main([command, name, _option(dest)] + VALUES[dest]) == 1
+    assert _option(dest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", sorted(READS))
+def test_each_problem_takes_exactly_its_flags(command, name, capsys):
+    assert set(cli.PROBLEMS) == set(READS)
+    assert main([command, name, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    extra = {"--help", "--out", "--format"}
+    if command == "compare":
+        extra.add("--assert-below")
+    assert listed == {_option(dest) for dest in READS[name]} | extra
+    argv = [command, name]
+    for dest in READS[name]:
+        argv += [_option(dest)] + VALUES[dest]
+    args = cli._build_parser().parse_args(argv)
+    assert all(getattr(args, dest) is not None for dest in READS[name])
+
+
+def test_readme_cli_examples_parse():
+    """Every ``lvim`` line of the README's command-line block parses with
+    the real parser (parse only: nothing is solved)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("lvim ")]
+    assert len(examples) >= 8
+    parser = cli._build_parser()
+    for tokens in examples:
+        try:
+            parser.parse_args(tokens[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(tokens)}")
 
 
 def test_rhs_overflow_is_exit_2(capsys):
