@@ -81,6 +81,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+class _ProblemParser(_Parser):
+    """The parser of one ``run``/``compare`` problem.  It is the last
+    parser on the command line, so it refuses a stray argument itself,
+    with its own usage, rather than hand it up to the root parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -486,7 +498,8 @@ def _build_parser() -> _Parser:
         cmd_p = sub.add_parser(command, help=text)
         cmd_p.add_argument("--print-defaults", action="store_true",
                            help="dump every problem's default configuration and exit")
-        problem_sub = cmd_p.add_subparsers(dest="problem", metavar="problem")
+        problem_sub = cmd_p.add_subparsers(dest="problem", metavar="problem",
+                                           parser_class=_ProblemParser)
         for name, problem in PROBLEMS.items():
             prob_p = problem_sub.add_parser(
                 name, help=problem.factory.__doc__.strip().splitlines()[0])

@@ -83,6 +83,12 @@ class OdeSystem:
             g = np.asarray(self.rhs(t, x), dtype=float)
         except OverflowError as exc:
             raise _overflow("right-hand side", t, x) from exc
+        except DomainViolationError as exc:
+            # a kernel the rhs calls (gravity's reference-sphere guard) sees
+            # neither the time nor the whole state; this evaluation does
+            if exc.t is None:
+                exc.t, exc.state = t, np.array(x, dtype=float)
+            raise
         # a finite sum implies finite entries; only a sum that is not
         # finite (possibly by overflow) needs the element-wise test
         if not math.isfinite(sum(g.ravel().tolist())) and not np.all(np.isfinite(g)):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +192,13 @@ def test_jacobian_overflow_is_domain_violation():
 def test_public_names_resolve():
     for name in lvim.__all__:
         assert hasattr(lvim, name), name
+
+
+def test_readme_layout_names_every_module():
+    """The README's layout block lists every module of ``src/lvim``."""
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Layout", 1)[1].split("```", 2)[1]
+    listed = {line.split()[0] for line in block.splitlines()
+              if line.startswith("  ") and line.split()[0].endswith(".py")}
+    modules = {p.name for p in (root / "src" / "lvim").glob("*.py")} - {"__init__.py"}
+    assert listed == modules

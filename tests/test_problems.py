@@ -295,6 +295,25 @@ def test_leo_spec():
     assert spec.state_names == ("x", "y", "z", "vx", "vy", "vz")
 
 
+@pytest.mark.parametrize("integrate", ["march", "rk45"])
+def test_leo_reentry_says_where(integrate):
+    """At 0.3x orbital speed the orbit falls through gravity's reference
+    sphere; the error carries the time and the full 6-state of the rhs
+    evaluation that crossed it, not only the 3-vector gravity saw."""
+    model = load_gravity_model(bundled_gravity_path("egm8.txt"))
+    spec = problems.leo(model)
+    x0 = spec.x0 * np.array([1.0, 1.0, 1.0, 0.3, 0.3, 0.3])
+    with pytest.raises(DomainViolationError, match="r_ref") as info:
+        if integrate == "march":
+            march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
+        else:
+            rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+    exc = info.value
+    assert spec.t0 <= exc.t <= spec.tf
+    assert exc.state.shape == (6,)
+    assert np.linalg.norm(exc.state[:3]) <= 0.9 * model.r_ref
+
+
 # --------------------------------------------------------- oracle parity
 
 @pytest.mark.parametrize("factory", [

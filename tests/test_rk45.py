@@ -9,8 +9,8 @@ from lvim import problems
 from lvim.core import OdeSystem
 from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
-from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, rk45_integrate,
-                       sample_at)
+from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, _err_norm,
+                       rk45_integrate, sample_at)
 
 DECAY = OdeSystem(dim=1, rhs=lambda t, x: -x, jac=None, name="decay")
 
@@ -147,6 +147,30 @@ def test_state_overflow_raises_domain_violation():
         rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
 
 
+def test_error_norm_matches_numpy_bitwise():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 6):
+        for _ in range(200):
+            e = rng.standard_normal(dim) * 10.0 ** rng.integers(-20, 5, dim)
+            ax = np.abs(rng.standard_normal(dim))
+            ax_new = np.where(rng.random(dim) < 0.3, ax, np.abs(rng.standard_normal(dim)))
+            e[rng.random(dim) < 0.2] = 0.0
+            want = float(np.max(np.abs(e) / (1e-15 + 1e-12 * np.maximum(ax, ax_new))))
+            got = _err_norm(e.tolist(), ax.tolist(), ax_new.tolist(), 1e-15, 1e-12)
+            assert got == want and type(got) is float
+
+
+def test_error_norm_nan_anywhere_rejects_the_step():
+    # a maximum that skipped a NaN behind finite ratios would accept
+    ax = [1.0, 2.0, 3.0]
+    for pos in range(3):
+        e = [1e-14, 2e-14, 3e-14]
+        e[pos] = math.nan
+        err = _err_norm(e, ax, ax, 1e-15, 1e-12)
+        assert math.isnan(err) and not err <= 1.0, pos
+    assert _err_norm([0.0, math.inf], ax[:2], ax[:2], 1e-15, 1e-12) == math.inf
+
+
 def test_tableau_rows():
     for row, c in zip(_A, _C):
         assert abs(math.fsum(row) - c) <= 4 * np.finfo(float).eps
@@ -230,6 +254,9 @@ _PINNED = {
     "mathieu": lambda: _spec_case(problems.mathieu(0.3, 0.5), tf=20.0),
     "leo-degree2": lambda: _spec_case(problems.leo(
         load_gravity_model(bundled_gravity_path("egm8.txt")).truncate(2))),
+    "leo-degree8": lambda: _spec_case(problems.leo(
+        load_gravity_model(bundled_gravity_path("egm8.txt")))),
+    "decay": lambda: (DECAY, 0.0, 5.0, np.array([1.0]), RkConfig()),
 }
 
 
