@@ -73,24 +73,31 @@ RETRY_TOL_FLOOR = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit with code 1 instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-
-class _ProblemParser(_Parser):
-    """The parser of one ``run``/``compare`` problem.  It is the last
-    parser on the command line, so it refuses a stray argument itself,
-    with its own usage, rather than hand it up to the root parser."""
+    """argparse, but usage errors exit with code 1 instead of 2, and every
+    parser refuses a stray argument itself, with its own usage, rather than
+    hand it up to the root parser."""
 
     def parse_known_args(self, args=None, namespace=None):
+        self._argv = args
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
+
+    def error(self, message):
+        # A problem's flag written before the problem name is either left
+        # over or has its value misread as the problem: name the flag.
+        argv = self._argv or ()
+        for i, arg in enumerate(argv):
+            flag = arg.split("=", 1)[0]
+            if flag.startswith("-") and flag not in self._option_string_actions:
+                if any(later in PROBLEMS for later in argv[i + 1:]):
+                    message = (f"{flag} is not a '{self.prog}' flag; problem flags go "
+                               f"after the problem name: '{self.prog} <problem> {flag} ...'")
+                break
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.exit(EXIT_USAGE)
 
 
 def _fmt(x: float) -> str:
@@ -498,8 +505,7 @@ def _build_parser() -> _Parser:
         cmd_p = sub.add_parser(command, help=text)
         cmd_p.add_argument("--print-defaults", action="store_true",
                            help="dump every problem's default configuration and exit")
-        problem_sub = cmd_p.add_subparsers(dest="problem", metavar="problem",
-                                           parser_class=_ProblemParser)
+        problem_sub = cmd_p.add_subparsers(dest="problem", metavar="problem")
         for name, problem in PROBLEMS.items():
             prob_p = problem_sub.add_parser(
                 name, help=problem.factory.__doc__.strip().splitlines()[0])

@@ -3,19 +3,21 @@
 The acceleration is evaluated with the recursive V/W formulation
 (Montenbruck & Gill, *Satellite Orbits*, 2000, sec. 3.2) in body-fixed
 Cartesian coordinates (no frame rotation is applied).  Each model
-precomputes the recursion factors and the linear map from the V/W values
-to the acceleration, so a call is one recursion and one small matrix
-product.  The potential is evaluated through fully normalized associated
-Legendre functions; it exists so the acceleration can be cross-checked
-against a finite-difference gradient computed by an unrelated code path.
+compiles its recursion into one straight-line kernel and precomputes the
+linear map from the V/W values to the acceleration, so a call is one
+kernel call and one small matrix product.  The potential is evaluated
+through fully normalized associated Legendre functions; it exists so the
+acceleration can be cross-checked against a finite-difference gradient
+computed by an unrelated code path.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -39,8 +41,8 @@ def _denorm_factor(n: int, m: int) -> float:
 def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndarray:
     """Linear map from the flat V/W values to the acceleration.
 
-    ``gravity_accel`` lists ``V_nm`` for ``0 <= m <= n < size`` column by
-    column (m outer, n inner) and then ``W_nm`` in the same order; the
+    The recursion kernel lists ``V_nm`` for ``0 <= m <= n < size`` column
+    by column (m outer, n inner) and then ``W_nm`` in the same order; the
     product of that ``2L`` list with the returned ``2L x 3`` matrix is the
     acceleration.  The unnormalized coefficients, the ``(n-m+1)(n-m+2)``
     factors and ``scale`` are folded in here, once per model.
@@ -71,6 +73,47 @@ def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndar
     return g
 
 
+def _compile_kernel(size: int, r_ref: float) -> Callable:
+    """Compile the V/W recursion into one straight-line function.
+
+    ``kernel(x, y, z)`` returns ``V_nm`` for ``0 <= m <= n < size`` column
+    by column (m outer, n inner), then ``W_nm`` in the same order: the row
+    order of ``_accel_map``.  Each value has one assignment, with the
+    operations of the column recursion in its order: each step scales its
+    factors once, ``a = (2n-1)/(n-m) * zf`` and ``b = (n+m-1)/(n-m) * rf``,
+    for both V and W, and the first step keeps its ``- b * 0.0`` terms, so
+    NaN and inf propagate as in a loop.  The factors are float literals
+    (``repr`` of a float reads back to the same value); ``r_ref`` is the
+    name ``R`` in the kernel's namespace, never pasted into the source.
+    """
+    lines = ["def kernel(x, y, z):",
+             "    r2 = x * x + y * y + z * z",
+             "    xf = x * R / r2",
+             "    yf = y * R / r2",
+             "    zf = z * R / r2",
+             "    rf = R * R / r2",
+             "    v0_0 = R / r2 ** 0.5",
+             "    w0_0 = 0.0"]
+    order = []
+    for m in range(size):
+        if m:
+            d = f"{m - 1}_{m - 1}"
+            lines.append(f"    v{m}_{m} = {2 * m - 1} * (xf * v{d} - yf * w{d})")
+            lines.append(f"    w{m}_{m} = {2 * m - 1} * (xf * w{d} + yf * v{d})")
+        order.append(f"{m}_{m}")
+        for n in range(m + 1, size):
+            lines.append(f"    a = {(2 * n - 1) / (n - m)!r} * zf")
+            lines.append(f"    b = {(n + m - 1) / (n - m)!r} * rf")
+            for vw in "vw":
+                older = f"{vw}{order[-2]}" if n > m + 1 else "0.0"
+                lines.append(f"    {vw}{n}_{m} = a * {vw}{order[-1]} - b * {older}")
+            order.append(f"{n}_{m}")
+    lines.append("    return [" + ", ".join(vw + nm for vw in "vw" for nm in order) + "]")
+    namespace = {"R": r_ref}
+    exec(compile("\n".join(lines), f"<V/W kernel, size {size}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 @dataclass(frozen=True)
 class GravityModel:
     """Immutable gravity field truncated at a maximum degree.
@@ -89,14 +132,15 @@ class GravityModel:
     _s: np.ndarray = field(init=False, repr=False, compare=False)
     _cbar: np.ndarray = field(init=False, repr=False, compare=False)
     _sbar: np.ndarray = field(init=False, repr=False, compare=False)
-    _recur: tuple = field(init=False, repr=False, compare=False)
+    _kernel: Callable = field(init=False, repr=False, compare=False)
     _g: np.ndarray = field(init=False, repr=False, compare=False)
+    _pack: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.r_ref <= 0:
-            raise ValueError("r_ref must be positive")
+        for name in ("mu", "r_ref"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         for (n, m), (cb, sb) in self.coeffs.items():
@@ -128,13 +172,10 @@ class GravityModel:
         object.__setattr__(self, "_sbar", sbar)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_s", s)
-        # _recur[m] holds the plain-float factors ((2n-1)/(n-m), (n+m-1)/(n-m))
-        # of the column recursion for n = m+1 .. nmax+1
         size = nmax + 2
-        object.__setattr__(self, "_recur", tuple(
-            tuple(((2 * n - 1) / (n - m), (n + m - 1) / (n - m)) for n in range(m + 1, size))
-            for m in range(size)))
+        object.__setattr__(self, "_kernel", _compile_kernel(size, self.r_ref))
         object.__setattr__(self, "_g", _accel_map(c, s, size, self.mu / self.r_ref ** 2))
+        object.__setattr__(self, "_pack", struct.Struct(f"{size * (size + 1)}d").pack)
 
     def truncate(self, degree: int) -> "GravityModel":
         """Return a copy keeping only terms of degree <= the given degree."""
@@ -198,43 +239,19 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     q = np.asarray(q)
     if q.shape != (3,):
         raise ValueError("position must be a 3-vector")
-    if np.iscomplexobj(q):
-        x, y, z = complex(q[0]), complex(q[1]), complex(q[2])
-    else:
-        x, y, z = float(q[0]), float(q[1]), float(q[2])
+    is_complex = np.iscomplexobj(q)
+    x, y, z = map(complex if is_complex else float, q.tolist())
     r_real = math.sqrt(x.real ** 2 + y.real ** 2 + z.real ** 2)
     if not r_real > 0.9 * model.r_ref:
         raise DomainViolationError(
             f"|q| = {r_real:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
             state=np.asarray(q),
         )
-    R = model.r_ref
-    r2 = x * x + y * y + z * z
-    # scaled coordinates shared by every recursion step
-    xf = x * R / r2
-    yf = y * R / r2
-    zf = z * R / r2
-    rf = R * R / r2
-
-    # V_nm and W_nm column by column, in the row order of model._g
-    V = []
-    W = []
-    v, w = R / r2 ** 0.5, 0.0
-    for m, column in enumerate(model._recur):
-        if m:
-            k = 2 * m - 1
-            v, w = k * (xf * v - yf * w), k * (xf * w + yf * v)
-        V.append(v)
-        W.append(w)
-        v1, w1, v2, w2 = v, w, 0.0, 0.0
-        for a, b in column:
-            a *= zf
-            b *= rf
-            v1, v2 = a * v1 - b * v2, v1
-            w1, w2 = a * w1 - b * w2, w1
-            V.append(v1)
-            W.append(w1)
-    return np.array(V + W) @ model._g
+    vw = model._kernel(x, y, z)
+    # struct packs real values faster than np.array reads a list; it has
+    # no complex format
+    vw = np.array(vw) if is_complex else np.frombuffer(model._pack(*vw))
+    return vw @ model._g
 
 
 def gravity_potential(model: GravityModel, q) -> float:

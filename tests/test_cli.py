@@ -320,6 +320,19 @@ def test_foreign_flag_is_refused(command, name, dest, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("stray", [["--delta", "3"], ["--delta=3"], ["--delta"]])
+def test_problem_flag_before_the_problem_is_named(command, stray, capsys):
+    # written before the problem name, a problem's flag is not misread as
+    # the problem ("invalid choice: '3'") nor handed up as unrecognized
+    assert main([command] + stray + ["pendulum"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lvim {command} [-h]")
+    assert (f"lvim {command}: error: --delta is not a 'lvim {command}' flag; "
+            f"problem flags go after the problem name: "
+            f"'lvim {command} <problem> --delta ...'\n") in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("name", sorted(READS))
 def test_each_problem_takes_exactly_its_flags(command, name, capsys):
     assert set(cli.PROBLEMS) == set(READS)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvim.errors import DomainViolationError
 from lvim.gravity import (
@@ -55,6 +57,23 @@ def test_loader_accepts_comments(tmp_path):
     m = load_gravity_model(str(f))
     assert m.degree == 1
     assert m.coeffs[(1, 1)] == (1e-6, 2e-6)
+
+
+@pytest.mark.parametrize("mu, r_ref", [
+    (float("nan"), R_REF), (float("inf"), R_REF), (MU, float("nan")),
+    (MU, float("inf")), (MU, -float("inf"))])
+def test_model_rejects_non_finite_constants(mu, r_ref):
+    with pytest.raises(ValueError, match="finite"):
+        GravityModel(mu=mu, r_ref=r_ref, degree=0, coeffs={})
+
+
+@pytest.mark.parametrize("header", ["mu nan r_ref 1.0 degree 0",
+                                    "mu 1.0 r_ref inf degree 0"])
+def test_loader_rejects_non_finite_constants(tmp_path, header):
+    f = tmp_path / "nonfinite.txt"
+    f.write_text(header + "\n0 0 1.0 0.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_gravity_model(str(f))
 
 
 def test_model_validation():
@@ -137,8 +156,8 @@ def test_truncation_prefix_is_bitwise(model8):
 
 
 def _reference_accel(model, q):
-    """The original double-loop evaluation of the V/W sums, kept as a
-    reference for the table-driven kernel."""
+    """The original double-loop evaluation of the V/W sums, with its own
+    arithmetic, kept as a tolerance-level reference for the kernel."""
     x, y, z = (float(v) for v in q)
     nmax = model.degree
     R = model.r_ref
@@ -195,22 +214,26 @@ def _degree3(coeffs):
                         coeffs={(0, 0): (1.0, 0.0), **coeffs})
 
 
+@pytest.fixture(scope="module")
+def models(model8, model2):
+    """egm8, egm_test, every truncation of egm8, and two degree-3 fields
+    with S terms."""
+    out = {"egm8": model8, "egm_test": model2,
+           "s_m_ge_1": _degree3({
+               (1, 1): (2e-6, -3e-6), (2, 0): (J2_BAR, 0.0), (2, 1): (-1e-6, 4e-6),
+               (2, 2): (2.4e-6, -1.4e-6), (3, 1): (2e-6, 2.5e-7),
+               (3, 2): (9e-7, -6e-7), (3, 3): (7e-7, 1.4e-6)}),
+           # the old loop reads S at m = 0 only in the z component, where it
+           # multiplies W_n0, which is identically zero
+           "s_m_0": _degree3({(2, 0): (J2_BAR, 3e-4), (3, 0): (9.6e-7, -2e-4),
+                              (3, 3): (7e-7, 1.4e-6)})}
+    out.update((f"deg{d}", model8.truncate(d)) for d in range(9))
+    return out
+
+
 @pytest.mark.parametrize("case", ["deg0", "deg1", "deg2", "deg8", "s_m_ge_1", "s_m_0"])
-def test_kernel_matches_reference_loop(model8, case):
-    model = {
-        "deg0": lambda: model8.truncate(0),
-        "deg1": lambda: model8.truncate(1),
-        "deg2": lambda: model8.truncate(2),
-        "deg8": lambda: model8,
-        "s_m_ge_1": lambda: _degree3({
-            (1, 1): (2e-6, -3e-6), (2, 0): (J2_BAR, 0.0), (2, 1): (-1e-6, 4e-6),
-            (2, 2): (2.4e-6, -1.4e-6), (3, 1): (2e-6, 2.5e-7),
-            (3, 2): (9e-7, -6e-7), (3, 3): (7e-7, 1.4e-6)}),
-        # the old loop reads S at m = 0 only in the z component, where it
-        # multiplies W_n0, which is identically zero
-        "s_m_0": lambda: _degree3({(2, 0): (J2_BAR, 3e-4), (3, 0): (9.6e-7, -2e-4),
-                                   (3, 3): (7e-7, 1.4e-6)}),
-    }[case]()
+def test_kernel_matches_reference_loop(models, case):
+    model = models[case]
     for q in _kernel_points():
         a = gravity_accel(model, q)
         ref = _reference_accel(model, q)
@@ -237,3 +260,119 @@ def test_potential_route_consistency(model2):
     r = np.linalg.norm(TEST_POINT)
     assert u == pytest.approx(-MU / r, rel=1e-3)  # harmonics are small
     assert u != pytest.approx(-MU / r, rel=1e-9)  # but present
+
+
+# ---------------------------------------------- bitwise reference kernel
+
+def _vw_ref(model, q):
+    """The V/W column recursion as the loop the kernel is compiled from:
+    V_nm then W_nm, column by column, in the row order of ``model._g``."""
+    q = np.asarray(q)
+    if np.iscomplexobj(q):
+        x, y, z = complex(q[0]), complex(q[1]), complex(q[2])
+    else:
+        x, y, z = float(q[0]), float(q[1]), float(q[2])
+    R = model.r_ref
+    r2 = x * x + y * y + z * z
+    xf = x * R / r2
+    yf = y * R / r2
+    zf = z * R / r2
+    rf = R * R / r2
+    size = model.degree + 2
+    V = []
+    W = []
+    v, w = R / r2 ** 0.5, 0.0
+    for m in range(size):
+        if m:
+            k = 2 * m - 1
+            v, w = k * (xf * v - yf * w), k * (xf * w + yf * v)
+        V.append(v)
+        W.append(w)
+        v1, w1, v2, w2 = v, w, 0.0, 0.0
+        for n in range(m + 1, size):
+            a = (2 * n - 1) / (n - m) * zf
+            b = (n + m - 1) / (n - m) * rf
+            v1, v2 = a * v1 - b * v2, v1
+            w1, w2 = a * w1 - b * w2, w1
+            V.append(v1)
+            W.append(w1)
+    return V + W
+
+
+def _accel_ref(model, q):
+    """The acceleration gravity_accel must reproduce bit for bit."""
+    return np.array(_vw_ref(model, q)) @ model._g
+
+
+def _assert_bitwise(model, q):
+    """gravity_accel equals the loop bit for bit: signs of zero and NaNs
+    included, which ``np.array_equal`` would not tell apart."""
+    got, want = gravity_accel(model, q), _accel_ref(model, q)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (q, got, want)
+
+
+def _with_steps(q):
+    """q itself, then q with a 1e-200j complex step on each axis."""
+    yield q
+    for i in range(3):
+        qc = np.asarray(q, dtype=complex)
+        qc[i] += 1e-200j
+        yield qc
+
+
+def _octant_points():
+    """Points in the equatorial plane (z = +-0) and on the polar axis
+    (x = y = +-0), every sign combination, zero signs included."""
+    points = []
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            for sz in (1.0, -1.0):
+                points += [(sx * 5.2e6, sy * 4.9e6, sz * 0.0),
+                           (sx * 7.1e6, sy * 0.0, sz * 0.0),
+                           (sx * 0.0, sy * 6.5e6, sz * 0.0),
+                           (sx * 0.0, sy * 0.0, sz * 6.9e6)]
+    return np.array(points)
+
+
+_MODELS = ["egm8", "egm_test"] + [f"deg{d}" for d in range(9)] + ["s_m_ge_1", "s_m_0"]
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_kernel_is_the_loop_bitwise(models, name):
+    model = models[name]
+    for q in np.vstack([_kernel_points(), _octant_points(), [TEST_POINT]]):
+        for qq in _with_steps(q):
+            _assert_bitwise(model, qq)
+    # int and float32 positions are read as today: each entry as a float
+    for q in (np.array([5_200_000, -3_100_000, 2_400_000]),
+              np.array([0, 0, -7_000_000]), [6_900_000, 0, 0]):
+        _assert_bitwise(model, q)
+    for q in (TEST_POINT, _octant_points()[3]):
+        _assert_bitwise(model, q.astype(np.float32))
+
+
+@pytest.mark.parametrize("name", ["egm8", "deg0", "deg1"])
+def test_kernel_propagates_non_finite_values_as_the_loop(models, name):
+    """Infinite positions pass the guard, and so does a complex position
+    whose x^2 + y^2 cancels, leaving r^2 = z^2 = 1e-300 with rf = inf but
+    zf finite.  The kernel's V/W values must carry inf and NaN as the loop
+    does, term by term, so the first-step ``- b * 0.0`` terms stay."""
+    model = models[name]
+    a = 0.8 * R_REF
+    for q in (np.array([np.inf, 0.0, 0.0]), np.array([-np.inf, np.inf, 3e6]),
+              np.array([a + a * 1j, a - a * 1j, 1e-150 + 0j])):
+        _assert_bitwise(model, q)
+        x, y, z = q.tolist()
+        got, want = np.array(model._kernel(x, y, z)), np.array(_vw_ref(model, q))
+        assert got.tobytes() == want.tobytes(), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+       .filter(lambda u: math.hypot(*u) > 1e-3),
+       st.floats(0.9 + 1e-9, 20.0), st.sampled_from(["egm8", "deg2", "s_m_ge_1"]))
+def test_kernel_is_the_loop_bitwise_anywhere(models, u, radius, name):
+    q = np.array(u) / math.hypot(*u) * radius * R_REF
+    for qq in _with_steps(q):
+        _assert_bitwise(models[name], qq)

@@ -295,6 +295,30 @@ def test_leo_spec():
     assert spec.state_names == ("x", "y", "z", "vx", "vy", "vz")
 
 
+def test_leo_rhs_calls_gravity_through_the_module(monkeypatch):
+    """Every leo rhs evaluation calls ``gravity_accel`` by its name in
+    ``problems``, where a tracer that wraps ``lvim.gravity.gravity_accel``
+    sees it; an rhs that called the model's kernel directly would leave the
+    gravity layer silent."""
+    calls = []
+    real = problems.gravity_accel
+
+    def spy(model, q):
+        calls.append(None)
+        return real(model, q)
+
+    monkeypatch.setattr(problems, "gravity_accel", spy)
+    spec = problems.leo(load_gravity_model(bundled_gravity_path("egm8.txt")))
+    system = spec.system
+    cfg = spec.lvim_defaults
+    march(system, spec.t0, spec.t0 + 2 * cfg.dt, spec.x0, cfg)
+    assert system.rhs_evals > 0
+    assert len(calls) == system.rhs_evals
+    rk45_integrate(system, spec.t0, spec.t0 + 2 * cfg.dt, spec.x0,
+                   spec.rk_defaults)
+    assert len(calls) == system.rhs_evals
+
+
 @pytest.mark.parametrize("integrate", ["march", "rk45"])
 def test_leo_reentry_says_where(integrate):
     """At 0.3x orbital speed the orbit falls through gravity's reference
