@@ -59,22 +59,18 @@ def _overflow(what: str, t: float, x: np.ndarray) -> DomainViolationError:
 
 @dataclass
 class OdeSystem:
-    """A first-order system ``dx/dt = rhs(t, x)`` with optional Jacobian.
+    """A first-order system ``dx/dt = rhs(t, x)`` with its Jacobian.
 
     ``rhs`` and ``jac`` must be pure functions of ``(t, x)``; the only
     state an instance mutates is its own evaluation counter, which is why
-    the engine funnels every rhs call through :meth:`eval_rhs`.  When no
-    analytic Jacobian is supplied, a central-difference approximation is
-    used (step ``1e-6 * (1 + |x_i|)`` per component); those probe
-    evaluations, 2 * dim per Jacobian, are counted like any other, so a
-    march spends ``sum(segment_iterations) * N`` rhs evaluations only
-    with an analytic Jacobian.
+    the engine funnels every rhs call through :meth:`eval_rhs`.  The
+    iteration needs the analytic ``jac`` and refuses a system without
+    one; :func:`lvim.rk45.rk45_integrate` never reads it.
     """
 
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     jac: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    name: str = ""
     rhs_evals: int = field(default=0, compare=False)
 
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -98,24 +94,10 @@ class OdeSystem:
         return g
 
     def eval_jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.jac is None:
-            return self._fd_jac(t, x)
         try:
             return np.asarray(self.jac(t, x), dtype=float)
         except OverflowError as exc:
             raise _overflow("Jacobian", t, x) from exc
-
-    def _fd_jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            h = 1e-6 * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[:, i] = (self.eval_rhs(t, xp) - self.eval_rhs(t, xm)) / (2.0 * h)
-        return out
 
 
 @dataclass(frozen=True)
@@ -201,12 +183,15 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
     evaluates it once at the incoming state and reuses it (the two agree
     for linear constant-coefficient systems).  Stops as soon as the
     max-norm of the node correction drops below ``config.tol`` and raises
-    :class:`ConvergenceError` if the iteration budget runs out.
+    :class:`ConvergenceError` if the iteration budget runs out.  Raises
+    ``ValueError`` for a system without ``jac``.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(
             f"initial state has shape {x0.shape}, expected ({system.dim},)")
+    if system.jac is None:
+        raise ValueError("the iteration needs the system's analytic jac")
     t_nodes = t_start + ops.offsets
     m = t_nodes.size
     frozen = config.jacobian_mode == "frozen"
@@ -245,41 +230,35 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     """Integrate ``[t0, tf]`` by marching fixed-length segments.
 
     The span is split into ``dt``-sized segments plus one truncated final
-    segment when the span is not an exact multiple.  Operator sets are
-    cached by segment length and reused across equal-length segments.
-    The returned trajectory samples every collocation node once (segment
-    joins are deduplicated) and records per-segment iteration counts and
-    the rhs evaluations spent.
+    segment when the span is not an exact multiple (a span shorter than
+    ``dt`` is one segment).  One operator set is built per distinct
+    segment length.  The returned trajectory samples every collocation
+    node once (segment joins are deduplicated) and records per-segment
+    iteration counts and the rhs evaluations spent.
     """
-    if not tf > t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
+    if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
+        raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
     x0 = np.asarray(x0, dtype=float)
 
+    dt = config.dt
     span = tf - t0
-    n_full = int(np.floor(span / config.dt + 1e-12))
-    rem = span - n_full * config.dt
-    if rem <= 1e-12 * config.dt:
-        rem = 0.0
-    if n_full == 0:
-        starts, lens = [t0], [span]
-    else:
-        starts = [t0 + i * config.dt for i in range(n_full)]
-        lens = [config.dt] * n_full
-        if rem:
-            starts.append(t0 + n_full * config.dt)
-            lens.append(rem)
+    n_full = int(np.floor(span / dt + 1e-12))
+    rem = span - n_full * dt
+    lens = [dt] * n_full
+    if rem > 1e-12 * dt or n_full == 0:
+        lens.append(rem)
+    ops_by_len = {length: build_operators(config.n_basis, length)
+                  for length in set(lens)}
 
-    ops_cache: dict[float, OperatorSet] = {}
     times = [t0]
     states = [x0.copy()]
     iters = []
     evals_before = system.rhs_evals
 
     x = x0
-    for i, (t_seg, seg_len) in enumerate(zip(starts, lens)):
-        ops = ops_cache.get(seg_len)
-        if ops is None:
-            ops = ops_cache[seg_len] = build_operators(config.n_basis, seg_len)
+    for i, seg_len in enumerate(lens):
+        t_seg = t0 + i * dt
+        ops = ops_by_len[seg_len]
         try:
             res = iterate_segment(ops, system, x, config, t_start=t_seg)
         except ConvergenceError as exc:

@@ -241,7 +241,7 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
         raise ValueError("position must be a 3-vector")
     is_complex = np.iscomplexobj(q)
     x, y, z = map(complex if is_complex else float, q.tolist())
-    r_real = math.sqrt(x.real ** 2 + y.real ** 2 + z.real ** 2)
+    r_real = math.sqrt(x.real * x.real + y.real * y.real + z.real * z.real)
     if not r_real > 0.9 * model.r_ref:
         raise DomainViolationError(
             f"|q| = {r_real:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",

@@ -66,6 +66,8 @@ class ProblemSpec:
             raise ValueError("x0 dimension does not match the system")
         if len(self.state_names) != self.system.dim:
             raise ValueError("state_names length does not match the system")
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
+            raise ValueError("t0 and tf must be finite")
         if not self.tf > self.t0:
             raise ValueError("tf must exceed t0")
 
@@ -93,7 +95,7 @@ def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
             [-0.5 * x[2], 0.0, -0.5 * x[0]],
         ])
 
-    stage1_sys = OdeSystem(dim=3, rhs=rhs, jac=jac, name="blasius-stage1")
+    stage1_sys = OdeSystem(dim=3, rhs=rhs, jac=jac)
     x0 = np.array([0.0, 0.0, 1.0])
     cfg = SolverConfig(n_basis=5, dt=0.5, tol=1e-10)
     if stage1 == "lvim":
@@ -107,7 +109,7 @@ def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
 
     spec = ProblemSpec(
         name="blasius",
-        system=OdeSystem(dim=3, rhs=rhs, jac=jac, name="blasius"),
+        system=OdeSystem(dim=3, rhs=rhs, jac=jac),
         x0=np.array([0.0, 0.0, f2_at_0]),
         t0=0.0,
         tf=xi_max,
@@ -138,7 +140,7 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
     dpsi0 = xi_start / 3.0 - xi_start**3 / 30.0
     return ProblemSpec(
         name="emden",
-        system=OdeSystem(dim=2, rhs=rhs, jac=jac, name="emden"),
+        system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([psi0, dpsi0]),
         t0=xi_start,
         tf=8.0,
@@ -169,7 +171,7 @@ def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
 
     from .shooting import shoot_scalar
 
-    sys_free = OdeSystem(dim=2, rhs=rhs, name="white-dwarf-edge-scan")
+    sys_free = OdeSystem(dim=2, rhs=rhs)
     traj = rk45_integrate(sys_free, _ETA_START, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
     edge = math.sqrt(c)
     gap = traj.states[:, 0] - edge
@@ -227,7 +229,7 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
     tf = _white_dwarf_edge(c, np.array([phi0, dphi0]))
     return ProblemSpec(
         name="white-dwarf",
-        system=OdeSystem(dim=2, rhs=rhs, jac=jac, name="white-dwarf"),
+        system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([phi0, dphi0]),
         t0=_ETA_START,
         tf=tf,
@@ -248,7 +250,7 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
 
     return ProblemSpec(
         name="mathieu",
-        system=OdeSystem(dim=2, rhs=rhs, jac=jac, name="mathieu"),
+        system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([1.0, 0.0]),
         t0=0.0,
         tf=100.0,
@@ -269,7 +271,7 @@ def pendulum() -> ProblemSpec:
 
     return ProblemSpec(
         name="pendulum",
-        system=OdeSystem(dim=2, rhs=rhs, jac=jac, name="pendulum"),
+        system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([3.1329, 0.0]),
         t0=0.0,
         tf=50.0,
@@ -359,7 +361,7 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
 
     return ProblemSpec(
         name="buckled-bar",
-        system=OdeSystem(dim=2, rhs=rhs, jac=jac, name=f"bar-{load_type}"),
+        system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([0.0, 0.0]),
         t0=0.0,
         tf=1.0,
@@ -422,7 +424,7 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
         notes = f"family boundary, a = {a:g}, c = {c:g}"
     return ProblemSpec(
         name="elastica",
-        system=OdeSystem(dim=1, rhs=rhs, jac=jac, name="elastica"),
+        system=OdeSystem(dim=1, rhs=rhs, jac=jac),
         x0=np.array([0.0]),
         t0=0.0,
         tf=c * (1.0 - 1e-3),
@@ -472,7 +474,7 @@ def leo(model: GravityModel) -> ProblemSpec:
     period = orbital_period(model, _LEO_STATE)
     return ProblemSpec(
         name="leo",
-        system=OdeSystem(dim=6, rhs=rhs, jac=jac, name="leo"),
+        system=OdeSystem(dim=6, rhs=rhs, jac=jac),
         x0=_LEO_STATE.copy(),
         t0=0.0,
         tf=period,

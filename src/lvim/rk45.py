@@ -153,8 +153,8 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     exhausted and :class:`DomainViolationError` when the state or rhs
     leaves the finite domain.
     """
-    if not tf > t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
+    if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
+        raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != system.dim:
         raise ValueError(

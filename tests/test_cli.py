@@ -247,6 +247,14 @@ def test_bad_parameter_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("problem", ["blasius", "pendulum"])
+def test_infinite_span_is_usage_error(problem, capsys):
+    assert main(["run", problem, "--t-end", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lvim: error: ") and "finite" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("flag", ["--t-end", "--rel-tol", "--abs-tol"])
 def test_bar_rejects_flags_it_cannot_honour(command, flag, capsys):

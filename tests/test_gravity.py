@@ -254,6 +254,13 @@ def test_interior_guard(model2):
         gravity_accel(model2, np.array([0.1 * R_REF, 0.0, 0.0]))
 
 
+def test_far_field_guard_does_not_overflow(model8):
+    # squaring 1e200 as a Python power raises OverflowError; the guard's
+    # sum of products goes to inf, which passes, and the field underflows
+    a = gravity_accel(model8, [1e200, -1e200, 3e6])
+    assert np.array_equal(a, np.zeros(3))
+
+
 def test_potential_route_consistency(model2):
     # both routes must agree on the raw potential-energy-like scale too
     u = gravity_potential(model2, TEST_POINT)

@@ -1,6 +1,7 @@
 """Benchmark factories: Jacobians, series starts, oracle cross-checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,13 @@ def test_pendulum_spec_defaults():
     assert spec.tf == 50.0
     assert spec.lvim_defaults.n_basis == 5
     assert spec.lvim_defaults.dt == 0.1
+
+
+@pytest.mark.parametrize("name, value", [("tf", math.inf), ("tf", math.nan),
+                                         ("t0", -math.inf)])
+def test_spec_rejects_non_finite_span(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        replace(problems.pendulum(), **{name: value})
 
 
 def elliptic_frequency(amp):

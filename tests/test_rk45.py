@@ -12,13 +12,12 @@ from lvim.gravity import bundled_gravity_path, load_gravity_model
 from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, _err_norm,
                        rk45_integrate, sample_at)
 
-DECAY = OdeSystem(dim=1, rhs=lambda t, x: -x, jac=None, name="decay")
+DECAY = OdeSystem(dim=1, rhs=lambda t, x: -x, jac=None)
 
 OSC = OdeSystem(
     dim=2,
     rhs=lambda t, x: np.array([x[1], -x[0]]),
     jac=None,
-    name="osc",
 )
 
 
@@ -87,6 +86,16 @@ def test_sample_at_matches_per_query_loop():
                           tr.states[[0, -1]])
 
 
+@pytest.mark.parametrize("t0, tf", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (0.0, math.nan)])
+def test_non_finite_span_raises(t0, tf):
+    # an infinite tf would otherwise step until max_steps runs out
+    decay = OdeSystem(dim=1, rhs=lambda t, x: -x)
+    with pytest.raises(ValueError, match="finite"):
+        rk45_integrate(decay, t0, tf, np.array([1.0]), RkConfig())
+    assert decay.rhs_evals == 0
+
+
 def test_sample_outside_span_raises():
     tr = rk45_integrate(DECAY, 0.0, 1.0, np.array([1.0]), RkConfig())
     with pytest.raises(ValueError):
@@ -125,7 +134,7 @@ def test_max_steps_exhaustion():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_domain_violation_propagates():
-    blowup = OdeSystem(dim=1, rhs=lambda t, x: x * x, jac=None, name="blowup")
+    blowup = OdeSystem(dim=1, rhs=lambda t, x: x * x, jac=None)
     with pytest.raises((DomainViolationError, ConvergenceError)):
         rk45_integrate(blowup, 0.0, 5.0, np.array([1.0]), RkConfig())
 
@@ -141,8 +150,7 @@ def test_trajectory_is_core_trajectory():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_state_overflow_raises_domain_violation():
     # the rhs stays finite while the state runs past the largest double
-    const = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308]), jac=None,
-                      name="const")
+    const = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308]), jac=None)
     with pytest.raises(DomainViolationError, match="state became non-finite"):
         rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
 
