@@ -154,12 +154,6 @@ def _late(name: str) -> Callable[..., problems.ProblemSpec]:
     return factory
 
 
-# the signature (and with it the defaults) stays blasius_pair's own
-@functools.wraps(problems.blasius_pair)
-def _blasius(**kwargs) -> problems.ProblemSpec:
-    return problems.blasius_pair(**kwargs)[1]
-
-
 # Every problem flag, by argparse dest; the option is the dest with "-"
 # for "_" after "--".  Each defaults to None, so a flag left unset leaves
 # the problem's own value in force; nothing here repeats a default.
@@ -220,7 +214,7 @@ class _Problem:
 
 
 PROBLEMS = {
-    "blasius": _Problem(_blasius, {"xi_max": "t_end"}),
+    "blasius": _Problem(_late("blasius"), {"xi_max": "t_end"}),
     "emden": _Problem(_late("emden_chandrasekhar")),
     "white-dwarf": _Problem(_late("white_dwarf"), {"c_param": "c_param"}),
     "mathieu": _Problem(_late("mathieu"), {"delta": "delta", "epsilon": "epsilon"}),
@@ -344,7 +338,7 @@ def cmd_solve(args) -> int:
     del config["t_end"]  # the span shows in the samples
     rows = np.column_stack([trajectory.times, trajectory.states])
     report = {
-        "problem": spec.name,
+        "problem": args.problem,
         "config": config,
         "samples": rows.tolist(),
         "total_iterations": int(np.sum(trajectory.segment_iterations)),

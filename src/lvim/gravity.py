@@ -2,10 +2,10 @@
 
 The acceleration is evaluated with the recursive V/W formulation
 (Montenbruck & Gill, *Satellite Orbits*, 2000, sec. 3.2) in body-fixed
-Cartesian coordinates (no frame rotation is applied).  Each model
-compiles its recursion into one straight-line kernel and precomputes the
-linear map from the V/W values to the acceleration, so a call is one
-kernel call and one small matrix product.  The potential is evaluated
+Cartesian coordinates (no frame rotation is applied).  The recursion is
+compiled into one straight-line kernel once per degree, and each model
+precomputes the linear map from the V/W values to the acceleration, so a
+call is one kernel call and one small matrix product.  The potential is evaluated
 through fully normalized associated Legendre functions; it exists so the
 acceleration can be cross-checked against a finite-difference gradient
 computed by an unrelated code path.
@@ -13,10 +13,12 @@ computed by an unrelated code path.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
 from importlib import resources
+from types import CodeType
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -73,8 +75,10 @@ def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndar
     return g
 
 
-def _compile_kernel(size: int, r_ref: float) -> Callable:
-    """Compile the V/W recursion into one straight-line function.
+@functools.lru_cache(maxsize=None)
+def _kernel_code(size: int) -> CodeType:
+    """The V/W recursion compiled into one straight-line function, once per
+    size; executing the code defines ``kernel``.
 
     ``kernel(x, y, z)`` returns ``V_nm`` for ``0 <= m <= n < size`` column
     by column (m outer, n inner), then ``W_nm`` in the same order: the row
@@ -83,8 +87,9 @@ def _compile_kernel(size: int, r_ref: float) -> Callable:
     factors once, ``a = (2n-1)/(n-m) * zf`` and ``b = (n+m-1)/(n-m) * rf``,
     for both V and W, and the first step keeps its ``- b * 0.0`` terms, so
     NaN and inf propagate as in a loop.  The factors are float literals
-    (``repr`` of a float reads back to the same value); ``r_ref`` is the
-    name ``R`` in the kernel's namespace, never pasted into the source.
+    (``repr`` of a float reads back to the same value); the reference
+    radius is the name ``R`` in each model's namespace, never pasted into
+    the source, so every model of one degree shares the code.
     """
     lines = ["def kernel(x, y, z):",
              "    r2 = x * x + y * y + z * z",
@@ -109,9 +114,7 @@ def _compile_kernel(size: int, r_ref: float) -> Callable:
                 lines.append(f"    {vw}{n}_{m} = a * {vw}{order[-1]} - b * {older}")
             order.append(f"{n}_{m}")
     lines.append("    return [" + ", ".join(vw + nm for vw in "vw" for nm in order) + "]")
-    namespace = {"R": r_ref}
-    exec(compile("\n".join(lines), f"<V/W kernel, size {size}>", "exec"), namespace)
-    return namespace["kernel"]
+    return compile("\n".join(lines), f"<V/W kernel, size {size}>", "exec")
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,9 @@ class GravityModel:
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_s", s)
         size = nmax + 2
-        object.__setattr__(self, "_kernel", _compile_kernel(size, self.r_ref))
+        namespace = {"R": self.r_ref}
+        exec(_kernel_code(size), namespace)
+        object.__setattr__(self, "_kernel", namespace["kernel"])
         object.__setattr__(self, "_g", _accel_map(c, s, size, self.mu / self.r_ref ** 2))
         object.__setattr__(self, "_pack", struct.Struct(f"{size * (size + 1)}d").pack)
 

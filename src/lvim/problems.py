@@ -20,7 +20,7 @@ from .rk45 import RkConfig, rk45_integrate, sample_at
 
 __all__ = [
     "ProblemSpec",
-    "blasius_pair",
+    "blasius",
     "emden_chandrasekhar",
     "white_dwarf",
     "mathieu",
@@ -34,8 +34,6 @@ __all__ = [
     "orbital_period",
 ]
 
-_ORACLE_DEFAULTS = RkConfig(rel_tol=1e-12, abs_tol=1e-15)
-
 # residual bound for the bracketed roots (white-dwarf edge, pendulum period)
 _ROOT_TOL = 1e-14
 
@@ -45,10 +43,9 @@ class ProblemSpec:
     """A benchmark instance: system, initial data, span, default configs.
 
     ``rk_defaults`` is a class constant: every problem runs the oracle at
-    the same tolerances.
+    ``RkConfig``'s own tolerances.
     """
 
-    name: str
     system: OdeSystem
     x0: np.ndarray
     t0: float
@@ -56,7 +53,7 @@ class ProblemSpec:
     lvim_defaults: SolverConfig
     state_names: Tuple[str, ...]
     notes: str = ""
-    rk_defaults: ClassVar[RkConfig] = _ORACLE_DEFAULTS
+    rk_defaults: ClassVar[RkConfig] = RkConfig()
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float)
@@ -72,16 +69,15 @@ class ProblemSpec:
             raise ValueError("tf must exceed t0")
 
 
-def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
+def blasius(xi_max: float = 10.0, stage1: str = "lvim") -> ProblemSpec:
     """Flat-plate boundary-layer similarity solve, as two initial value stages.
 
     Stage one integrates the companion problem with unit curvature at the
     wall; the far-field slope it reaches fixes the true wall curvature
-    through a scaling, and that value seeds the returned ProblemSpec.
-    Returns (f2_at_0, spec).
+    through a scaling, and that value is the spec's ``x0[2]``.
     """
-    if xi_max <= 0:
-        raise ValueError("xi_max must be positive")
+    if not (math.isfinite(xi_max) and xi_max > 0):
+        raise ValueError(f"xi_max must be finite and positive, got {xi_max!r}")
     if stage1 not in ("lvim", "rk45"):
         raise ValueError("stage1 must be 'lvim' or 'rk45'")
 
@@ -101,14 +97,13 @@ def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
     if stage1 == "lvim":
         traj = march(stage1_sys, 0.0, xi_max, x0, cfg)
     else:
-        traj = rk45_integrate(stage1_sys, 0.0, xi_max, x0, _ORACLE_DEFAULTS)
+        traj = rk45_integrate(stage1_sys, 0.0, xi_max, x0, ProblemSpec.rk_defaults)
     slope_inf = traj.states[-1, 1]
     if slope_inf <= 0:
         raise ValueError(f"far-field slope {slope_inf:g} is not positive; xi_max too small")
     f2_at_0 = slope_inf ** -1.5
 
-    spec = ProblemSpec(
-        name="blasius",
+    return ProblemSpec(
         system=OdeSystem(dim=3, rhs=rhs, jac=jac),
         x0=np.array([0.0, 0.0, f2_at_0]),
         t0=0.0,
@@ -117,7 +112,6 @@ def blasius_pair(xi_max: float = 10.0, stage1: str = "lvim"):
         state_names=("f", "f_prime", "f_double_prime"),
         notes=f"wall curvature {f2_at_0:.12g} from a {stage1} stage-one solve",
     )
-    return f2_at_0, spec
 
 
 def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
@@ -139,7 +133,6 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
     psi0 = xi_start**2 / 6.0 - xi_start**4 / 120.0
     dpsi0 = xi_start / 3.0 - xi_start**3 / 30.0
     return ProblemSpec(
-        name="emden",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([psi0, dpsi0]),
         t0=xi_start,
@@ -228,7 +221,6 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
     dphi0 = -lead * _ETA_START / 3.0
     tf = _white_dwarf_edge(c, np.array([phi0, dphi0]))
     return ProblemSpec(
-        name="white-dwarf",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([phi0, dphi0]),
         t0=_ETA_START,
@@ -241,6 +233,9 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
 
 def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
     """Parametrically forced linear oscillator."""
+    for name, value in (("delta", delta), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
     def rhs(t, x):
         return np.array([x[1], -(delta - epsilon * math.cos(t)) * x[0]])
@@ -249,7 +244,6 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
         return np.array([[0.0, 1.0], [-(delta - epsilon * math.cos(t)), 0.0]])
 
     return ProblemSpec(
-        name="mathieu",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([1.0, 0.0]),
         t0=0.0,
@@ -270,7 +264,6 @@ def pendulum() -> ProblemSpec:
         return np.array([[0.0, 1.0], [-math.cos(x[0]), 0.0]])
 
     return ProblemSpec(
-        name="pendulum",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([3.1329, 0.0]),
         t0=0.0,
@@ -334,8 +327,8 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
     alpha is a plain parameter here; the shooting layer is what makes
     it consistent with the tip rotation.
     """
-    if load < 0:
-        raise ValueError("load must be nonnegative")
+    if not (math.isfinite(load) and load >= 0):
+        raise ValueError(f"load must be finite and nonnegative, got {load!r}")
     if load_type not in BAR_LOAD_TYPES:
         raise ValueError(f"load_type must be one of {BAR_LOAD_TYPES}")
     P, al = load, alpha
@@ -360,7 +353,6 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
             return np.array([[0.0, 1.0], [-P * math.sin(2.0 * x[0] - al), 0.0]])
 
     return ProblemSpec(
-        name="buckled-bar",
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
         x0=np.array([0.0, 0.0]),
         t0=0.0,
@@ -395,8 +387,10 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     The slope field blows up at |x| = c, so the span stops short of it
     by a relative margin of 1e-3.  The rhs never reads the state.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     if 2.0 * a * a - c * c <= 0.0:
         raise ValueError("need c < a*sqrt(2) for a real slope field at x = 0")
     a2, c2 = a * a, c * c
@@ -423,7 +417,6 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     except ValueError:
         notes = f"family boundary, a = {a:g}, c = {c:g}"
     return ProblemSpec(
-        name="elastica",
         system=OdeSystem(dim=1, rhs=rhs, jac=jac),
         x0=np.array([0.0]),
         t0=0.0,
@@ -473,7 +466,6 @@ def leo(model: GravityModel) -> ProblemSpec:
 
     period = orbital_period(model, _LEO_STATE)
     return ProblemSpec(
-        name="leo",
         system=OdeSystem(dim=6, rhs=rhs, jac=jac),
         x0=_LEO_STATE.copy(),
         t0=0.0,

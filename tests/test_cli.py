@@ -94,6 +94,19 @@ def test_run_json_schema(tmp_path):
     assert "energy_drift" not in report
 
 
+def test_compare_bar_json_shoots_with_the_oracle(tmp_path):
+    out = tmp_path / "bar.json"
+    assert main(["compare", "buckled-bar", "--format", "json",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    validate(report, COMPARE_SCHEMA)
+    assert report["problem"] == "buckled-bar"
+    acc, rej = report["oracle_steps_accepted"], report["oracle_steps_rejected"]
+    assert report["oracle_rhs_evals"] == 7 * acc + 6 * rej + 1
+    assert report["max_discrepancy"][0] < 1e-6  # gate C08's theta bound
+    assert "(oracle " in report["notes"]
+
+
 def test_compare_json_schema(tmp_path):
     out = tmp_path / "c.json"
     assert main(["compare", "emden", "--format", "json",
@@ -192,7 +205,7 @@ def test_every_factory_parameter_has_a_setter():
     assert "rk_defaults" not in fields
     for name, problem in cli.PROBLEMS.items():
         spec = problem.factory(**problem.arguments())
-        assert spec.rk_defaults is problems._ORACLE_DEFAULTS, name
+        assert spec.rk_defaults == lvim.RkConfig(), name
 
 
 def test_factories_are_looked_up_per_call(monkeypatch, tmp_path):
@@ -240,6 +253,17 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, arg", [
+    (["blasius", "--t-end", "inf"], "xi_max"), (["mathieu", "--delta", "nan"], "delta"),
+    (["mathieu", "--epsilon", "inf"], "epsilon"), (["buckled-bar", "--load", "nan"], "load"),
+    (["elastica", "--a-param", "inf"], "a"), (["elastica", "--c-param", "nan"], "c")])
+def test_non_finite_problem_parameter_is_usage_error(argv, arg, capsys):
+    assert main(["run"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lvim: error: {arg} must be finite")
+    assert err.count("\n") == 1
+
+
 def test_bad_parameter_is_usage_error(capsys):
     # elastica with c >= a*sqrt(2) has no bounded regime
     assert main(["run", "elastica", "--a-param", "1.0",
@@ -276,7 +300,7 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
         raise AssertionError("solved before the --out path was checked")
 
     for module, name in ((cli, "march"), (cli, "rk45_integrate"),
-                         (cli, "solve_buckled_bar"), (problems, "blasius_pair"),
+                         (cli, "solve_buckled_bar"), (problems, "blasius"),
                          (problems, "pendulum_frequency_sweep")):
         monkeypatch.setattr(module, name, never)
     out = tmp_path / "missing" / "x.csv"

@@ -135,6 +135,14 @@ def test_solver_config_validation():
         SolverConfig(5, 0.5, 1e-10, jacobian_mode="sometimes")
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"rel_tol": 0.0}, "rel_tol"), ({"rel_tol": math.nan}, "rel_tol"),
+    ({"abs_tol": -1e-15}, "abs_tol"), ({"max_steps": 0}, "max_steps")])
+def test_rk_config_validation(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        lvim.RkConfig(**kwargs)
+
+
 def test_march_refuses_system_without_jac():
     sys_no_jac = OdeSystem(dim=1, rhs=lambda t, x: np.array([-x[0] ** 3]))
     with pytest.raises(ValueError, match="jac"):
@@ -290,7 +298,7 @@ def _assert_same(tr, ref):
 
 
 STOCK = {
-    "blasius": lambda: problems.blasius_pair()[1],
+    "blasius": problems.blasius,
     "emden": problems.emden_chandrasekhar,
     "white-dwarf": problems.white_dwarf,
     "mathieu": problems.mathieu,

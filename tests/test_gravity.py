@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvim import gravity
 from lvim.errors import DomainViolationError
 from lvim.gravity import (
     GravityModel,
@@ -373,6 +374,19 @@ def test_kernel_propagates_non_finite_values_as_the_loop(models, name):
         x, y, z = q.tolist()
         got, want = np.array(model._kernel(x, y, z)), np.array(_vw_ref(model, q))
         assert got.tobytes() == want.tobytes(), q
+
+
+def test_second_model_of_a_degree_compiles_nothing(model8):
+    """The kernel code depends on the degree alone: a further model of a
+    degree already built reuses it and reads its own reference radius."""
+    misses = gravity._kernel_code.cache_info().misses
+    wide = GravityModel(mu=model8.mu, r_ref=2.0 * model8.r_ref,
+                        degree=model8.degree, coeffs=model8.coeffs)
+    again = model8.truncate(model8.degree)
+    assert gravity._kernel_code.cache_info().misses == misses
+    assert wide._kernel.__code__ is again._kernel.__code__ is model8._kernel.__code__
+    for qq in _with_steps(2.0 * TEST_POINT):
+        _assert_bitwise(wide, qq)
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,7 +31,7 @@ def assert_jacobian_consistent(spec, states, times, rel=2e-5):
         numeric = fd_jacobian(spec.system, t, np.asarray(x, dtype=float))
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - numeric)) < rel * scale, \
-            f"{spec.name} jacobian mismatch at t={t}"
+            f"jacobian mismatch at t={t}"
 
 
 def test_mathieu_jacobian():
@@ -88,24 +88,23 @@ def test_leo_jacobian_is_two_body_gradient():
 # ---------------------------------------------------------------- blasius
 
 def test_blasius_wall_curvature_value():
-    f2, spec = problems.blasius_pair()
+    spec = problems.blasius()
     # classic Blasius value in this scaling
-    assert f2 == pytest.approx(0.332057336215, abs=5e-10)
-    assert spec.x0[2] == f2
+    assert spec.x0[2] == pytest.approx(0.332057336215, abs=5e-10)
     assert spec.state_names == ("f", "f_prime", "f_double_prime")
 
 
 def test_blasius_stage_agreement():
-    f2_lvim, _ = problems.blasius_pair(stage1="lvim")
-    f2_rk, _ = problems.blasius_pair(stage1="rk45")
+    f2_lvim = problems.blasius(stage1="lvim").x0[2]
+    f2_rk = problems.blasius(stage1="rk45").x0[2]
     assert abs(f2_lvim - f2_rk) < 1e-8
 
 
 def test_blasius_truncation_doubling():
     # the adaptive stage handles the doubled span; the iterative stage
     # loses contraction once the solution grows linearly without bound
-    f2_10, _ = problems.blasius_pair(xi_max=10.0, stage1="rk45")
-    f2_20, _ = problems.blasius_pair(xi_max=20.0, stage1="rk45")
+    f2_10 = problems.blasius(xi_max=10.0, stage1="rk45").x0[2]
+    f2_20 = problems.blasius(xi_max=20.0, stage1="rk45").x0[2]
     assert abs(f2_10 - f2_20) < 1e-8
 
 
@@ -200,6 +199,16 @@ def test_pendulum_spec_defaults():
 def test_spec_rejects_non_finite_span(name, value):
     with pytest.raises(ValueError, match="finite"):
         replace(problems.pendulum(), **{name: value})
+
+
+@pytest.mark.parametrize("factory, arg, value", [
+    (problems.blasius, "xi_max", math.inf), (problems.blasius, "xi_max", math.nan),
+    (problems.mathieu, "delta", math.nan), (problems.mathieu, "epsilon", math.inf),
+    (problems.buckled_bar, "load", math.nan), (problems.buckled_bar, "load", math.inf),
+    (problems.elastica, "a", math.inf), (problems.elastica, "c", math.nan)])
+def test_factories_refuse_non_finite_arguments(factory, arg, value):
+    with pytest.raises(ValueError, match=rf"^{arg} must be finite"):
+        factory(**{arg: value})
 
 
 def elliptic_frequency(amp):

@@ -1,5 +1,7 @@
 """Secant shooting and the cantilever equilibrium driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,9 +51,9 @@ def test_flat_residual_raises():
 
 
 def test_max_shots_exhaustion():
-    # residual with no real root keeps the secant wandering
-    with pytest.raises(ConvergenceError):
-        shoot_scalar(lambda v: v * v + 1.0, 0.0, 1.0, max_shots=8)
+    # exp has no root, and its secant steps walk left without going flat
+    with pytest.raises(ConvergenceError, match="no root after 8 shots"):
+        shoot_scalar(math.exp, 0.0, 1.0, max_shots=8)
 
 
 def test_window_bisection_rescue():
