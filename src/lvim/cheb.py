@@ -36,6 +36,11 @@ __all__ = [
     "build_operators",
 ]
 
+# Largest node count build_operators accepts.  The reference matrices cost
+# O(N^2) memory and O(N^3) time (N = 1024: about 0.4 s and 70 MB; the stock
+# problems use at most 26), so a larger N is refused before any allocation.
+_MAX_N_BASIS = 1024
+
 
 def cgl_nodes(m: int) -> np.ndarray:
     """Return the ``m`` Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending.
@@ -141,8 +146,8 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     ``H = (dt/2)^2 (-P_ref o dtau)``, which equals ``P T - T P`` for the
     node times of any segment of this length.
     """
-    if n_basis < 2:
-        raise ValueError(f"n_basis must be >= 2, got {n_basis}")
+    if not 2 <= n_basis <= _MAX_N_BASIS:
+        raise ValueError(f"n_basis must lie in [2, {_MAX_N_BASIS}], got {n_basis}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     p_ref, q_ref, h_ref, tau = _ref_operators(n_basis)

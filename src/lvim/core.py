@@ -43,6 +43,10 @@ __all__ = [
 
 _JACOBIAN_MODES = ("full", "frozen")
 
+# Most segments one march takes.  The stock spans need at most 500; a span
+# that needs more than this is refused before the segment list is built.
+_MAX_SEGMENTS = 10**7
+
 
 def _max_of(a: np.ndarray) -> float:
     """``float(np.max(a))`` of a non-negative array, taken exactly over a
@@ -242,6 +246,9 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
 
     dt = config.dt
     span = tf - t0
+    if not span / dt <= _MAX_SEGMENTS:
+        raise ValueError(f"a span of {span:g} in segments of dt = {dt:g} "
+                         f"needs more than {_MAX_SEGMENTS} segments")
     n_full = int(np.floor(span / dt + 1e-12))
     rem = span - n_full * dt
     lens = [dt] * n_full

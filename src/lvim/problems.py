@@ -238,7 +238,8 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
     def rhs(t, x):
-        return np.array([x[1], -(delta - epsilon * math.cos(t)) * x[0]])
+        x0, x1 = x.tolist()  # Python floats overflow to inf without a warning
+        return np.array([x1, -(delta - epsilon * math.cos(t)) * x0])
 
     def jac(t, x):
         return np.array([[0.0, 1.0], [-(delta - epsilon * math.cos(t)), 0.0]])
@@ -387,8 +388,8 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     The slope field blows up at |x| = c, so the span stops short of it
     by a relative margin of 1e-3.  The rhs never reads the state.
     """
-    if not math.isfinite(a):
-        raise ValueError(f"a must be finite, got {a!r}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"a must be finite and positive, got {a!r}")
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive, got {c!r}")
     if 2.0 * a * a - c * c <= 0.0:
@@ -396,6 +397,7 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     a2, c2 = a * a, c * c
 
     def rhs(t, x):
+        t = float(t)  # Python float arithmetic: inf / inf is nan without a warning
         if abs(t) >= c:
             raise DomainViolationError(
                 f"|x| = {abs(t):.6g} reached the slope-field edge at c = {c:g}",

@@ -2,10 +2,9 @@
 
 The bar equation is integrated as an initial-value problem from a guessed
 root slope, and the guess is corrected until the far-end slope vanishes
-(clamped at s = 0, moment-free at s = 1).  Dead loads need a single secant
-loop over the root slope.  Follower loads also depend on the unknown tip
-angle, so an outer fixed-point iteration feeds the tip angle of each
-converged shot back into the load direction until the two agree.
+(clamped at s = 0, moment-free at s = 1).  A follower load also depends on
+the unknown tip angle: its load angle is the root of the tip-angle
+mismatch, found with the same secant root finder as the root slope.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 # Secant iterations stop making progress well before this on the bar
 # residuals; the cap only guards pathological guess pairs.
 _DEFAULT_MAX_SHOTS = 60
-
-_OUTER_SWEEP_LIMIT = 50
 
 # the bar's far-end slope residual, and the load-angle / tip-angle
 # mismatch of a follower load, both count as zero below this
@@ -59,9 +56,10 @@ def shoot_scalar(
 ) -> float:
     """Find a root of ``residual_fn`` by secant iteration from two guesses.
 
-    The package's one root finder: besides the bar shoot, it finds the
-    bracketed roots in :mod:`lvim.problems`, with the bracket passed as
-    both guesses and ``window``.  It stops once ``|residual| < shoot_tol``.
+    The package's one root finder: besides the bar's root slope and load
+    angle, it finds the bracketed roots in :mod:`lvim.problems`, with the
+    bracket passed as both guesses and ``window``.  It stops once
+    ``|residual| < shoot_tol``.
 
     If ``window`` is given and a secant step lands outside it, the step is
     replaced by bisection of the tightest sign-changing pair seen so far
@@ -70,7 +68,8 @@ def shoot_scalar(
 
     Raises ConvergenceError after ``max_shots`` residual evaluations.
     Exceptions raised by ``residual_fn`` propagate unchanged, with the
-    offending guess attached as a ``slope_guess`` attribute.
+    offending guess attached as a ``slope_guess`` attribute unless an
+    inner search already attached its own.
     """
     if guess_a == guess_b:
         raise ValueError("secant needs two distinct guesses")
@@ -79,7 +78,8 @@ def shoot_scalar(
         try:
             return float(residual_fn(v))
         except Exception as exc:
-            exc.slope_guess = v  # breadcrumb: which shot failed
+            if not hasattr(exc, "slope_guess"):
+                exc.slope_guess = v  # breadcrumb: which shot failed
             raise
 
     a, b = float(guess_a), float(guess_b)
@@ -133,57 +133,56 @@ def solve_buckled_bar(
 
     ``slope_guesses`` seeds the secant iteration on the root slope; distinct
     pairs can converge to distinct buckled equilibria of the same load.
-    Every load type runs the same sweep: build the problem at load angle
-    ``alpha`` once, shoot on the root slope, and return the trajectory of
-    the accepted shot itself (no shot is marched twice, so ``inner_iters``
-    counts every march or integration).  A dead load's direction does not
-    depend on ``alpha``, so it stops after one sweep.  A follower load
-    blends the tip angle into the load angle at half weight (full
-    replacement oscillates at large loads) and sweeps again, reseeded near
-    the last root, until load angle and tip angle agree.  Both tests, the
-    far-end slope and the angle mismatch, are against ``_SHOOT_TOL``
-    (1e-10); each sweep has ``shoot_scalar``'s default shot budget.
+    A sweep builds the problem at load angle ``alpha`` once, shoots on the
+    root slope, keeps the accepted shot's trajectory (no shot is marched
+    twice, so ``inner_iters`` counts every march or integration) and yields
+    the tip angle minus the load angle.  A dead load ignores ``alpha`` and
+    stops after the sweep at 0, as does a follower load with no mismatch
+    there; otherwise ``shoot_scalar`` finds the mismatch's root from 0 and
+    half the first tip angle.  Both residuals are tested against
+    ``_SHOOT_TOL`` (1e-10); ``outer_iters`` counts the sweeps.
     """
-    dead = load_type == "dead"  # the only load whose direction ignores alpha
-    alpha = 0.0
+    if integrator not in ("lvim", "rk45"):
+        raise ValueError(f"unknown integrator {integrator!r}")
     guesses = (float(slope_guesses[0]), float(slope_guesses[1]))
+    sweeps = {}  # load angle -> (root slope, accepted trajectory)
     shots = 0
-    for sweep in range(1, _OUTER_SWEEP_LIMIT + 1):
-        spec = buckled_bar(load_type, load, alpha=alpha)  # validates load and type
-        cfg = config or spec.lvim_defaults
-        shot_trajectories = {}
 
-        def residual(v: float) -> float:
-            nonlocal shots
-            shots += 1
-            x0 = [0.0, v]  # theta(0) = 0 exactly; only the slope is guessed
-            if integrator == "lvim":
-                tr = march(spec.system, spec.t0, spec.tf, x0, cfg)
-            elif integrator == "rk45":
-                tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
-            else:
-                raise ValueError(f"unknown integrator {integrator!r}")
-            shot_trajectories[v] = tr
-            return float(tr.states[-1, 1])
+    def mismatch(alpha: float) -> float:
+        nonlocal guesses
+        if alpha not in sweeps:
+            spec = buckled_bar(load_type, load, alpha=alpha)  # validates load and type
+            cfg = config or spec.lvim_defaults
+            shot_trajectories = {}
 
-        root = shoot_scalar(residual, guesses[0], guesses[1], shoot_tol=_SHOOT_TOL)
-        tr = shot_trajectories[root]  # shoot_scalar returns an evaluated slope
-        tip = float(tr.states[-1, 0])
-        mismatch = tip - alpha
-        if dead or abs(mismatch) < _SHOOT_TOL:
-            return ShotResult(
-                theta_prime_0=root,
-                alpha=tip if dead else alpha,
-                trajectory=tr,
-                residual=abs(float(tr.states[-1, 1])),
-                outer_iters=sweep,
-                inner_iters=shots,
-            )
-        alpha += 0.5 * mismatch
-        # reseed the secant near the last root; the branch moves only a
-        # little per sweep
-        guesses = (root, root + max(1e-3, 1e-3 * abs(root)))
-    raise ConvergenceError(
-        f"load-angle sweep did not settle in {_OUTER_SWEEP_LIMIT} passes "
-        f"(last mismatch {mismatch:.3e})"
+            def residual(v: float) -> float:
+                nonlocal shots
+                shots += 1
+                x0 = [0.0, v]  # theta(0) = 0 exactly; only the slope is guessed
+                if integrator == "lvim":
+                    tr = march(spec.system, spec.t0, spec.tf, x0, cfg)
+                else:
+                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+                shot_trajectories[v] = tr
+                return float(tr.states[-1, 1])
+
+            root = shoot_scalar(residual, guesses[0], guesses[1], shoot_tol=_SHOOT_TOL)
+            # shoot_scalar returns an evaluated slope; the branch moves only
+            # a little per sweep, so the next one is seeded next to it
+            sweeps[alpha] = (root, shot_trajectories[root])
+            guesses = (root, root + max(1e-3, 1e-3 * abs(root)))
+        return float(sweeps[alpha][1].states[-1, 0]) - alpha
+
+    first = mismatch(0.0)
+    dead = load_type == "dead"  # the only load whose direction ignores alpha
+    alpha = 0.0 if dead or abs(first) < _SHOOT_TOL else \
+        shoot_scalar(mismatch, 0.0, 0.5 * first, shoot_tol=_SHOOT_TOL)
+    root, tr = sweeps[alpha]
+    return ShotResult(
+        theta_prime_0=root,
+        alpha=float(tr.states[-1, 0]) if dead else alpha,
+        trajectory=tr,
+        residual=abs(float(tr.states[-1, 1])),
+        outer_iters=len(sweeps),
+        inner_iters=shots,
     )

@@ -233,6 +233,17 @@ def test_retry_ladder_relaxes_and_warns(tmp_path):
     assert "growth warning" in report["notes"]
 
 
+def test_compare_follower_bar_reports_its_sweeps(tmp_path):
+    out = tmp_path / "follower.json"
+    assert main(["compare", "buckled-bar", "--load-type", "perpendicular-follower",
+                 "--load", "25", "--guesses", "2", "2.5", "--format", "json",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "outer=7 inner=42" in report["notes"]
+    acc, rej = report["oracle_steps_accepted"], report["oracle_steps_rejected"]
+    assert report["oracle_rhs_evals"] == 7 * acc + 6 * rej + 1
+
+
 def test_bar_run_reports_shoot_summary(tmp_path):
     out = tmp_path / "bar.json"
     assert main(["run", "buckled-bar", "--load-type", "dead", "--load", "50",
@@ -395,6 +406,23 @@ def test_readme_cli_examples_parse():
             parser.parse_args(tokens[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {' '.join(tokens)}")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # grids refused before anything is allocated
+    (["run", "pendulum", "--n", "100000000"], 1),
+    (["ops-check", "100000000"], 1),
+    (["run", "pendulum", "--t-end", "1e300"], 1),
+    (["run", "pendulum", "--t-end", "1e300", "--dt", "1e-300"], 1),
+    (["run", "elastica", "--a-param", "-1"], 1),
+    # huge parameters: a non-finite rhs, with no numpy warning on the way
+    (["run", "mathieu", "--delta", "1e300"], 2),
+    (["run", "elastica", "--a-param", "1e300"], 2)])
+def test_unworkable_input_is_one_error_line(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = "lvim: error: " if code == 1 else "lvim: solver failed: "
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_rhs_overflow_is_exit_2(capsys):

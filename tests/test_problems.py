@@ -286,6 +286,9 @@ def test_elastica_parameter_validation():
         problems.elastica(1.0, -0.5)
     with pytest.raises(ValueError):
         problems.elastica(0.5, 1.0)  # 2a^2 - c^2 < 0 has no regime
+    for a in (-1.0, 0.0):  # only a^2 enters the rhs, so a <= 0 must be refused
+        with pytest.raises(ValueError, match="a must be finite and positive"):
+            problems.elastica(a, 1.2)
 
 
 # --------------------------------------------------------------------- leo

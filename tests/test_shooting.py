@@ -150,6 +150,31 @@ def test_perpendicular_follower_self_consistency():
     assert res.outer_iters > 1  # direction genuinely iterated
 
 
+def test_perpendicular_follower_large_load():
+    # the load-angle secant holds the buckled branch at P = 80 as well
+    res = solve_buckled_bar("perpendicular_follower", 80.0, (5.0, 5.5))
+    assert abs(res.alpha - res.trajectory.states[-1, 0]) < 1e-10
+    assert abs(res.theta_prime_0 - 4.016748156362731) < 1e-10
+    assert res.residual < 1e-10
+
+
+def test_inner_failure_keeps_the_failing_slope(monkeypatch):
+    """A shot that fails inside the load-angle search reports its own root
+    slope as ``slope_guess``, not the load angle the outer search tried."""
+    slopes = []
+
+    def failing_march(system, t0, tf, x0, config):
+        slopes.append(x0[1])
+        if len(slopes) == 10:  # the first sweep at P = 25 takes 7 shots
+            raise ConvergenceError("stalled")
+        return march(system, t0, tf, x0, config)
+
+    monkeypatch.setattr(shooting, "march", failing_march)
+    with pytest.raises(ConvergenceError, match="stalled") as exc_info:
+        solve_buckled_bar("perpendicular_follower", 25.0, (2.0, 2.5))
+    assert exc_info.value.slope_guess == slopes[-1]
+
+
 def test_tangent_follower_drains_to_trivial():
     res = solve_buckled_bar("tangent_follower", 25.0, (0.05, 0.08))
     tip = res.trajectory.states[-1, 0]
@@ -188,9 +213,9 @@ STOCK_SHOTS = {
     ("dead", 25.0, (4.5, 4.75), "rk45"):
         (4.62422445991263, -0.9614507230465494, 1.4456115124406033e-11, 6, 1),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
-        (1.421807341593739, -0.28631608070902537, 2.294368632465079e-12, 43, 8),
+        (1.421807341603422, -0.28631608070543485, 2.8120551529309853e-13, 42, 7),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.4218073415872325, -0.28631608070490516, 2.2988789691313904e-12, 43, 8),
+        (1.4218073415968953, -0.28631608070131703, 2.862658027291687e-13, 42, 7),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
         (-5.839093150273038e-14, 0.0, 5.839093150275847e-14, 15, 1),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
@@ -268,6 +293,13 @@ def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     assert res.trajectory.total_rhs_evals == fresh.total_rhs_evals
 
 
-def test_unknown_integrator():
+def test_unknown_integrator(monkeypatch):
+    # refused up front: no spec is built and nothing is marched
+    def never(*args, **kwargs):
+        raise AssertionError("worked before the integrator was checked")
+
+    for name in ("buckled_bar", "march", "rk45_integrate"):
+        monkeypatch.setattr(shooting, name, never)
     with pytest.raises(ValueError, match="unknown integrator"):
-        solve_buckled_bar("dead", 50.0, (12.9, 13.1), integrator="euler")
+        solve_buckled_bar("perpendicular_follower", 25.0, (2.0, 2.5),
+                          integrator="euler")
