@@ -65,16 +65,22 @@ def _overflow(what: str, t: float, x: np.ndarray) -> DomainViolationError:
 class OdeSystem:
     """A first-order system ``dx/dt = rhs(t, x)`` with its Jacobian.
 
-    ``rhs`` and ``jac`` must be pure functions of ``(t, x)``; the only
-    state an instance mutates is its own evaluation counter, which is why
-    the engine funnels every rhs call through :meth:`eval_rhs`.  The
+    ``rhs(t, x)`` takes one point: a time and a ``(D,)`` state.  ``jac``
+    takes all nodes of a sweep at once: ``jac(t_nodes, X)`` with
+    ``t_nodes`` of shape ``(M,)`` and ``X`` of shape ``(M, D)`` returns
+    the ``(M, D, D)`` stack of row Jacobians, row ``i`` a function of
+    ``(t_nodes[i], X[i])`` only.  The rhs stays per point because every
+    rhs evaluation is counted one by one (``rhs_evals``, and the
+    benchmark's span count).  Both must be pure; the only state an
+    instance mutates is its own evaluation counter, which is why the
+    engine funnels every rhs call through :meth:`eval_rhs`.  The
     iteration needs the analytic ``jac`` and refuses a system without
     one; :func:`lvim.rk45.rk45_integrate` never reads it.
     """
 
     dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    jac: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    jac: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rhs_evals: int = field(default=0, compare=False)
 
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -97,11 +103,24 @@ class OdeSystem:
                 t=t, state=np.array(x, dtype=float))
         return g
 
-    def eval_jac(self, t: float, x: np.ndarray) -> np.ndarray:
+    def eval_jac(self, t_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The ``(M, D, D)`` Jacobian stack at ``M`` nodes: ``t_nodes`` of
+        shape ``(M,)``, ``x`` of shape ``(M, D)``."""
         try:
-            return np.asarray(self.jac(t, x), dtype=float)
+            j = np.asarray(self.jac(t_nodes, x), dtype=float)
         except OverflowError as exc:
-            raise _overflow("Jacobian", t, x) from exc
+            # name the first node that overflows on its own
+            for i in range(len(t_nodes)):
+                try:
+                    self.jac(t_nodes[i:i + 1], x[i:i + 1])
+                except OverflowError:
+                    raise _overflow("Jacobian", t_nodes[i], x[i]) from exc
+            raise
+        expected = (len(t_nodes), self.dim, self.dim)
+        if j.shape != expected:
+            raise ValueError(f"jac returned shape {j.shape}, expected (M, D, D) "
+                             f"= {expected}: jac(t_nodes, X) takes all nodes at once")
+        return j
 
 
 @dataclass(frozen=True)
@@ -183,8 +202,9 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
     """Iterate one segment starting at ``t_start`` to convergence.
 
     ``config.jacobian_mode`` picks the Jacobian in the feedback term:
-    "full" re-evaluates it at every node of every sweep, "frozen"
-    evaluates it once at the incoming state and reuses it (the two agree
+    "full" re-evaluates it at every node of every sweep (one ``jac`` call
+    per sweep), "frozen" evaluates it once at the incoming state (one
+    call per segment, on one node) and reuses it (the two agree
     for linear constant-coefficient systems).  Stops as soon as the
     max-norm of the node correction drops below ``config.tol`` and raises
     :class:`ConvergenceError` if the iteration budget runs out.  Raises
@@ -202,8 +222,8 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
 
     # Constant initial guess: every node starts at the incoming state.
     x = np.repeat(x0[np.newaxis, :], m, axis=0)
-    j_frozen = system.eval_jac(t_nodes[0], x0) if frozen else None
-    js = None if frozen else np.empty((m, system.dim, system.dim))
+    if frozen:
+        j_frozen = system.eval_jac(t_nodes[:1], x0[np.newaxis])[0]
 
     history = []
     corr = np.inf
@@ -214,9 +234,7 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
         if frozen:
             delta = hr @ j_frozen.T - pr
         else:
-            for j in range(m):
-                js[j] = system.eval_jac(t_nodes[j], x[j])
-            delta = np.einsum("jab,jb->ja", js, hr) - pr
+            delta = np.einsum("jab,jb->ja", system.eval_jac(t_nodes, x), hr) - pr
         x += delta
         corr = _max_of(np.abs(delta))
         history.append(corr)

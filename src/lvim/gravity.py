@@ -252,7 +252,13 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
             f"|q| = {r_real:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
             state=np.asarray(q),
         )
-    vw = model._kernel(x, y, z)
+    try:
+        vw = model._kernel(x, y, z)
+    except OverflowError as exc:
+        # complex arithmetic raises where the real path underflows to zero
+        raise DomainViolationError(
+            f"|q| = {r_real:.6g} m overflows the field expansion",
+            state=np.asarray(q)) from exc
     # struct packs real values faster than np.array reads a list; it has
     # no complex format
     vw = np.array(vw) if is_complex else np.frombuffer(model._pack(*vw))

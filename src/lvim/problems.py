@@ -2,7 +2,13 @@
 
 Each factory returns a ProblemSpec bundling the ODE system, its
 initial state, the default span, and the default solver settings the
-benchmark is normally run with.  Systems carry analytic Jacobians.
+benchmark is normally run with.  Systems carry analytic Jacobians in the
+node-batched form ``jac(t_nodes, X) -> (M, D, D)``.  Each row is computed
+with the floating-point operations of a one-point Jacobian:
+transcendental functions and powers go through ``math`` and Python
+floats element by element, because numpy's vectorized ``exp`` and
+``power`` round differently on some inputs, and only correctly rounded
+operations (``+ - * /``, ``sqrt``) run on whole arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +42,17 @@ __all__ = [
 
 # residual bound for the bracketed roots (white-dwarf edge, pendulum period)
 _ROOT_TOL = 1e-14
+
+
+def _jac2(j10, j11=None) -> np.ndarray:
+    """The (M, 2, 2) stack of second-order rows ``[[0, 1], [j10, j11]]``
+    (``j11`` zero when not given)."""
+    out = np.zeros((len(j10), 2, 2))
+    out[:, 0, 1] = 1.0
+    out[:, 1, 0] = j10
+    if j11 is not None:
+        out[:, 1, 1] = j11
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,11 +102,11 @@ def blasius(xi_max: float = 10.0, stage1: str = "lvim") -> ProblemSpec:
         return np.array([x[1], x[2], -0.5 * x[0] * x[2]])
 
     def jac(t, x):
-        return np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-0.5 * x[2], 0.0, -0.5 * x[0]],
-        ])
+        out = np.zeros((len(t), 3, 3))
+        out[:, 0, 1] = out[:, 1, 2] = 1.0
+        out[:, 2, 0] = -0.5 * x[:, 2]
+        out[:, 2, 2] = -0.5 * x[:, 0]
+        return out
 
     stage1_sys = OdeSystem(dim=3, rhs=rhs, jac=jac)
     x0 = np.array([0.0, 0.0, 1.0])
@@ -128,7 +145,7 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
         return np.array([x[1], math.exp(-x[0]) - 2.0 / t * x[1]])
 
     def jac(t, x):
-        return np.array([[0.0, 1.0], [-math.exp(-x[0]), -2.0 / t]])
+        return _jac2([-math.exp(-v) for v in x[:, 0].tolist()], -2.0 / t)
 
     psi0 = xi_start**2 / 6.0 - xi_start**4 / 120.0
     dpsi0 = xi_start / 3.0 - xi_start**3 / 30.0
@@ -213,8 +230,11 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
         return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
 
     def jac(t, x):
-        rad = radicand(t, x)
-        return np.array([[0.0, 1.0], [-3.0 * x[0] * math.sqrt(rad), -2.0 / t]])
+        rad = x[:, 0] * x[:, 0] - c
+        if np.any(rad < 0.0):
+            # the one-point guard raises at the first row past the slack
+            rad = np.array([radicand(ti, xi) for ti, xi in zip(t, x)])
+        return _jac2(-3.0 * x[:, 0] * np.sqrt(rad), -2.0 / t)
 
     lead = (1.0 - c) ** 1.5
     phi0 = 1.0 - lead * _ETA_START**2 / 6.0
@@ -242,7 +262,7 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
         return np.array([x1, -(delta - epsilon * math.cos(t)) * x0])
 
     def jac(t, x):
-        return np.array([[0.0, 1.0], [-(delta - epsilon * math.cos(t)), 0.0]])
+        return _jac2([-(delta - epsilon * math.cos(s)) for s in t.tolist()])
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -262,7 +282,7 @@ def pendulum() -> ProblemSpec:
         return np.array([x[1], -math.sin(x[0])])
 
     def jac(t, x):
-        return np.array([[0.0, 1.0], [-math.cos(x[0]), 0.0]])
+        return _jac2([-math.cos(v) for v in x[:, 0].tolist()])
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -339,19 +359,19 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
             return np.array([x[1], -P * math.sin(x[0])])
 
         def jac(t, x):
-            return np.array([[0.0, 1.0], [-P * math.cos(x[0]), 0.0]])
+            return _jac2([-P * math.cos(v) for v in x[:, 0].tolist()])
     elif load_type == "perpendicular_follower":
         def rhs(t, x):
             return np.array([x[1], -P * math.cos(x[0] - al) * math.sin(x[0])])
 
         def jac(t, x):
-            return np.array([[0.0, 1.0], [-P * math.cos(2.0 * x[0] - al), 0.0]])
+            return _jac2([-P * math.cos(2.0 * v - al) for v in x[:, 0].tolist()])
     else:
         def rhs(t, x):
             return np.array([x[1], -P * math.sin(x[0] - al) * math.sin(x[0])])
 
         def jac(t, x):
-            return np.array([[0.0, 1.0], [-P * math.sin(2.0 * x[0] - al), 0.0]])
+            return _jac2([-P * math.sin(2.0 * v - al) for v in x[:, 0].tolist()])
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -412,7 +432,7 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
         return np.array([(a2 - c2 + t * t) / math.sqrt(rad)])
 
     def jac(t, x):
-        return np.zeros((1, 1))
+        return np.zeros((len(t), 1, 1))
 
     try:
         notes = f"curve family {elastica_regime(a, c)}, a = {a:g}, c = {c:g}"
@@ -457,13 +477,16 @@ def leo(model: GravityModel) -> ProblemSpec:
         return np.concatenate((x[3:], gravity_accel(model, x[:3])))
 
     def jac(t, x):
-        q = x[:3]
-        r = math.sqrt(float(q @ q))
-        qh = q / r
-        grad = model.mu * (3.0 * np.outer(qh, qh) - eye) / r**3
-        out = np.zeros((6, 6))
-        out[:3, 3:] = eye
-        out[3:, :3] = grad
+        q = x[:, :3]
+        # |q|^2 row by row as a one-point dot product rounds it; r**3 as a
+        # Python float power, which numpy's vectorized power need not match
+        r = [math.sqrt(float(v @ v)) for v in q]
+        qh = q / np.array(r)[:, np.newaxis]
+        r3 = np.array([v**3 for v in r])[:, np.newaxis, np.newaxis]
+        out = np.zeros((len(t), 6, 6))
+        out[:, :3, 3:] = eye
+        out[:, 3:, :3] = model.mu * (3.0 * (qh[:, :, np.newaxis] * qh[:, np.newaxis, :])
+                                     - eye) / r3
         return out
 
     period = orbital_period(model, _LEO_STATE)

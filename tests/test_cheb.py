@@ -187,7 +187,7 @@ def test_sample_at_segment_joins():
 def test_sample_at_reads_a_march():
     # march stores N nodes per segment, joins once: a cubic is reproduced
     cubic = OdeSystem(dim=1, rhs=lambda t, x: np.array([3.0 * t * t]),
-                      jac=lambda t, x: np.zeros((1, 1)))
+                      jac=lambda t, x: np.zeros((len(t), 1, 1)))
     traj = march(cubic, 0.0, 2.0, np.array([0.0]), SolverConfig(5, 0.5, 1e-14))
     assert traj.segment_iterations.size == 4
     query = np.linspace(0.0, 2.0, 41) * (1.0 - 1e-3 * np.pi)

@@ -471,6 +471,14 @@ def test_ops_check_rejects_tiny_n(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["1"], ["100000000"], ["5", "100000000"]])
+def test_ops_check_refuses_an_unbuildable_n_before_any_output(argv, capsys):
+    assert main(["ops-check", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lvim: error: n_basis must lie in [2, ")
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_frequency_sweep_table(tmp_path):

@@ -18,24 +18,31 @@ from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
 
 
+def constant_jac(a):
+    """A node-batched ``jac`` returning the constant matrix ``a`` at every
+    node, as one contiguous (M, D, D) stack."""
+    a = np.asarray(a, dtype=float)
+    return lambda t, x: np.repeat(a[np.newaxis], len(t), axis=0)
+
+
 def decay_system(rate=1.0):
     return OdeSystem(
         dim=1,
         rhs=lambda t, x: np.array([-rate * x[0]]),
-        jac=lambda t, x: np.array([[-rate]]),
+        jac=constant_jac([[-rate]]),
     )
 
 
 def rotation_system(w=1.0):
     a = np.array([[0.0, 1.0], [-w * w, 0.0]])
-    return OdeSystem(dim=2, rhs=lambda t, x: a @ x, jac=lambda t, x: a)
+    return OdeSystem(dim=2, rhs=lambda t, x: a @ x, jac=constant_jac(a))
 
 
 MATHIEU = OdeSystem(
     dim=2,
     rhs=lambda t, x: np.array([x[1], -(0.5 + 0.1 * math.cos(t)) * x[0]]),
-    jac=lambda t, x: np.array([[0.0, 1.0],
-                               [-(0.5 + 0.1 * math.cos(t)), 0.0]]),
+    jac=lambda t, x: np.array([[[0.0, 1.0], [-(0.5 + 0.1 * math.cos(s)), 0.0]]
+                               for s in t.tolist()]),
 )
 
 
@@ -179,7 +186,7 @@ def test_nan_correction_never_converges():
     # in every second correction entry, behind finite zeros; a maximum
     # that skipped the NaN would call the sweep converged
     sys_ = OdeSystem(dim=2, rhs=lambda t, x: np.zeros(2),
-                     jac=lambda t, x: np.array([[0.0, 0.0], [0.0, np.inf]]))
+                     jac=constant_jac([[0.0, 0.0], [0.0, np.inf]]))
     ops = build_operators(5, 0.5)
     with pytest.raises(ConvergenceError):
         iterate_segment(ops, sys_, np.zeros(2),
@@ -197,13 +204,53 @@ def test_rhs_overflow_is_domain_violation():
 
 
 def test_jacobian_overflow_is_domain_violation():
+    """An overflow anywhere in a batch is traced back row by row: the error
+    names the first node that overflows on its own."""
     def jac(t, x):
-        return np.array([[math.exp(x[0])]])
+        return np.array([[[math.exp(v)]] for v in x[:, 0].tolist()])
 
     sys_ = OdeSystem(dim=1, rhs=lambda t, x: x, jac=jac)
-    with pytest.raises(DomainViolationError) as info:
-        sys_.eval_jac(2.0, np.array([1e3]))
-    assert info.value.t == 2.0 and info.value.state[0] == 1e3
+    t_nodes = np.array([1.0, 2.0, 3.0])
+    x = np.array([[1.0], [1e3], [2e3]])
+    with pytest.raises(DomainViolationError, match="Jacobian overflowed") as info:
+        sys_.eval_jac(t_nodes, x)
+    assert info.value.t == 2.0
+    assert info.value.state.shape == (1,) and info.value.state[0] == 1e3
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+def test_eval_jac_refuses_a_per_point_result(mode):
+    """A one-point (D, D) Jacobian is refused in both modes; in frozen
+    mode (one node) it would otherwise be read as its first row."""
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    sys_ = OdeSystem(dim=2, rhs=lambda t, x: a @ x, jac=lambda t, x: a)
+    cfg = SolverConfig(5, 0.5, 1e-10, jacobian_mode=mode)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(M, D, D\)"):
+        march(sys_, 0.0, 1.0, np.array([1.0, 0.0]), cfg)
+    with pytest.raises(ValueError, match=r"expected \(M, D, D\) = \(3, 2, 2\)"):
+        sys_.eval_jac(np.zeros(3), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+def test_one_jac_call_per_sweep(mode):
+    """Full mode makes one ``jac`` call on all N nodes per sweep; frozen
+    mode one call per segment, on the segment's first node."""
+    spec = problems.pendulum()
+    calls = []
+    jac = spec.system.jac
+
+    def spy(t, x):
+        calls.append((len(t), x.shape))
+        return jac(t, x)
+
+    system = replace(spec.system, jac=spy)
+    cfg = replace(spec.lvim_defaults, jacobian_mode=mode)
+    tr = march(system, 0.0, 5.0, spec.x0, cfg)
+    rows = cfg.n_basis if mode == "full" else 1
+    expected = (int(np.sum(tr.segment_iterations)) if mode == "full"
+                else tr.segment_iterations.size)
+    assert len(calls) == expected
+    assert set(calls) == {(rows, (rows, 2))}
 
 
 def test_public_names_resolve():
@@ -235,7 +282,7 @@ def _iterate_ref(ops, system, x0, config, t_start):
     m = t_nodes.size
     frozen = config.jacobian_mode == "frozen"
     x = np.repeat(x0[np.newaxis, :], m, axis=0)
-    j_frozen = system.eval_jac(t_nodes[0], x0) if frozen else None
+    j_frozen = system.eval_jac(t_nodes[:1], x0[np.newaxis])[0] if frozen else None
     js = None if frozen else np.empty((m, system.dim, system.dim))
     for it in range(1, config.max_iter + 1):
         r = _residual_ref(ops, system, x, t_nodes)
@@ -244,8 +291,9 @@ def _iterate_ref(ops, system, x0, config, t_start):
         if frozen:
             delta = hr @ j_frozen.T - pr
         else:
+            # one node at a time through the batched contract
             for j in range(m):
-                js[j] = system.eval_jac(t_nodes[j], x[j])
+                js[j] = system.eval_jac(t_nodes[j:j + 1], x[j:j + 1])[0]
             delta = np.einsum("jab,jb->ja", js, hr) - pr
         x += delta
         if float(np.max(np.abs(delta))) < config.tol:
@@ -256,7 +304,9 @@ def _iterate_ref(ops, system, x0, config, t_start):
 def _march_ref(system, t0, tf, x0, config):
     """The per-node march with a lazily built operator cache and a
     separate schedule for a span shorter than one segment: the reference
-    ``march`` must reproduce bit for bit."""
+    ``march`` must reproduce bit for bit.  It evaluates the Jacobian one
+    node per call, so a match also shows that a factory's batched rows
+    equal its one-node rows inside a real march."""
     x0 = np.asarray(x0, dtype=float)
     span = tf - t0
     n_full = int(np.floor(span / config.dt + 1e-12))
@@ -357,7 +407,7 @@ def test_linear_systems_match_matrix_exponential(data):
     a = a.reshape(d, d)
     x0 = np.array(data.draw(st.lists(entries, min_size=d, max_size=d)
                             .filter(lambda v: max(map(abs, v)) >= 0.1)))
-    system = OdeSystem(dim=d, rhs=lambda t, x: a @ x, jac=lambda t, x: a)
+    system = OdeSystem(dim=d, rhs=lambda t, x: a @ x, jac=constant_jac(a))
     cfg = SolverConfig(13, 1.0, 1e-12)
     full = march(system, 0.0, 2.0, x0, cfg)
     frozen = march(system, 0.0, 2.0, x0, replace(cfg, jacobian_mode="frozen"))

@@ -262,6 +262,16 @@ def test_far_field_guard_does_not_overflow(model8):
     assert np.array_equal(a, np.zeros(3))
 
 
+def test_far_complex_position_is_a_domain_violation(model8):
+    # complex arithmetic overflows where the real path underflows; the
+    # error carries the position, as the reference-sphere guard's does
+    q = np.array([1e200, -1e200, 3e6]) + 0j
+    with pytest.raises(DomainViolationError, match="overflows") as info:
+        gravity_accel(model8, q)
+    assert info.value.t is None
+    assert np.array_equal(info.value.state, q)
+
+
 def test_potential_route_consistency(model2):
     # both routes must agree on the raw potential-energy-like scale too
     u = gravity_potential(model2, TEST_POINT)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvim import problems
+from lvim import cli, problems
 from lvim.core import SolverConfig, march
 from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
@@ -26,12 +26,100 @@ def fd_jacobian(system, t, x, h=1e-7):
 
 
 def assert_jacobian_consistent(spec, states, times, rel=2e-5):
-    for t, x in zip(times, states):
-        analytic = spec.system.eval_jac(t, np.asarray(x, dtype=float))
-        numeric = fd_jacobian(spec.system, t, np.asarray(x, dtype=float))
+    """One batched ``jac`` call on all rows, each row against central
+    differences of the rhs."""
+    states = np.asarray(states, dtype=float)
+    times = np.asarray(times, dtype=float)
+    batch = spec.system.eval_jac(times, states)
+    assert batch.shape == (len(times), spec.system.dim, spec.system.dim)
+    for t, x, analytic in zip(times, states, batch):
+        numeric = fd_jacobian(spec.system, t, x)
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - numeric)) < rel * scale, \
             f"jacobian mismatch at t={t}"
+
+
+def _stock_specs():
+    """Every CLI problem at its defaults, plus the two follower loads."""
+    specs = {name: p.factory(**p.arguments()) for name, p in cli.PROBLEMS.items()}
+    for load_type in problems.BAR_LOAD_TYPES[1:]:
+        specs[load_type] = problems.buckled_bar(load_type, 25.0, alpha=0.4)
+    return specs
+
+
+STOCK_JACOBIANS = list(cli.PROBLEMS) + list(problems.BAR_LOAD_TYPES[1:])
+
+
+def _nodes(spec, name, m, seed):
+    """``m`` seeded times in the span and states spread around ``x0``
+    (narrowly where the domain or the orbit needs it)."""
+    rng = np.random.default_rng(seed)
+    d = spec.system.dim
+    spread = {"white-dwarf": 0.3, "leo": 0.0}.get(name, 3.0)
+    times = np.sort(rng.uniform(spec.t0, spec.tf, m))
+    states = spec.x0 * (1.0 + 0.01 * rng.uniform(-1, 1, (m, d))) \
+        + spread * rng.uniform(-1, 1, (m, d))
+    return times, states
+
+
+def _one_point_jacobians(mu):
+    """Each stock factory's Jacobian at one point, written as the factories
+    wrote it before ``jac`` took all nodes at once; the batched rows must
+    equal these bit for bit, which keeps every march bitwise unchanged."""
+    eye = np.eye(3)
+
+    def second(j10, j11=0.0):
+        return np.array([[0.0, 1.0], [j10, j11]])
+
+    def leo(t, x):
+        q = x[:3]
+        r = math.sqrt(float(q @ q))
+        qh = q / r
+        out = np.zeros((6, 6))
+        out[:3, 3:] = eye
+        out[3:, :3] = mu * (3.0 * np.outer(qh, qh) - eye) / r**3
+        return out
+
+    return {
+        "blasius": lambda t, x: np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                          [-0.5 * x[2], 0.0, -0.5 * x[0]]]),
+        "emden": lambda t, x: second(-math.exp(-x[0]), -2.0 / t),
+        "white-dwarf": lambda t, x: second(-3.0 * x[0] * math.sqrt(x[0] * x[0] - 0.3),
+                                           -2.0 / t),
+        "mathieu": lambda t, x: second(-(0.5 - 0.1 * math.cos(t))),
+        "pendulum": lambda t, x: second(-math.cos(x[0])),
+        "buckled-bar": lambda t, x: second(-50.0 * math.cos(x[0])),
+        "perpendicular_follower": lambda t, x: second(-25.0 * math.cos(2.0 * x[0] - 0.4)),
+        "tangent_follower": lambda t, x: second(-25.0 * math.sin(2.0 * x[0] - 0.4)),
+        "elastica": lambda t, x: np.zeros((1, 1)),
+        "leo": leo,
+    }
+
+
+@pytest.mark.parametrize("name", STOCK_JACOBIANS)
+def test_batched_jacobian_is_rowwise(name):
+    """``jac`` on 7 nodes is the (7, D, D) stack of 7 one-node calls, bit
+    for bit."""
+    spec = _stock_specs()[name]
+    d = spec.system.dim
+    times, states = _nodes(spec, name, 7, seed=8)
+    batch = spec.system.eval_jac(times, states)
+    assert batch.shape == (7, d, d)
+    rows = [spec.system.eval_jac(times[i:i + 1], states[i:i + 1]) for i in range(7)]
+    assert batch.tobytes() == np.concatenate(rows).tobytes()
+
+
+@pytest.mark.parametrize("name", STOCK_JACOBIANS)
+def test_batched_jacobian_is_the_one_point_jacobian(name):
+    """On 200 nodes every batched row equals the one-point formula bit for
+    bit (numpy's vectorized ``exp`` misses on about 5 % of such rows)."""
+    spec = _stock_specs()[name]
+    one_point = _one_point_jacobians(
+        load_gravity_model(bundled_gravity_path("egm_test.txt")).mu)[name]
+    times, states = _nodes(spec, name, 200, seed=9)
+    batch = spec.system.eval_jac(times, states)
+    expected = np.array([one_point(t, x) for t, x in zip(times, states)])
+    assert batch.tobytes() == expected.tobytes()
 
 
 def test_mathieu_jacobian():
@@ -75,7 +163,7 @@ def test_leo_jacobian_is_two_body_gradient():
     spec = problems.leo(model)
     q = np.array([6.0e6, 2.5e6, -1.5e6])
     x = np.concatenate([q, [100.0, -200.0, 7.0e3]])
-    jac = spec.system.eval_jac(0.0, x)
+    jac = spec.system.eval_jac(np.array([0.0]), x[np.newaxis])[0]
     r = np.linalg.norm(q)
     qhat = q / r
     grad = model.mu * (3 * np.outer(qhat, qhat) - np.eye(3)) / r ** 3
@@ -150,6 +238,21 @@ def test_white_dwarf_domain_guard():
     spec = problems.white_dwarf(0.3)
     with pytest.raises(DomainViolationError):
         spec.system.eval_rhs(1.0, np.array([0.2, 0.0]))  # phi^2 < c
+
+
+def test_white_dwarf_jacobian_guard_names_the_row():
+    """In a batch, the guard raises at the first row below the edge, with
+    that row's time and state; a row within roundoff of it is clamped."""
+    spec = problems.white_dwarf(0.3)
+    times = np.array([1.0, 1.5, 2.0, 2.5])
+    states = np.array([[0.9, 0.0], [0.2, -0.1], [0.1, 0.0], [0.9, 0.0]])
+    with pytest.raises(DomainViolationError, match="went negative") as info:
+        spec.system.eval_jac(times, states)
+    assert info.value.t == 1.5
+    assert np.array_equal(info.value.state, states[1])
+    on_edge = np.array([[math.sqrt(0.3) * (1.0 - 1e-15), 0.0], [0.9, 0.0]])
+    jac = spec.system.eval_jac(times[:2], on_edge)
+    assert jac[0, 1, 0] == 0.0 and jac[1, 1, 0] < 0.0
 
 
 def test_white_dwarf_degenerate_edge_case():
