@@ -230,10 +230,7 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
         return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
 
     def jac(t, x):
-        rad = x[:, 0] * x[:, 0] - c
-        if np.any(rad < 0.0):
-            # the one-point guard raises at the first row past the slack
-            rad = np.array([radicand(ti, xi) for ti, xi in zip(t, x)])
+        rad = np.array([radicand(ti, xi) for ti, xi in zip(t, x)])
         return _jac2(-3.0 * x[:, 0] * np.sqrt(rad), -2.0 / t)
 
     lead = (1.0 - c) ** 1.5

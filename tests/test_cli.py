@@ -468,10 +468,12 @@ def test_ops_check_passes(capsys):
 
 def test_ops_check_rejects_tiny_n(capsys):
     assert main(["ops-check", "1"]) == 1
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lvim: error: n_basis must lie in [2, ")
 
 
-@pytest.mark.parametrize("argv", [["1"], ["100000000"], ["5", "100000000"]])
+@pytest.mark.parametrize("argv", [["100000000"], ["5", "100000000"]])
 def test_ops_check_refuses_an_unbuildable_n_before_any_output(argv, capsys):
     assert main(["ops-check", *argv]) == 1
     out, err = capsys.readouterr()
