@@ -28,6 +28,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -537,6 +538,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_ops_check(args)
         if getattr(args, "out", None):
             _check_out(args.out)
+        # no discrepancy compares greater than NaN, so that gate could never fail
+        if getattr(args, "assert_below", None) is not None and math.isnan(args.assert_below):
+            raise ValueError("--assert-below must be a number, not NaN")
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.print_defaults:

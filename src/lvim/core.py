@@ -61,6 +61,20 @@ def _overflow(what: str, t: float, x: np.ndarray) -> DomainViolationError:
                                 t=t, state=np.array(x, dtype=float))
 
 
+def _checked_start(system: OdeSystem, t0: float, tf: float, x0) -> np.ndarray:
+    """``x0`` as a float array, once the span and the state are checked:
+    ``tf > t0``, both finite, and a finite ``(D,)`` state."""
+    if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
+        raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (system.dim,):
+        raise ValueError(
+            f"initial state has shape {x.shape}, expected ({system.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise DomainViolationError("initial state is not finite", t=t0, state=x)
+    return x
+
+
 @dataclass
 class OdeSystem:
     """A first-order system ``dx/dt = rhs(t, x)`` with its Jacobian.
@@ -258,9 +272,7 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     node once (segment joins are deduplicated) and records per-segment
     iteration counts and the rhs evaluations spent.
     """
-    if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
-        raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _checked_start(system, t0, tf, x0)
 
     dt = config.dt
     span = tf - t0

@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from .core import OdeSystem, SolverConfig, march
+from .core import OdeSystem, SolverConfig, _checked_start, march
 from .errors import ConvergenceError, DomainViolationError
 from .gravity import GravityModel, gravity_accel
 from .rk45 import RkConfig, rk45_integrate, sample_at
@@ -73,17 +73,11 @@ class ProblemSpec:
     rk_defaults: ClassVar[RkConfig] = RkConfig()
 
     def __post_init__(self) -> None:
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = _checked_start(self.system, self.t0, self.tf, self.x0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if x0.shape != (self.system.dim,):
-            raise ValueError("x0 dimension does not match the system")
         if len(self.state_names) != self.system.dim:
             raise ValueError("state_names length does not match the system")
-        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
-            raise ValueError("t0 and tf must be finite")
-        if not self.tf > self.t0:
-            raise ValueError("tf must exceed t0")
 
 
 def blasius(xi_max: float = 10.0, stage1: str = "lvim") -> ProblemSpec:
@@ -195,7 +189,7 @@ def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
         return float(sample_at(traj, np.array([t]))[0, 0]) - edge
 
     a, b = traj.times[i], traj.times[i + 1]
-    crossing = shoot_scalar(f, a, b, shoot_tol=_ROOT_TOL, window=(a, b))
+    crossing = shoot_scalar(f, a, b, shoot_tol=_ROOT_TOL)
     return 0.98 * crossing
 
 
@@ -324,7 +318,7 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
             if i.size:
                 a, b = traj.times[i[0]], traj.times[i[0] + 1]
                 period = shoot_scalar(lambda t: sample_at(traj, t)[0, 1], a, b,
-                                      shoot_tol=_ROOT_TOL, window=(a, b))
+                                      shoot_tol=_ROOT_TOL)
             else:
                 t0, x = traj.times[-1], traj.states[-1]
                 if t0 > 4000.0:

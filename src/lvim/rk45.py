@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import OdeSystem, Trajectory, _max_of
+from .core import OdeSystem, Trajectory, _checked_start, _max_of
 from .errors import ConvergenceError, DomainViolationError
 
 __all__ = ["RkConfig", "RkTrajectory", "rk45_integrate", "sample_at"]
@@ -153,14 +153,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     exhausted and :class:`DomainViolationError` when the state or rhs
     leaves the finite domain.
     """
-    if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
-        raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
-    x = np.asarray(x0, dtype=float)
-    if x.ndim != 1 or x.size != system.dim:
-        raise ValueError(
-            f"initial state has shape {x.shape}, expected ({system.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise DomainViolationError("initial state is not finite", t=t0, state=x)
+    x = _checked_start(system, t0, tf, x0)
 
     evals_before = system.rhs_evals
     rhs = system.eval_rhs
@@ -249,7 +242,8 @@ def sample_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     t_lo = traj.times[0]
     t_hi = traj.times[-1]
     slack = 1e-12 * max(1.0, abs(t_hi - t_lo))
-    if np.any(query < t_lo - slack) or np.any(query > t_hi + slack):
+    # one inside-the-span mask, so a NaN query fails it too
+    if not np.all((query >= t_lo - slack) & (query <= t_hi + slack)):
         raise ValueError(
             f"sample times outside the integrated span [{t_lo!r}, {t_hi!r}]")
 

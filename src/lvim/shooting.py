@@ -9,6 +9,7 @@ mismatch, found with the same secant root finder as the root slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -50,29 +51,30 @@ def shoot_scalar(
     residual_fn: Callable[[float], float],
     guess_a: float,
     guess_b: float,
-    shoot_tol: float = 1e-10,
+    shoot_tol: float = _SHOOT_TOL,
     max_shots: int = _DEFAULT_MAX_SHOTS,
-    window: Optional[Tuple[float, float]] = None,
 ) -> float:
     """Find a root of ``residual_fn`` by secant iteration from two guesses.
 
-    The package's one root finder: besides the bar's root slope and load
-    angle, it finds the bracketed roots in :mod:`lvim.problems`, with the
-    bracket passed as both guesses and ``window``.  It stops once
-    ``|residual| < shoot_tol``.
+    The package's one root finder: the bar's root slope and load angle,
+    and the bracketed roots in :mod:`lvim.problems` (the white-dwarf edge,
+    the pendulum's period).  It stops once ``|residual| < shoot_tol``.
 
-    If ``window`` is given and a secant step lands outside it, the step is
-    replaced by bisection of the tightest sign-changing pair seen so far
-    (without a recorded sign change the iteration aborts instead, since the
-    runaway step means the secant model has no root in the window).
+    When the residual changes sign between the guesses, the sorted guesses
+    are a bracket, tightened as evaluations land inside it; a secant step
+    that leaves the guesses is replaced by bisection of the tightest
+    sign-changing pair (Dekker's safeguard), so no evaluation falls
+    outside them.  Otherwise the iteration is the plain secant.
 
-    Raises ConvergenceError after ``max_shots`` residual evaluations.
+    Raises ValueError for equal or non-finite guesses and
+    ConvergenceError after ``max_shots`` residual evaluations.
     Exceptions raised by ``residual_fn`` propagate unchanged, with the
     offending guess attached as a ``slope_guess`` attribute unless an
     inner search already attached its own.
     """
-    if guess_a == guess_b:
-        raise ValueError("secant needs two distinct guesses")
+    a, b = float(guess_a), float(guess_b)
+    if a == b or not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"secant needs two distinct finite guesses, got {a!r} and {b!r}")
 
     def evaluate(v: float) -> float:
         try:
@@ -82,44 +84,37 @@ def shoot_scalar(
                 exc.slope_guess = v  # breadcrumb: which shot failed
             raise
 
-    a, b = float(guess_a), float(guess_b)
     fa = evaluate(a)
     if abs(fa) < shoot_tol:
         return a
     fb = evaluate(b)
-    # (lo, flo, hi, fhi) with flo * fhi < 0, tightened as evaluations land
-    bracket = (a, fa, b, fb) if fa * fb < 0.0 else None
+    # (lo, flo, hi, fhi): the sorted guesses if flo * fhi < 0, tightened as evaluations land
+    bracket = None
+    if fa * fb < 0.0:
+        bracket = (a, fa, b, fb) if a < b else (b, fb, a, fa)
+        left, right = bracket[0], bracket[2]
     shots = 2
-    while shots < max_shots:
-        if abs(fb) < shoot_tol:
-            return b
+    while not abs(fb) < shoot_tol:
+        if shots >= max_shots:
+            raise ConvergenceError(
+                f"no root after {max_shots} shots; last residual {fb:.3e} at {b!r}"
+            )
         if fb == fa:
             raise ConvergenceError(
                 f"flat residual ({fb:.3e}) between guesses {a!r} and {b!r}"
             )
         c = b - fb * (b - a) / (fb - fa)
-        if window is not None and not window[0] <= c <= window[1]:
-            if bracket is None:
-                raise ConvergenceError(
-                    f"secant step {c!r} left the window {window!r} with no "
-                    "sign change recorded"
-                )
-            c = 0.5 * (bracket[0] + bracket[2])
-        fc = evaluate(c)
-        shots += 1
         if bracket is not None:
             lo, flo, hi, fhi = bracket
-            if lo < c < hi:
-                bracket = (lo, flo, c, fc) if flo * fc < 0.0 else (c, fc, hi, fhi)
-        elif fb * fc < 0.0:
-            bracket = (min(b, c), fb if b < c else fc, max(b, c), fc if b < c else fb)
+            if not left <= c <= right:
+                c = 0.5 * (lo + hi)
+        fc = evaluate(c)
+        shots += 1
+        if bracket is not None and lo < c < hi:
+            bracket = (lo, flo, c, fc) if flo * fc < 0.0 else (c, fc, hi, fhi)
         a, fa = b, fb
         b, fb = c, fc
-    if abs(fb) < shoot_tol:
-        return b
-    raise ConvergenceError(
-        f"no root after {max_shots} shots; last residual {fb:.3e} at {b!r}"
-    )
+    return b
 
 
 def solve_buckled_bar(
@@ -166,7 +161,7 @@ def solve_buckled_bar(
                 shot_trajectories[v] = tr
                 return float(tr.states[-1, 1])
 
-            root = shoot_scalar(residual, guesses[0], guesses[1], shoot_tol=_SHOOT_TOL)
+            root = shoot_scalar(residual, guesses[0], guesses[1])
             # shoot_scalar returns an evaluated slope; the branch moves only
             # a little per sweep, so the next one is seeded next to it
             sweeps[alpha] = (root, shot_trajectories[root])
@@ -176,7 +171,7 @@ def solve_buckled_bar(
     first = mismatch(0.0)
     dead = load_type == "dead"  # the only load whose direction ignores alpha
     alpha = 0.0 if dead or abs(first) < _SHOOT_TOL else \
-        shoot_scalar(mismatch, 0.0, 0.5 * first, shoot_tol=_SHOOT_TOL)
+        shoot_scalar(mismatch, 0.0, 0.5 * first)
     root, tr = sweeps[alpha]
     return ShotResult(
         theta_prime_0=root,

@@ -417,7 +417,11 @@ def test_readme_cli_examples_parse():
     (["run", "elastica", "--a-param", "-1"], 1),
     # huge parameters: a non-finite rhs, with no numpy warning on the way
     (["run", "mathieu", "--delta", "1e300"], 2),
-    (["run", "elastica", "--a-param", "1e300"], 2)])
+    (["run", "elastica", "--a-param", "1e300"], 2),
+    # c*c underflows to 0, so the radicand guard fires at x = 0
+    (["run", "elastica", "--c-param", "1e-200"], 2),
+    # a NaN guess is refused before the first shot
+    (["run", "buckled-bar", "--guesses", "nan", "1"], 1)])
 def test_unworkable_input_is_one_error_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -455,6 +459,20 @@ def test_assert_below_failure_still_writes_report(tmp_path):
     assert rc == 3
     report = json.loads(out.read_text())
     assert max(report["max_discrepancy"]) > 1e-13
+
+
+def test_assert_below_nan_is_usage_error(monkeypatch, capsys):
+    # no discrepancy exceeds NaN, so the gate could never fail: refused
+    # before any factory, march or oracle runs
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the threshold was checked")
+
+    for module, name in ((cli, "march"), (cli, "rk45_integrate"),
+                         (problems, "pendulum")):
+        monkeypatch.setattr(module, name, never)
+    assert main(["compare", "pendulum", "--assert-below", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "--assert-below" in err and "NaN" in err
 
 
 # -------------------------------------------------------------- self-test

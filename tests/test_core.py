@@ -167,6 +167,21 @@ def test_march_refuses_non_finite_span(t0, tf):
         march(decay_system(), t0, tf, np.array([1.0]), SolverConfig(5, 0.5, 1e-10))
 
 
+@pytest.mark.parametrize("x0", [[math.nan], [math.inf]])
+def test_non_finite_start_is_refused_before_any_rhs(x0):
+    """The march and the oracle share one start check."""
+    messages = []
+    for integrate, cfg in ((march, SolverConfig(5, 0.5, 1e-10)),
+                           (lvim.rk45_integrate, lvim.RkConfig())):
+        system = decay_system()
+        with pytest.raises(DomainViolationError) as exc_info:
+            integrate(system, 0.0, 1.0, np.array(x0), cfg)
+        assert system.rhs_evals == 0
+        assert exc_info.value.t == 0.0
+        messages.append(str(exc_info.value))
+    assert messages[0] == messages[1] == "initial state is not finite"
+
+
 def test_eval_rhs_finiteness_check():
     """An overflowing sum of finite entries is not a domain exit; a NaN
     or an infinity in any entry is."""

@@ -384,6 +384,15 @@ def test_elastica_domain_guard():
         spec.system.eval_rhs(1.3, np.array([0.0]))
 
 
+def test_elastica_radicand_guard_fires_on_underflow():
+    # c*c underflows to 0, so the radicand at x = 0 is 0; unguarded, the
+    # slope would divide by sqrt(0.0) and raise ZeroDivisionError
+    spec = problems.elastica(1.0, 1e-200)
+    with pytest.raises(DomainViolationError, match="radicand 0.000e\\+00 not positive"):
+        march(spec.system, spec.t0, spec.tf, spec.x0, spec.lvim_defaults)
+    assert spec.system.rhs_evals == 1
+
+
 def test_elastica_parameter_validation():
     with pytest.raises(ValueError):
         problems.elastica(1.0, -0.5)

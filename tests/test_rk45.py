@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lvim import problems
-from lvim.core import OdeSystem
+from lvim.core import OdeSystem, SolverConfig, march
 from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
 from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, _err_norm,
@@ -106,6 +106,17 @@ def test_sample_outside_span_raises():
         sample_at(RkTrajectory(times=tr.times, states=tr.states,
                                segment_iterations=tr.segment_iterations,
                                total_rhs_evals=0), tr.times)
+
+
+def test_sample_at_refuses_a_nan_query():
+    # a NaN time is neither below nor above the span, and is not inside it
+    oracle = rk45_integrate(DECAY, 0.0, 1.0, np.array([1.0]), RkConfig())
+    system = OdeSystem(dim=1, rhs=lambda t, x: -x,
+                       jac=lambda t, x: np.full((len(t), 1, 1), -1.0))
+    marched = march(system, 0.0, 1.0, np.array([1.0]), SolverConfig(5, 0.5, 1e-12))
+    for traj in (oracle, marched):
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            sample_at(traj, np.array([0.5, math.nan]))
 
 
 def test_eval_accounting_exact():

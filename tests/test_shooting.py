@@ -56,26 +56,47 @@ def test_max_shots_exhaustion():
         shoot_scalar(math.exp, 0.0, 1.0, max_shots=8)
 
 
-def test_window_bisection_rescue():
-    """A wild secant extrapolation outside the window falls back to
-    bisecting the bracket instead of evaluating out of bounds."""
+def test_bisection_rescue_stays_between_guesses():
+    """A wild secant extrapolation outside the bracketing guesses falls
+    back to bisecting the bracket instead of evaluating out of bounds."""
     calls = []
 
     def f(v):
         calls.append(v)
-        if not (0.0 <= v <= 10.0):
-            raise AssertionError(f"evaluated outside window: {v}")
+        if not (1.0 <= v <= 9.0):
+            raise AssertionError(f"evaluated outside the guesses: {v}")
         # steep tanh makes the secant overshoot violently
         return np.tanh(50.0 * (v - 4.0)) + 1e-6 * (v - 4.0)
 
-    root = shoot_scalar(f, 1.0, 9.0, window=(0.0, 10.0))
+    root = shoot_scalar(f, 1.0, 9.0)
     assert root == pytest.approx(4.0, abs=1e-6)
 
 
-def test_window_without_bracket_raises():
-    with pytest.raises(ConvergenceError):
-        # both residuals positive, secant heads left out of the window
-        shoot_scalar(lambda v: v + 100.0, 1.0, 2.0, window=(0.0, 10.0))
+def test_reversed_bracket_converges_between_guesses():
+    """Guesses given high-to-low bracket the root as well as low-to-high."""
+    roots = {}
+    for guesses in ((0.0, 10.0), (10.0, 0.0)):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            assert 0.0 <= v <= 10.0, f"evaluated outside the guesses: {v}"
+            return math.tanh(8.0 * (v - 6.1))
+
+        roots[guesses] = shoot_scalar(f, *guesses)
+        assert len(calls) < 30
+    assert roots[(10.0, 0.0)] == pytest.approx(roots[(0.0, 10.0)], abs=1e-10)
+    assert roots[(0.0, 10.0)] == pytest.approx(6.1, abs=1e-10)
+
+
+@pytest.mark.parametrize("guesses", [(math.nan, 1.0), (0.0, math.inf),
+                                     (-math.inf, math.inf)])
+def test_non_finite_guesses_rejected(guesses):
+    def never(v):
+        raise AssertionError("evaluated a residual for non-finite guesses")
+
+    with pytest.raises(ValueError, match="finite"):
+        shoot_scalar(never, *guesses)
 
 
 def test_failure_breadcrumb_carries_guess():
