@@ -3,15 +3,17 @@
 The bar equation is integrated as an initial-value problem from a guessed
 root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower load also depends on
-the unknown tip angle: its load angle is the root of the tip-angle
-mismatch, found with the same secant root finder as the root slope.
+the unknown tip angle, which is its load angle: such a bar is shot from the
+free end on the tip angle instead, with the same secant root finder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
+
+import numpy as np
 
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError
@@ -24,19 +26,27 @@ __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 # residuals; the cap only guards pathological guess pairs.
 _DEFAULT_MAX_SHOTS = 60
 
-# the bar's far-end slope residual, and the load-angle / tip-angle
-# mismatch of a follower load, both count as zero below this
+# the bar's far-end slope residual, and a follower's clamp angle when shot
+# from the free end, both count as zero below this
 _SHOOT_TOL = 1e-10
+
+# (theta, theta') of a free-end shot read from the clamp, and the map of a
+# quartic's coefficients (theta^1..theta^4) onto its expansion about the
+# step's other end: _REEXPAND[k-1, m-1] = (-1)^m C(k, m)
+_FLIP = np.array([1.0, -1.0])
+_REEXPAND = np.array([[(-1.0) ** m * math.comb(k, m) for m in range(1, 5)]
+                      for k in range(1, 5)])
 
 
 @dataclass(frozen=True)
 class ShotResult:
     """A converged shot.
 
-    ``alpha`` is the load-direction angle used on the final shot.  For the
-    self-consistent follower solution it agrees with the tip angle
-    ``trajectory.states[-1, 0]`` to within ``_SHOOT_TOL``; for dead loads
-    (where no such angle exists) it is simply the tip angle itself.
+    ``alpha`` is the load-direction angle used on the final shot.  For a
+    follower shot from the free end it is the tip angle
+    ``trajectory.states[-1, 0]`` exactly; for dead loads (where no such
+    angle exists) it is simply the tip angle itself.  ``residual`` is
+    ``max(|theta(0)|, |theta'(1)|)`` of the returned trajectory.
     """
 
     theta_prime_0: float
@@ -117,6 +127,19 @@ def shoot_scalar(
     return b
 
 
+def _from_clamp(tr: Union[Trajectory, RkTrajectory]) -> Union[Trajectory, RkTrajectory]:
+    """A shot from the free end, run over ``sigma = 1 - s``, read from the
+    clamp: times ``1 - sigma`` in increasing order and ``theta' =
+    -dtheta/dsigma``.  Each oracle step's quartic is re-expanded about its
+    other end, ``q'_m = (-1)^m sum_{k>=m} C(k, m) q_k``; the counts stay."""
+    fields = dict(times=1.0 - tr.times[::-1], states=tr.states[::-1] * _FLIP,
+                  segment_iterations=tr.segment_iterations[::-1])
+    if isinstance(tr, RkTrajectory):
+        fields.update(step_h=tr.step_h[::-1],
+                      dense_q=(tr.dense_q[::-1] * _FLIP[:, np.newaxis]) @ _REEXPAND)
+    return replace(tr, **fields)
+
+
 def solve_buckled_bar(
     load_type: str,
     load: float,
@@ -126,58 +149,53 @@ def solve_buckled_bar(
 ) -> ShotResult:
     """Solve the buckled-bar BVP for one equilibrium branch.
 
-    ``slope_guesses`` seeds the secant iteration on the root slope; distinct
-    pairs can converge to distinct buckled equilibria of the same load.
-    A sweep builds the problem at load angle ``alpha`` once, shoots on the
-    root slope, keeps the accepted shot's trajectory (no shot is marched
-    twice, so ``inner_iters`` counts every march or integration) and yields
-    the tip angle minus the load angle.  A dead load ignores ``alpha`` and
-    stops after the sweep at 0, as does a follower load with no mismatch
-    there; otherwise ``shoot_scalar`` finds the mismatch's root from 0 and
-    half the first tip angle.  Both residuals are tested against
-    ``_SHOOT_TOL`` (1e-10); ``outer_iters`` counts the sweeps.
+    ``slope_guesses`` seeds the secant on the root slope at load angle 0;
+    distinct pairs can converge to distinct equilibria of the same load.
+    That shoot solves a dead load, and a follower whose tip angle stays
+    below ``_SHOOT_TOL``.  Any other follower's load angle is its tip angle
+    alpha, so the bar is shot again from the free end, from ``(alpha, 0)``
+    over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
+    on the alpha whose clamp angle vanishes, seeded from the first tip
+    angle.  ``outer_iters`` counts these ``shoot_scalar`` searches and
+    ``inner_iters`` their shots, each marched once.
     """
     if integrator not in ("lvim", "rk45"):
         raise ValueError(f"unknown integrator {integrator!r}")
-    guesses = (float(slope_guesses[0]), float(slope_guesses[1]))
-    sweeps = {}  # load angle -> (root slope, accepted trajectory)
-    shots = 0
+    searches = shots = 0
 
-    def mismatch(alpha: float) -> float:
-        nonlocal guesses
-        if alpha not in sweeps:
-            spec = buckled_bar(load_type, load, alpha=alpha)  # validates load and type
-            cfg = config or spec.lvim_defaults
-            shot_trajectories = {}
+    def search(guesses, shot_from):
+        """The accepted trajectory of a root search on component ``row``
+        of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
+        nonlocal searches
+        searches += 1
+        kept = {}
 
-            def residual(v: float) -> float:
-                nonlocal shots
-                shots += 1
-                x0 = [0.0, v]  # theta(0) = 0 exactly; only the slope is guessed
-                if integrator == "lvim":
-                    tr = march(spec.system, spec.t0, spec.tf, x0, cfg)
-                else:
-                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
-                shot_trajectories[v] = tr
-                return float(tr.states[-1, 1])
+        def residual(v: float) -> float:
+            nonlocal shots
+            shots += 1
+            spec, x0, row = shot_from(v)
+            if integrator == "lvim":
+                tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults)
+            else:
+                tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+            kept[v] = tr
+            return float(tr.states[-1, row])
 
-            root = shoot_scalar(residual, guesses[0], guesses[1])
-            # shoot_scalar returns an evaluated slope; the branch moves only
-            # a little per sweep, so the next one is seeded next to it
-            sweeps[alpha] = (root, shot_trajectories[root])
-            guesses = (root, root + max(1e-3, 1e-3 * abs(root)))
-        return float(sweeps[alpha][1].states[-1, 0]) - alpha
+        return kept[shoot_scalar(residual, guesses[0], guesses[1])]
 
-    first = mismatch(0.0)
-    dead = load_type == "dead"  # the only load whose direction ignores alpha
-    alpha = 0.0 if dead or abs(first) < _SHOOT_TOL else \
-        shoot_scalar(mismatch, 0.0, 0.5 * first)
-    root, tr = sweeps[alpha]
+    spec = buckled_bar(load_type, load)  # validates load and type
+    tr = search(slope_guesses, lambda v: (spec, [0.0, v], 1))  # theta(0) = 0 exactly
+    tip = float(tr.states[-1, 0])
+    alpha = tip if load_type == "dead" else 0.0  # a dead load's direction ignores alpha
+    if load_type != "dead" and not abs(tip) < _SHOOT_TOL:
+        tr = _from_clamp(search((tip, 0.9 * tip), lambda a: (
+            buckled_bar(load_type, load, alpha=a), [a, 0.0], 0)))
+        alpha = float(tr.states[-1, 0])
     return ShotResult(
-        theta_prime_0=root,
-        alpha=float(tr.states[-1, 0]) if dead else alpha,
+        theta_prime_0=float(tr.states[0, 1]),
+        alpha=alpha,
         trajectory=tr,
-        residual=abs(float(tr.states[-1, 1])),
-        outer_iters=len(sweeps),
+        residual=max(abs(float(tr.states[0, 0])), abs(float(tr.states[-1, 1]))),
+        outer_iters=searches,
         inner_iters=shots,
     )

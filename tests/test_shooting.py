@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import ellipkm1
 
 from lvim import shooting
 from lvim.cli import BAR_GUESSES
 from lvim.core import Trajectory, march
 from lvim.errors import ConvergenceError
 from lvim.problems import buckled_bar
-from lvim.rk45 import RkTrajectory, rk45_integrate
+from lvim.rk45 import RkTrajectory, rk45_integrate, sample_at
 from lvim.shooting import ShotResult, shoot_scalar, solve_buckled_bar
 
 
@@ -172,28 +174,32 @@ def test_perpendicular_follower_self_consistency():
 
 
 def test_perpendicular_follower_large_load():
-    # the load-angle secant holds the buckled branch at P = 80 as well
+    # the free-end shoot holds the buckled branch at P = 80 as well
     res = solve_buckled_bar("perpendicular_follower", 80.0, (5.0, 5.5))
     assert abs(res.alpha - res.trajectory.states[-1, 0]) < 1e-10
-    assert abs(res.theta_prime_0 - 4.016748156362731) < 1e-10
+    assert abs(res.theta_prime_0 - 4.016748183555007) < 1e-10
     assert res.residual < 1e-10
+    # the oracle's root of the same branch
+    assert abs(res.theta_prime_0 - 4.016748189608) < 1e-8
 
 
 def test_inner_failure_keeps_the_failing_slope(monkeypatch):
-    """A shot that fails inside the load-angle search reports its own root
-    slope as ``slope_guess``, not the load angle the outer search tried."""
-    slopes = []
+    """A shot that fails in the free-end search reports the tip angle it
+    tried as ``slope_guess``, the value its own search was varying."""
+    starts = []
 
     def failing_march(system, t0, tf, x0, config):
-        slopes.append(x0[1])
-        if len(slopes) == 10:  # the first sweep at P = 25 takes 7 shots
+        starts.append(list(x0))
+        if len(starts) == 10:  # the clamp-end shoot at P = 25 takes 7 shots
             raise ConvergenceError("stalled")
         return march(system, t0, tf, x0, config)
 
     monkeypatch.setattr(shooting, "march", failing_march)
     with pytest.raises(ConvergenceError, match="stalled") as exc_info:
         solve_buckled_bar("perpendicular_follower", 25.0, (2.0, 2.5))
-    assert exc_info.value.slope_guess == slopes[-1]
+    tip, slope = starts[-1]
+    assert slope == 0.0  # a free-end shot
+    assert exc_info.value.slope_guess == tip
 
 
 def test_tangent_follower_drains_to_trivial():
@@ -219,7 +225,8 @@ def test_negative_load():
 
 # (theta_prime_0, alpha, residual, inner_iters, outer_iters) of every stock
 # seed pair with both integrators, pinned exactly: keeping the accepted shot
-# in place of marching it again must not move a bit
+# in place of marching it again must not move a bit.  The perpendicular
+# follower is shot from the free end, in 7 clamp-end and 10 free-end shots.
 STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
         (12.955453669588941, -2.3164304659028425, 7.77346602663815e-14, 6, 1),
@@ -234,9 +241,9 @@ STOCK_SHOTS = {
     ("dead", 25.0, (4.5, 4.75), "rk45"):
         (4.62422445991263, -0.9614507230465494, 1.4456115124406033e-11, 6, 1),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
-        (1.421807341603422, -0.28631608070543485, 2.8120551529309853e-13, 42, 7),
+        (1.4218073415930839, -0.2863160806905626, 2.4003411416903933e-13, 17, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.4218073415968953, -0.28631608070131703, 2.862658027291687e-13, 42, 7),
+        (1.4218073416037391, -0.28631608070067044, 2.4089085760847784e-13, 17, 2),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
         (-5.839093150273038e-14, 0.0, 5.839093150275847e-14, 15, 1),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
@@ -257,9 +264,9 @@ def _case_id(case):
 
 @pytest.fixture(scope="module")
 def stock_shots():
-    """Each stock case solved once, with the marches and integrations it
-    spent counted."""
-    calls = {"lvim": 0, "rk45": 0}
+    """Each stock case solved once, with the root searches, marches and
+    integrations it spent counted."""
+    calls = {"lvim": 0, "rk45": 0, "searches": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -271,6 +278,7 @@ def stock_shots():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shooting, "march", counted(march, "lvim"))
         mp.setattr(shooting, "rk45_integrate", counted(rk45_integrate, "rk45"))
+        mp.setattr(shooting, "shoot_scalar", counted(shoot_scalar, "searches"))
         for case in STOCK_SHOTS:
             load_type, load, pair, integrator = case
             before = dict(calls)
@@ -289,6 +297,19 @@ def test_every_shot_is_marched_once(stock_shots, case):
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_counts_are_root_searches_and_shots(stock_shots, case):
+    """``outer_iters`` counts the ``shoot_scalar`` searches (2 only for a
+    follower whose tip leaves zero) and ``inner_iters`` every march or
+    integration, all of which run inside those searches."""
+    res, spent = stock_shots[case]
+    assert spent["searches"] == res.outer_iters
+    assert spent[case[3]] == res.inner_iters
+    tip = res.trajectory.states[-1, 0]
+    follower_off_zero = case[0] != "dead" and abs(tip) >= 1e-10
+    assert res.outer_iters == (2 if follower_off_zero else 1)
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
 def test_stock_shots_are_pinned(stock_shots, case):
     res, _ = stock_shots[case]
     assert (res.theta_prime_0, res.alpha, res.residual, res.inner_iters,
@@ -298,20 +319,113 @@ def test_stock_shots_are_pinned(stock_shots, case):
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
 def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     """The trajectory equals, bit for bit, a fresh march at the accepted
-    slope under the final load angle (a dead load ignores the angle)."""
+    slope under the final load angle (a dead load ignores the angle), or,
+    for a follower shot from the free end, a fresh march from the tip
+    angle read from the clamp."""
     load_type, load, _, integrator = case
     res, _ = stock_shots[case]
     spec = buckled_bar(load_type, load, alpha=res.alpha)
-    x0 = [0.0, res.theta_prime_0]
+    from_free_end = res.outer_iters == 2
+    x0 = [res.alpha, 0.0] if from_free_end else [0.0, res.theta_prime_0]
     if integrator == "lvim":
         fresh = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
+    else:
+        fresh = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+    if from_free_end:
+        fresh = shooting._from_clamp(fresh)
+    if integrator == "lvim":
         assert np.array_equal(res.trajectory.segment_iterations,
                               fresh.segment_iterations)
     else:
-        fresh = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+        assert np.array_equal(res.trajectory.dense_q, fresh.dense_q)
     assert np.array_equal(res.trajectory.times, fresh.times)
     assert np.array_equal(res.trajectory.states, fresh.states)
     assert res.trajectory.total_rhs_evals == fresh.total_rhs_evals
+
+
+# v^2 at the clamp that the bar's first integral gives for a tip angle a,
+# where theta' = 0: each load's potential energy between 0 and a
+FIRST_INTEGRAL = {
+    "dead": lambda P, a: 2.0 * P * (1.0 - math.cos(a)),
+    "perpendicular_follower": lambda P, a: P * a * math.sin(a),
+    "tangent_follower": lambda P, a: P * (a * math.cos(a) - math.sin(a)),
+}
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_first_integral_holds_at_every_equilibrium(stock_shots, case):
+    """Independent of how the bar was shot, the root slope and the tip
+    angle satisfy the energy relation; the lvim bound covers the N = 7
+    truncation, worst on dead P = 50."""
+    load_type, load, _, integrator = case
+    res, _ = stock_shots[case]
+    v, tip = res.trajectory.states[0, 1], res.trajectory.states[-1, 0]
+    gap = abs(v * v - FIRST_INTEGRAL[load_type](load, tip))
+    bound = 1e-11 if integrator == "rk45" else 1e-7
+    assert gap < bound * max(1.0, v * v)
+
+
+def _exact_dead_root(load, n):
+    """theta'(0) = 2 sqrt(P) k of the dead-load branch with n interior
+    inflections, where (2n + 1) K(k^2) = sqrt(P); solved in 1 - k^2, which
+    stays resolved on the n = 0 branch whose tip nears pi."""
+    p = brentq(lambda p: (2 * n + 1) * ellipkm1(p) - math.sqrt(load),
+               1e-300, 1.0, xtol=1e-300)
+    return 2.0 * math.sqrt(load) * math.sqrt(1.0 - p)
+
+
+@pytest.mark.parametrize("pair, n", [((12.9, 13.1), 1), ((14.05, 14.12), 0)])
+def test_dead_load_roots_match_the_elliptic_solution(stock_shots, pair, n):
+    exact = _exact_dead_root(50.0, n)
+    rk, _ = stock_shots[("dead", 50.0, pair, "rk45")]
+    lvim, _ = stock_shots[("dead", 50.0, pair, "lvim")]
+    assert abs(rk.theta_prime_0 - exact) < 1e-10
+    assert abs(lvim.theta_prime_0 - exact) < 3e-7
+
+
+# -------------------------------------------- free-end shots read from the clamp
+
+@pytest.fixture(scope="module")
+def free_end_runs():
+    """A free-end oracle run and march of the perpendicular follower at
+    P = 80 and its buckled tip angle, each with its reading from the clamp."""
+    alpha = 0.45702753025091486
+    spec = buckled_bar("perpendicular_follower", 80.0, alpha=alpha)
+    x0 = [alpha, 0.0]
+    rk = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
+    tr = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
+    return {"rk45": (rk, shooting._from_clamp(rk)),
+            "lvim": (tr, shooting._from_clamp(tr))}
+
+
+@pytest.mark.parametrize("kind", ["rk45", "lvim"])
+def test_reading_from_the_clamp_mirrors_the_shot(free_end_runs, kind):
+    """Sampled anywhere, the reversed run is the forward run at the mirrored
+    arc length with theta' negated: the oracle's re-expanded quartics and
+    the march's per-segment node split both survive the reversal."""
+    fwd, rev = free_end_runs[kind]
+    assert rev.times[0] == 0.0 and rev.times[-1] == 1.0
+    assert np.all(np.diff(rev.times) > 0)
+    assert np.array_equal(rev.states[-1], [fwd.states[0, 0], -0.0])
+    mid = 0.5 * (rev.times[:-1] + rev.times[1:])
+    t = np.concatenate([np.linspace(0.0, 1.0, 257), mid])
+    gap = np.abs(sample_at(rev, t) - sample_at(fwd, 1.0 - t) * [1.0, -1.0])
+    assert np.max(gap) < 1e-14
+
+
+def test_reading_from_the_clamp_keeps_the_counts(free_end_runs):
+    rk, rk_rev = free_end_runs["rk45"]
+    assert (rk_rev.steps_accepted, rk_rev.steps_rejected, rk_rev.total_rhs_evals) \
+        == (rk.steps_accepted, rk.steps_rejected, rk.total_rhs_evals)
+    assert rk_rev.total_rhs_evals == \
+        7 * rk_rev.steps_accepted + 6 * rk_rev.steps_rejected + 1
+    tr, tr_rev = free_end_runs["lvim"]
+    n_basis = buckled_bar("perpendicular_follower").lvim_defaults.n_basis
+    assert tr_rev.total_rhs_evals == tr.total_rhs_evals == \
+        int(np.sum(tr_rev.segment_iterations)) * n_basis
+    # uneven per-segment counts, so the reversal shows
+    assert not np.array_equal(tr.segment_iterations, tr.segment_iterations[::-1])
+    assert np.array_equal(tr_rev.segment_iterations, tr.segment_iterations[::-1])
 
 
 def test_unknown_integrator(monkeypatch):
