@@ -14,6 +14,12 @@ per segment at the incoming state ("frozen" mode).  The first rows of
 ``P`` and ``H`` are identically zero, so the first node never moves and
 the initial condition is preserved bit-for-bit.
 
+The first iterate is the incoming state at every node, unless the caller
+passes a guess: node states of a nearby solve on the same segment grid
+(the shots of :mod:`lvim.shooting` seed each other this way).  The guess
+is shifted so that its first node is the incoming state exactly; it moves
+the iterate the stop rule accepts, not the fixed point.
+
 The update is a feedback-accelerated Picard iteration: dropping the
 Jacobian term entirely would leave plain Picard in integrated form, and
 the ``J H`` term supplies the first-order correction that speeds up
@@ -212,8 +218,13 @@ def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
 
 
 def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
-                    config: SolverConfig, t_start: float = 0.0) -> SegmentResult:
+                    config: SolverConfig, t_start: float = 0.0,
+                    guess: Optional[np.ndarray] = None) -> SegmentResult:
     """Iterate one segment starting at ``t_start`` to convergence.
+
+    The first iterate is ``x0`` at every node, or, given an ``(M, D)``
+    ``guess``, the guess shifted by ``x0 - guess[0]`` with its first row
+    set to ``x0`` exactly.
 
     ``config.jacobian_mode`` picks the Jacobian in the feedback term:
     "full" re-evaluates it at every node of every sweep (one ``jac`` call
@@ -222,7 +233,8 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
     for linear constant-coefficient systems).  Stops as soon as the
     max-norm of the node correction drops below ``config.tol`` and raises
     :class:`ConvergenceError` if the iteration budget runs out.  Raises
-    ``ValueError`` for a system without ``jac``.
+    ``ValueError`` for a system without ``jac`` and for a guess of any
+    other shape, before any rhs call.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
@@ -234,8 +246,15 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
     m = t_nodes.size
     frozen = config.jacobian_mode == "frozen"
 
-    # Constant initial guess: every node starts at the incoming state.
-    x = np.repeat(x0[np.newaxis, :], m, axis=0)
+    if guess is None:
+        x = np.repeat(x0[np.newaxis, :], m, axis=0)
+    else:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != (m, system.dim):
+            raise ValueError(f"segment guess has shape {guess.shape}, "
+                             f"expected ({m}, {system.dim})")
+        x = guess + (x0 - guess[0])
+        x[0] = x0
     if frozen:
         j_frozen = system.eval_jac(t_nodes[:1], x0[np.newaxis])[0]
 
@@ -262,7 +281,7 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
 
 
 def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
-          config: SolverConfig) -> Trajectory:
+          config: SolverConfig, guess: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate ``[t0, tf]`` by marching fixed-length segments.
 
     The span is split into ``dt``-sized segments plus one truncated final
@@ -271,6 +290,13 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     segment length.  The returned trajectory samples every collocation
     node once (segment joins are deduplicated) and records per-segment
     iteration counts and the rhs evaluations spent.
+
+    ``guess`` seeds the iteration with node states on this march's own
+    grid, shaped like the ``states`` of the trajectory it returns (the
+    ``states`` of an earlier march of the same span and config fit):
+    segment ``k`` starts from rows ``k(N-1)`` to ``k(N-1) + N-1``, shifted
+    onto its incoming state (see :func:`iterate_segment`).  A guess of any
+    other shape, or not finite, raises ``ValueError`` before any rhs call.
     """
     x0 = _checked_start(system, t0, tf, x0)
 
@@ -284,6 +310,15 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     lens = [dt] * n_full
     if rem > 1e-12 * dt or n_full == 0:
         lens.append(rem)
+    step = config.n_basis - 1
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        expected = (len(lens) * step + 1, system.dim)
+        if guess.shape != expected:
+            raise ValueError(f"guess has shape {guess.shape}, expected the "
+                             f"march's node states {expected}")
+        if not np.all(np.isfinite(guess)):
+            raise ValueError("guess is not finite")
     ops_by_len = {length: build_operators(config.n_basis, length)
                   for length in set(lens)}
 
@@ -297,7 +332,9 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         t_seg = t0 + i * dt
         ops = ops_by_len[seg_len]
         try:
-            res = iterate_segment(ops, system, x, config, t_start=t_seg)
+            res = iterate_segment(
+                ops, system, x, config, t_start=t_seg,
+                guess=None if guess is None else guess[i * step:(i + 1) * step + 1])
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"segment {i} (t={t_seg:g}): {exc}") from exc

@@ -5,11 +5,14 @@ root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower load also depends on
 the unknown tip angle, which is its load angle: such a bar is shot from the
 free end on the tip angle instead, with the same secant root finder.
+Within a search each lvim shot starts its march from the node states of the
+shots before it (see :func:`_shot_guess`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
@@ -127,6 +130,23 @@ def shoot_scalar(
     return b
 
 
+def _shot_guess(v: float, shots) -> Optional[np.ndarray]:
+    """The march guess for a shot at ``v`` from the ``(v, states)`` of the
+    last two earlier shots of its search, oldest first: the secant's own
+    linear extrapolation ``x_b + w (x_b - x_a)``, ``w = (v - v_b) / (v_b -
+    v_a)``; the last shot alone when there is one or ``v_b == v_a``; None
+    (a cold start) when there is none."""
+    if not shots:
+        return None
+    v_b, x_b = shots[-1]
+    if len(shots) == 1:
+        return x_b
+    v_a, x_a = shots[-2]
+    if v_a == v_b:
+        return x_b
+    return x_b + (v - v_b) / (v_b - v_a) * (x_b - x_a)
+
+
 def _from_clamp(tr: Union[Trajectory, RkTrajectory]) -> Union[Trajectory, RkTrajectory]:
     """A shot from the free end, run over ``sigma = 1 - s``, read from the
     clamp: times ``1 - sigma`` in increasing order and ``theta' =
@@ -157,7 +177,10 @@ def solve_buckled_bar(
     over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
     on the alpha whose clamp angle vanishes, seeded from the first tip
     angle.  ``outer_iters`` counts these ``shoot_scalar`` searches and
-    ``inner_iters`` their shots, each marched once.
+    ``inner_iters`` their shots, each marched once.  An lvim shot after
+    the first of its search is seeded from the search's last two shots, so
+    the returned trajectory agrees with a cold march at the accepted value
+    to within the iteration tolerance, not bit for bit.
     """
     if integrator not in ("lvim", "rk45"):
         raise ValueError(f"unknown integrator {integrator!r}")
@@ -169,13 +192,16 @@ def solve_buckled_bar(
         nonlocal searches
         searches += 1
         kept = {}
+        last = deque(maxlen=2)  # (v, states) of the last two lvim shots
 
         def residual(v: float) -> float:
             nonlocal shots
             shots += 1
             spec, x0, row = shot_from(v)
             if integrator == "lvim":
-                tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults)
+                tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
+                           guess=_shot_guess(v, last))
+                last.append((v, tr.states))
             else:
                 tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
             kept[v] = tr

@@ -268,6 +268,94 @@ def test_one_jac_call_per_sweep(mode):
     assert set(calls) == {(rows, (rows, 2))}
 
 
+# ------------------------------------------------ seeded marches
+
+SEEDED = {"pendulum": problems.pendulum, "mathieu": problems.mathieu}
+
+
+def _first_ten(name, mode):
+    """A stock problem's first 10 time units with its config in ``mode``."""
+    spec = SEEDED[name]()
+    cfg = replace(spec.lvim_defaults, jacobian_mode=mode)
+    return spec.system, spec.t0, spec.t0 + 10.0, spec.x0, cfg
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+@pytest.mark.parametrize("name", SEEDED)
+def test_march_seeded_with_its_own_states_takes_one_sweep(name, mode):
+    """Started from its converged node states, a march accepts its first
+    sweep on every segment, stays within ``tol`` of the cold march, leaves
+    the guess untouched, and still spends N rhs evals per sweep (C12)."""
+    system, t0, tf, x0, cfg = _first_ten(name, mode)
+    cold = march(system, t0, tf, x0, cfg)
+    guess = cold.states.copy()
+    seeded = march(system, t0, tf, x0, cfg, guess=guess)
+    assert np.array_equal(guess, cold.states)
+    assert np.all(seeded.segment_iterations == 1)
+    assert np.array_equal(seeded.times, cold.times)
+    assert np.max(np.abs(seeded.states - cold.states)) < cfg.tol
+    assert seeded.total_rhs_evals == seeded.segment_iterations.size * cfg.n_basis
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_march_keeps_the_rhs_accounting(name, mode):
+    """C12 for a march seeded from a different march (a nearby start)."""
+    system, t0, tf, x0, cfg = _first_ten(name, mode)
+    nearby = march(system, t0, tf, x0 * (1.0 + 1e-6), cfg)
+    seeded = march(system, t0, tf, x0, cfg, guess=nearby.states)
+    cold = march(system, t0, tf, x0, cfg)
+    assert seeded.total_rhs_evals == int(np.sum(seeded.segment_iterations)) * cfg.n_basis
+    assert np.sum(seeded.segment_iterations) < np.sum(cold.segment_iterations)
+    assert np.max(np.abs(seeded.states - cold.states)) < 100 * cfg.tol
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+def test_seeded_segment_starts_at_the_incoming_state(mode):
+    """A guess far from the incoming state is shifted onto it: the first
+    rhs call of every sweep sees ``x0`` exactly, and so does row 0."""
+    spec = problems.pendulum()
+    cfg = replace(spec.lvim_defaults, jacobian_mode=mode)
+    ops = build_operators(cfg.n_basis, cfg.dt)
+    x0 = np.array([0.3, -0.1])
+    cold = iterate_segment(ops, spec.system, x0, cfg, t_start=0.4)
+    firsts = []
+    rhs = spec.system.rhs
+
+    def spy(t, x):
+        if not firsts or len(firsts[-1]) == cfg.n_basis:
+            firsts.append([])
+        firsts[-1].append(np.array(x))
+        return rhs(t, x)
+
+    system = replace(spec.system, rhs=spy)
+    guess = cold.node_states + [1.0 / 3.0, 0.7]
+    res = iterate_segment(ops, system, x0, cfg, t_start=0.4, guess=guess)
+    assert np.array_equal(res.node_states[0], x0)
+    assert all(np.array_equal(sweep[0], x0) for sweep in firsts)
+    assert np.max(np.abs(res.node_states - cold.node_states)) < cfg.tol
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+def test_misshaped_guess_is_refused_before_any_rhs(mode):
+    spec = problems.pendulum()
+    cfg = replace(spec.lvim_defaults, jacobian_mode=mode)
+    n_nodes = 10 * (cfg.n_basis - 1) + 1  # ten segments over [0, 1]
+    system = spec.system
+    for bad in (np.zeros((n_nodes - 1, 2)), np.zeros((n_nodes, 1)),
+                np.zeros(n_nodes * 2)):
+        with pytest.raises(ValueError, match="guess has shape"):
+            march(system, 0.0, 1.0, spec.x0, cfg, guess=bad)
+    nan_guess = np.zeros((n_nodes, 2))
+    nan_guess[3, 1] = math.nan
+    with pytest.raises(ValueError, match="not finite"):
+        march(system, 0.0, 1.0, spec.x0, cfg, guess=nan_guess)
+    ops = build_operators(cfg.n_basis, cfg.dt)
+    with pytest.raises(ValueError, match="guess has shape"):
+        iterate_segment(ops, system, spec.x0, cfg, guess=np.zeros((cfg.n_basis + 1, 2)))
+    assert system.rhs_evals == 0
+
+
 def test_public_names_resolve():
     for name in lvim.__all__:
         assert hasattr(lvim, name), name
