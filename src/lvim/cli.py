@@ -292,7 +292,7 @@ def _shoot_bar(args, kwargs: dict, cfg: SolverConfig, with_oracle: bool):
     if not with_oracle:
         return shot.trajectory, None, [note]
     ref = solve_buckled_bar(kwargs["load_type"], kwargs["load"], guesses,
-                            config=cfg, integrator="rk45")
+                            integrator="rk45")
     return (shot.trajectory, ref.trajectory,
             [f"{note} (oracle {ref.theta_prime_0:.12g})"])
 

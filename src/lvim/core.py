@@ -201,19 +201,17 @@ class Trajectory:
 
 
 def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
-             t_nodes: Optional[np.ndarray] = None) -> np.ndarray:
+             t_nodes: np.ndarray) -> np.ndarray:
     """Collocation residual ``Q @ x - g`` at the segment nodes.
 
     Column ``d`` is the derivative of the interpolant of state component
     ``d`` minus the rhs component, both sampled at the nodes.  The rhs is
-    evaluated node-by-node in ascending time order, at ``t_nodes``
-    (default: a segment starting at 0).
+    evaluated node-by-node in ascending time order, at ``t_nodes``.
     """
-    t = ops.offsets if t_nodes is None else t_nodes
     x = np.asarray(node_states, dtype=float)
     g = np.empty_like(x)
-    for j in range(t.size):
-        g[j] = system.eval_rhs(t[j], x[j])
+    for j in range(t_nodes.size):
+        g[j] = system.eval_rhs(t_nodes[j], x[j])
     return ops.q_mat @ x - g
 
 

@@ -12,7 +12,6 @@ shots before it (see :func:`_shot_guess`).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple, Union
 
@@ -69,9 +68,10 @@ def shoot_scalar(
 ) -> float:
     """Find a root of ``residual_fn`` by secant iteration from two guesses.
 
-    The package's one root finder: the bar's root slope and load angle,
+    The package's one root finder: the bar's root slope and tip angle,
     and the bracketed roots in :mod:`lvim.problems` (the white-dwarf edge,
-    the pendulum's period).  It stops once ``|residual| < shoot_tol``.
+    the pendulum's period).  It stops once ``|residual| < shoot_tol``, and
+    the root it returns is the last value it passed to ``residual_fn``.
 
     When the residual changes sign between the guesses, the sorted guesses
     are a bracket, tightened as evaluations land inside it; a secant step
@@ -131,20 +131,18 @@ def shoot_scalar(
 
 
 def _shot_guess(v: float, shots) -> Optional[np.ndarray]:
-    """The march guess for a shot at ``v`` from the ``(v, states)`` of the
-    last two earlier shots of its search, oldest first: the secant's own
-    linear extrapolation ``x_b + w (x_b - x_a)``, ``w = (v - v_b) / (v_b -
+    """The march guess for a shot at ``v`` from the states of the last two
+    ``(v, trajectory)`` of its search's shot log: the secant's own linear
+    extrapolation ``x_b + w (x_b - x_a)``, ``w = (v - v_b) / (v_b -
     v_a)``; the last shot alone when there is one or ``v_b == v_a``; None
     (a cold start) when there is none."""
     if not shots:
         return None
-    v_b, x_b = shots[-1]
-    if len(shots) == 1:
-        return x_b
-    v_a, x_a = shots[-2]
+    v_b, b = shots[-1]
+    v_a, a = shots[-2] if len(shots) > 1 else shots[-1]
     if v_a == v_b:
-        return x_b
-    return x_b + (v - v_b) / (v_b - v_a) * (x_b - x_a)
+        return b.states
+    return b.states + (v - v_b) / (v_b - v_a) * (b.states - a.states)
 
 
 def _from_clamp(tr: Union[Trajectory, RkTrajectory]) -> Union[Trajectory, RkTrajectory]:
@@ -176,38 +174,36 @@ def solve_buckled_bar(
     alpha, so the bar is shot again from the free end, from ``(alpha, 0)``
     over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
     on the alpha whose clamp angle vanishes, seeded from the first tip
-    angle.  ``outer_iters`` counts these ``shoot_scalar`` searches and
-    ``inner_iters`` their shots, each marched once.  An lvim shot after
-    the first of its search is seeded from the search's last two shots, so
-    the returned trajectory agrees with a cold march at the accepted value
-    to within the iteration tolerance, not bit for bit.
+    angle.  Each search logs its shots, each marched once, as ``(v,
+    trajectory)`` in order; ``shoot_scalar`` returns the value it shot
+    last, so the accepted trajectory is the log's last entry.
+    ``outer_iters`` counts the logs and ``inner_iters`` their shots.  An
+    lvim shot after the first of its search is seeded from the log's last
+    two shots, so the returned trajectory agrees with a cold march at the
+    accepted value to within the iteration tolerance, not bit for bit.
     """
     if integrator not in ("lvim", "rk45"):
         raise ValueError(f"unknown integrator {integrator!r}")
-    searches = shots = 0
+    logs = []
 
     def search(guesses, shot_from):
         """The accepted trajectory of a root search on component ``row``
         of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
-        nonlocal searches
-        searches += 1
-        kept = {}
-        last = deque(maxlen=2)  # (v, states) of the last two lvim shots
+        log = []
+        logs.append(log)
 
         def residual(v: float) -> float:
-            nonlocal shots
-            shots += 1
             spec, x0, row = shot_from(v)
             if integrator == "lvim":
                 tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
-                           guess=_shot_guess(v, last))
-                last.append((v, tr.states))
+                           guess=_shot_guess(v, log))
             else:
                 tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
-            kept[v] = tr
+            log.append((v, tr))
             return float(tr.states[-1, row])
 
-        return kept[shoot_scalar(residual, guesses[0], guesses[1])]
+        shoot_scalar(residual, guesses[0], guesses[1])
+        return log[-1][1]
 
     spec = buckled_bar(load_type, load)  # validates load and type
     tr = search(slope_guesses, lambda v: (spec, [0.0, v], 1))  # theta(0) = 0 exactly
@@ -222,6 +218,6 @@ def solve_buckled_bar(
         alpha=alpha,
         trajectory=tr,
         residual=max(abs(float(tr.states[0, 0])), abs(float(tr.states[-1, 1]))),
-        outer_iters=searches,
-        inner_iters=shots,
+        outer_iters=len(logs),
+        inner_iters=sum(map(len, logs)),
     )

@@ -190,7 +190,7 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
 SET_ELSEWHERE = {
     ("blasius", "stage1"): "gate C07 solves stage one with lvim and rk45",
     ("emden", "xi_start"): "gate C04 checks two series starts",
-    ("buckled-bar", "alpha"): "the load-angle sweep of solve_buckled_bar",
+    ("buckled-bar", "alpha"): "the free-end shoot of solve_buckled_bar",
 }
 
 

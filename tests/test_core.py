@@ -88,7 +88,7 @@ def test_converged_segment_residual_is_defect_sized():
     ops = build_operators(13, 1.0)
     res = iterate_segment(ops, decay_system(), np.array([1.0]),
                           SolverConfig(13, 1.0, 1e-12))
-    defect = residual(ops, decay_system(), res.node_states)
+    defect = residual(ops, decay_system(), res.node_states, ops.offsets)
     assert np.max(np.abs(defect)) < 1e-11
 
 

@@ -1,6 +1,7 @@
 """Secant shooting and the cantilever equilibrium driver."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,42 @@ def test_non_finite_guesses_rejected(guesses):
 
     with pytest.raises(ValueError, match="finite"):
         shoot_scalar(never, *guesses)
+
+
+# each exit of shoot_scalar: (residual, guesses)
+SHOOT_EXITS = {
+    "first-guess-root": (lambda v: v - 1.0, (1.0, 3.0)),
+    "second-guess-root": (lambda v: v - 1.0, (3.0, 1.0)),
+    "plain-secant": (lambda v: v * v - 4.0, (3.0, 5.0)),
+    "bracket-bisects": (lambda v: math.tanh(50.0 * (v - 4.0)) + 1e-6 * (v - 4.0),
+                        (1.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("path", SHOOT_EXITS)
+def test_root_is_the_last_value_evaluated(path):
+    """Every exit returns the last value passed to ``residual_fn``, so a
+    caller's last evaluation is the one at the root."""
+    f, guesses = SHOOT_EXITS[path]
+    calls, values = [], []
+
+    def logged(v):
+        calls.append(v)
+        values.append(f(v))
+        return values[-1]
+
+    root = shoot_scalar(logged, *guesses)
+    assert root == calls[-1]
+    # the exit taken is the one named: bisected evaluations are those off
+    # the secant through the two before them
+    secant = [b - fb * (b - a) / (fb - fa)
+              for a, b, fa, fb in zip(calls, calls[1:], values, values[1:])]
+    bisected = any(c != s for c, s in zip(calls[2:], secant))
+    if path.endswith("-root"):
+        assert len(calls) == (1 if path.startswith("first") else 2)
+    else:
+        assert len(calls) > 2
+        assert (values[0] * values[1] < 0.0) == bisected == (path == "bracket-bisects")
 
 
 def test_failure_breadcrumb_carries_guess():
@@ -225,12 +262,18 @@ def test_perpendicular_follower_keeps_its_equilibrium(load, pair, root):
 
 # ------------------------------------------------------------ seeded shots
 
+def _shot(v, states):
+    """A shot-log entry: the value shot and a trajectory with those states."""
+    return v, SimpleNamespace(states=states)
+
+
 def test_shot_guess_extrapolates_the_last_two_shots():
     x_a, x_b = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[0.0, 2.0], [4.0, 5.0]])
     assert shooting._shot_guess(1.0, []) is None
-    assert shooting._shot_guess(3.0, [(1.0, x_a)]) is x_a
+    assert shooting._shot_guess(3.0, [_shot(1.0, x_a)]) is x_a
     # states linear in v: the extrapolation is exact at v = 4
-    guess = shooting._shot_guess(4.0, [(1.0, x_a), (2.0, x_b)])
+    log = [_shot(0.0, np.zeros((2, 2))), _shot(1.0, x_a), _shot(2.0, x_b)]
+    guess = shooting._shot_guess(4.0, log)
     assert np.array_equal(guess, [[0.0, 4.0], [8.0, 9.0]])
 
 
@@ -238,7 +281,7 @@ def test_shot_guess_falls_back_to_the_last_shot_on_a_repeated_value():
     """Two shots at one value give no secant slope: the guess is the last
     shot's states, not a 0/0."""
     x_a, x_b = np.zeros((3, 2)), np.ones((3, 2))
-    assert shooting._shot_guess(2.5, [(2.0, x_a), (2.0, x_b)]) is x_b
+    assert shooting._shot_guess(2.5, [_shot(2.0, x_a), _shot(2.0, x_b)]) is x_b
 
 
 @pytest.mark.parametrize("load_type, load, pair", [
