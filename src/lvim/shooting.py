@@ -6,7 +6,7 @@ root slope, and the guess is corrected until the far-end slope vanishes
 the unknown tip angle, which is its load angle: such a bar is shot from the
 free end on the tip angle instead, with the same secant root finder.
 Within a search each lvim shot starts its march from the node states of the
-shots before it (see :func:`_shot_guess`).
+shots before it (see :func:`_shot_guess`); the oracle's first shots run loose.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError
 from .problems import buckled_bar
-from .rk45 import RkTrajectory, rk45_integrate
+from .rk45 import RkConfig, RkTrajectory, rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
@@ -31,6 +31,13 @@ _DEFAULT_MAX_SHOTS = 60
 # the bar's far-end slope residual, and a follower's clamp angle when shot
 # from the free end, both count as zero below this
 _SHOOT_TOL = 1e-10
+
+# A root search's stages, one shoot_scalar call each: (oracle config, None
+# for the spec's stock one; residual tolerance).  Early oracle shots only
+# point the secant, so they run loose (inexact Newton: Dembo, Eisenstat &
+# Steihaug 1982); the stock stage goes on from the last two values shot.
+_STAGES = {"lvim": ((None, _SHOOT_TOL),),
+           "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (None, _SHOOT_TOL))}
 
 # (theta, theta') of a free-end shot read from the clamp, and the map of a
 # quartic's coefficients (theta^1..theta^4) onto its expansion about the
@@ -49,6 +56,8 @@ class ShotResult:
     ``trajectory.states[-1, 0]`` exactly; for dead loads (where no such
     angle exists) it is simply the tip angle itself.  ``residual`` is
     ``max(|theta(0)|, |theta'(1)|)`` of the returned trajectory.
+    ``outer_iters`` counts ``shoot_scalar`` calls (one per lvim root
+    search, two per oracle one) and ``inner_iters`` the shots in them.
     """
 
     theta_prime_0: float
@@ -174,35 +183,41 @@ def solve_buckled_bar(
     alpha, so the bar is shot again from the free end, from ``(alpha, 0)``
     over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
     on the alpha whose clamp angle vanishes, seeded from the first tip
-    angle.  Each search logs its shots, each marched once, as ``(v,
-    trajectory)`` in order; ``shoot_scalar`` returns the value it shot
-    last, so the accepted trajectory is the log's last entry.
+    angle.  Each search walks its integrator's ``_STAGES``, one
+    ``shoot_scalar`` call and log each (the oracle's first runs loose, to a
+    1e-6 residual); a log holds its shots, each marched once, as ``(v,
+    trajectory)`` in order.  ``shoot_scalar`` returns the value it shot
+    last, so the accepted trajectory is the last log's last entry.
     ``outer_iters`` counts the logs and ``inner_iters`` their shots.  An
     lvim shot after the first of its search is seeded from the log's last
     two shots, so the returned trajectory agrees with a cold march at the
     accepted value to within the iteration tolerance, not bit for bit.
     """
-    if integrator not in ("lvim", "rk45"):
+    if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
     logs = []
 
     def search(guesses, shot_from):
         """The accepted trajectory of a root search on component ``row``
         of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
-        log = []
-        logs.append(log)
+        for rk_config, tol in _STAGES[integrator]:
+            log = []
+            logs.append(log)
 
-        def residual(v: float) -> float:
-            spec, x0, row = shot_from(v)
-            if integrator == "lvim":
-                tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
-                           guess=_shot_guess(v, log))
-            else:
-                tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
-            log.append((v, tr))
-            return float(tr.states[-1, row])
+            def residual(v: float) -> float:
+                spec, x0, row = shot_from(v)
+                if integrator == "lvim":
+                    tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
+                               guess=_shot_guess(v, log))
+                else:
+                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0,
+                                        rk_config or spec.rk_defaults)
+                log.append((v, tr))
+                return float(tr.states[-1, row])
 
-        shoot_scalar(residual, guesses[0], guesses[1])
+            shoot_scalar(residual, *guesses, shoot_tol=tol)
+            if len(log) > 1:  # else the first guess met tol and stays first
+                guesses = (log[-2][0], log[-1][0])
         return log[-1][1]
 
     spec = buckled_bar(load_type, load)  # validates load and type

@@ -338,29 +338,33 @@ def test_negative_load():
 # in place of marching it again must not move a bit.  The lvim shots are
 # seeded from the shots before them, which moves the lvim rows within the
 # iteration tolerance of a cold-started search (roots by at most 1.7e-11)
-# and keeps every shot count.  The perpendicular follower is shot from the
-# free end, in 7 clamp-end and 10 free-end shots.
+# and keeps every shot count.  Each oracle search runs a loose stage to a
+# 1e-6 residual and a stock one to 1e-10, two ``shoot_scalar`` calls in
+# ``outer_iters``; that moves the rk45 roots by at most 2.2e-12 from a
+# search at stock tolerance alone.
+# The perpendicular follower is shot from the free end, in 7 clamp-end and
+# 10 free-end lvim shots.
 STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
         (12.955453669588628, -2.3164304659029513, 1.0235403758515494e-12, 6, 1),
     ("dead", 50.0, (12.9, 13.1), "rk45"):
-        (12.955453779315391, -2.316430471599169, 1.2573969643270289e-13, 6, 1),
+        (12.955453779315285, -2.3164304715991313, 7.526392703516294e-13, 8, 2),
     ("dead", 50.0, (14.05, 14.12), "lvim"):
         (14.142053829265688, 3.1347979158526194, 1.8244070091085035e-12, 7, 1),
     ("dead", 50.0, (14.05, 14.12), "rk45"):
-        (14.142054008731046, 3.1347979158562094, 3.989233834759964e-11, 7, 1),
+        (14.142054008730907, 3.1347979158506263, 4.2023098867881303e-13, 10, 2),
     ("dead", 25.0, (4.5, 4.75), "lvim"):
         (4.624224460028825, -0.961450723125954, 1.59860893847026e-11, 6, 1),
     ("dead", 25.0, (4.5, 4.75), "rk45"):
-        (4.62422445991263, -0.9614507230465494, 1.4456115124406033e-11, 6, 1),
+        (4.624224459910403, -0.9614507230460482, 1.5753514812089087e-11, 8, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
         (1.4218073415761956, -0.286316080687334, 2.0788344641090465e-12, 17, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.4218073416037391, -0.28631608070067044, 2.4089085760847784e-13, 17, 2),
+        (1.4218073416039292, -0.28631608070070996, 2.6588735553556564e-13, 21, 4),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
         (-5.839093471963579e-14, 0.0, 5.839093471966396e-14, 15, 1),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
-        (-5.839093181664543e-14, 0.0, 5.839093181667384e-14, 15, 1),
+        (-5.839092728989952e-14, 0.0, 5.839092728992794e-14, 17, 2),
 }
 
 
@@ -378,20 +382,30 @@ def _case_id(case):
 @pytest.fixture(scope="module")
 def stock_shots():
     """Each stock case solved once, with the root searches, marches and
-    integrations it spent counted."""
-    calls = {"lvim": 0, "rk45": 0, "searches": 0}
+    integrations it spent counted, and, as the benchmark's trace counts
+    shots, the marches and integrations run inside a ``shoot_scalar`` call."""
+    calls = dict.fromkeys(("lvim", "rk45", "searches", "shots", "open"), 0)
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            calls["shots"] += calls["open"] > 0
             return fn(*args, **kwargs)
         return wrapper
+
+    def search(*args, **kwargs):
+        calls["searches"] += 1
+        calls["open"] += 1
+        try:
+            return shoot_scalar(*args, **kwargs)
+        finally:
+            calls["open"] -= 1
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shooting, "march", counted(march, "lvim"))
         mp.setattr(shooting, "rk45_integrate", counted(rk45_integrate, "rk45"))
-        mp.setattr(shooting, "shoot_scalar", counted(shoot_scalar, "searches"))
+        mp.setattr(shooting, "shoot_scalar", search)
         for case in STOCK_SHOTS:
             load_type, load, pair, integrator = case
             before = dict(calls)
@@ -411,15 +425,25 @@ def test_every_shot_is_marched_once(stock_shots, case):
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
 def test_counts_are_root_searches_and_shots(stock_shots, case):
-    """``outer_iters`` counts the ``shoot_scalar`` searches (2 only for a
-    follower whose tip leaves zero) and ``inner_iters`` every march or
-    integration, all of which run inside those searches."""
-    res, spent = stock_shots[case]
-    assert spent["searches"] == res.outer_iters
-    assert spent[case[3]] == res.inner_iters
+    """``outer_iters`` counts the ``shoot_scalar`` calls: one per root
+    search for lvim and two for the oracle (its loose stage, then its stock
+    one), with a second search only for a follower whose tip leaves zero."""
+    res, _ = stock_shots[case]
     tip = res.trajectory.states[-1, 0]
     follower_off_zero = case[0] != "dead" and abs(tip) >= 1e-10
-    assert res.outer_iters == (2 if follower_off_zero else 1)
+    stages = 2 if case[3] == "rk45" else 1
+    assert res.outer_iters == (2 if follower_off_zero else 1) * stages
+
+
+@pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
+def test_shot_counts_are_what_the_benchmark_traces(stock_shots, case):
+    """The benchmark counts a root search per ``shoot_scalar`` call and a
+    shot per march or integration inside one, and checks those against
+    ``outer_iters`` and ``inner_iters``: no shot may run outside a search."""
+    res, spent = stock_shots[case]
+    assert spent["open"] == 0
+    assert spent["searches"] == res.outer_iters
+    assert spent["shots"] == spent[case[3]] == res.inner_iters
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
@@ -434,14 +458,18 @@ def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     """The trajectory is a fresh run at the accepted slope under the final
     load angle (a dead load ignores the angle), or, for a follower shot
     from the free end, a fresh run from the tip angle read from the clamp.
-    An oracle run equals it bit for bit.  A seeded march equals a cold one
+    An oracle run at ``spec.rk_defaults`` equals it bit for bit, so no
+    loose-stage shot is ever returned.  A seeded march equals a cold one
     on the same grid to within the iteration tolerance (at most 2.9e-12
     relative on these cases) and still spends N rhs evals per sweep."""
     load_type, load, _, integrator = case
     res, spent = stock_shots[case]
     assert spent[integrator] == res.inner_iters  # no march beyond the shots
     spec = buckled_bar(load_type, load, alpha=res.alpha)
-    from_free_end = res.outer_iters == 2
+    # a clamp-end shot starts at theta(0) = 0 exactly; a free-end shot only
+    # reaches it to within the residual tolerance
+    from_free_end = res.trajectory.states[0, 0] != 0.0
+    assert from_free_end == (load_type == "perpendicular_follower")
     x0 = [res.alpha, 0.0] if from_free_end else [0.0, res.theta_prime_0]
     if integrator == "lvim":
         fresh = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
@@ -500,6 +528,66 @@ def test_dead_load_roots_match_the_elliptic_solution(stock_shots, pair, n):
     lvim, _ = stock_shots[("dead", 50.0, pair, "lvim")]
     assert abs(rk.theta_prime_0 - exact) < 1e-10
     assert abs(lvim.theta_prime_0 - exact) < 3e-7
+
+
+# ------------------------------------------------------------ oracle stages
+
+@pytest.mark.parametrize("load_type, load, pair", [
+    ("perpendicular_follower", 40.0, (2.0, 2.5)),
+    ("perpendicular_follower", 25.0, (5.0, 5.5)),
+    ("perpendicular_follower", 80.0, (4.5, 4.75)),
+    ("perpendicular_follower", 80.0, (5.0, 5.5)),
+    ("dead", 10.0, (2.0, 2.5)),
+])
+def test_oracle_stages_keep_the_stock_search_root(monkeypatch, load_type, load, pair):
+    """On grid cases with more than one equilibrium within reach, the
+    loose-then-stock oracle search lands on the root that a search at
+    stock tolerance alone finds."""
+    staged = solve_buckled_bar(load_type, load, pair, integrator="rk45")
+    monkeypatch.setitem(shooting._STAGES, "rk45", ((None, shooting._SHOOT_TOL),))
+    stock = solve_buckled_bar(load_type, load, pair, integrator="rk45")
+    assert stock.outer_iters * 2 == staged.outer_iters
+    assert abs(staged.theta_prime_0 - stock.theta_prime_0) < 1e-9
+    assert abs(staged.alpha - stock.alpha) < 1e-9
+    assert staged.residual < 1e-10
+
+
+def test_loose_stage_met_on_its_first_guess(monkeypatch):
+    """Seeded at the elliptic root, the loose stage stops on its first
+    shot; the stock stage starts there again, and the result is still a
+    stock-tolerance trajectory."""
+    calls = []
+
+    def spy(system, t0, tf, x0, config):
+        calls.append((x0[1], config))
+        return rk45_integrate(system, t0, tf, x0, config)
+
+    exact = _exact_dead_root(50.0, 1)
+    monkeypatch.setattr(shooting, "rk45_integrate", spy)
+    res = solve_buckled_bar("dead", 50.0, (exact, 13.1), integrator="rk45")
+    spec = buckled_bar("dead", 50.0)
+    (loose, _), _ = shooting._STAGES["rk45"]
+    assert calls[:2] == [(exact, loose), (exact, spec.rk_defaults)]
+    assert (res.outer_iters, res.inner_iters) == (2, len(calls))
+    assert res.residual < 1e-10
+    assert abs(res.theta_prime_0 - exact) < 1e-10
+    fresh = rk45_integrate(spec.system, spec.t0, spec.tf, [0.0, res.theta_prime_0],
+                           spec.rk_defaults)
+    assert np.array_equal(res.trajectory.dense_q, fresh.dense_q)
+    assert np.array_equal(res.trajectory.states, fresh.states)
+
+
+@pytest.mark.parametrize("integrator", ["lvim", "rk45"])
+def test_tangent_follower_at_p80_finds_the_straight_bar(integrator):
+    """From (12.9, 13.1) at P = 80 the oracle searching at stock tolerance
+    alone ran out of shots; both routes now find the straight bar.  The
+    oracle's loose clamp-end stage meets 1e-6 only on the 60th and last
+    shot of its budget."""
+    res = solve_buckled_bar("tangent_follower", 80.0, (12.9, 13.1), integrator=integrator)
+    assert res.residual < 1e-10
+    assert abs(res.theta_prime_0) < 1e-10
+    assert abs(res.alpha) < 1e-10
+    assert np.max(np.abs(res.trajectory.states)) < 1e-10
 
 
 # -------------------------------------------- free-end shots read from the clamp
