@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import checked
+
 __all__ = [
     "OperatorSet",
     "cgl_nodes",
@@ -148,8 +150,7 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     """
     if not 2 <= n_basis <= _MAX_N_BASIS:
         raise ValueError(f"n_basis must lie in [2, {_MAX_N_BASIS}], got {n_basis}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    checked("dt", dt, 0.0, strict=True)
     p_ref, q_ref, h_ref, tau = _ref_operators(n_basis)
     half = 0.5 * dt
     p_mat = half * p_ref

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cheb import OperatorSet, build_operators
-from .errors import ConvergenceError, DomainViolationError
+from .errors import ConvergenceError, DomainViolationError, checked
 
 __all__ = [
     "OdeSystem",
@@ -160,14 +160,10 @@ class SolverConfig:
     jacobian_mode: str = "full"
 
     def __post_init__(self):
-        if self.n_basis < 2:
-            raise ValueError(f"n_basis must be >= 2, got {self.n_basis}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        checked("n_basis", self.n_basis, 2)
+        checked("dt", self.dt, 0.0, strict=True)
+        checked("tol", self.tol, 0.0, strict=True)
+        checked("max_iter", self.max_iter, 1)
         if self.jacobian_mode not in _JACOBIAN_MODES:
             raise ValueError(
                 f"jacobian_mode must be one of {_JACOBIAN_MODES}, "

@@ -1,4 +1,23 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and :func:`checked`,
+the one range check every scalar the program takes in goes through."""
+
+import math
+
+
+def checked(name, value, low=-math.inf, strict=False):
+    """Return ``value`` if it is finite and ``>= low`` (``> low`` when
+    ``strict``); otherwise raise ``ValueError`` naming ``name``."""
+    # an int is finite even when too large for math.isfinite's float
+    if (isinstance(value, int) or math.isfinite(value)) and (
+            value > low if strict else value >= low):
+        return value
+    if low == -math.inf:
+        rule = "finite"
+    elif low == 0:
+        rule = "finite and " + ("positive" if strict else "nonnegative")
+    else:
+        rule = f"finite and {'>' if strict else '>='} {low}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class LvimError(Exception):

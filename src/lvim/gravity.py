@@ -23,7 +23,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .errors import DomainViolationError
+from .errors import DomainViolationError, checked
 
 __all__ = [
     "GravityModel",
@@ -131,8 +131,6 @@ class GravityModel:
     r_ref: float
     degree: int
     coeffs: Dict[Tuple[int, int], Tuple[float, float]]
-    _c: np.ndarray = field(init=False, repr=False, compare=False)
-    _s: np.ndarray = field(init=False, repr=False, compare=False)
     _cbar: np.ndarray = field(init=False, repr=False, compare=False)
     _sbar: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel: Callable = field(init=False, repr=False, compare=False)
@@ -140,12 +138,9 @@ class GravityModel:
     _pack: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("mu", "r_ref"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        checked("mu", self.mu, 0.0, strict=True)
+        checked("r_ref", self.r_ref, 0.0, strict=True)
+        checked("degree", self.degree, 0)
         for (n, m), (cb, sb) in self.coeffs.items():
             if not (0 <= m <= n <= self.degree):
                 raise ValueError(f"coefficient index ({n},{m}) out of range")
@@ -169,12 +164,10 @@ class GravityModel:
                 f = _denorm_factor(n, m)
                 c[n, m] = cbar[n, m] * f
                 s[n, m] = sbar[n, m] * f
-        for arr in (cbar, sbar, c, s):
+        for arr in (cbar, sbar):
             arr.setflags(write=False)
         object.__setattr__(self, "_cbar", cbar)
         object.__setattr__(self, "_sbar", sbar)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_s", s)
         size = nmax + 2
         namespace = {"R": self.r_ref}
         exec(_kernel_code(size), namespace)
@@ -184,9 +177,7 @@ class GravityModel:
 
     def truncate(self, degree: int) -> "GravityModel":
         """Return a copy keeping only terms of degree <= the given degree."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        degree = min(degree, self.degree)
+        degree = min(checked("degree", degree, 0), self.degree)
         kept = {k: v for k, v in self.coeffs.items() if k[0] <= degree}
         return GravityModel(self.mu, self.r_ref, degree, kept)
 

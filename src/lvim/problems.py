@@ -20,7 +20,7 @@ from typing import ClassVar, Sequence, Tuple
 import numpy as np
 
 from .core import OdeSystem, SolverConfig, _checked_start, march
-from .errors import ConvergenceError, DomainViolationError
+from .errors import ConvergenceError, DomainViolationError, checked
 from .gravity import GravityModel, gravity_accel
 from .rk45 import RkConfig, rk45_integrate, sample_at
 
@@ -87,8 +87,7 @@ def blasius(xi_max: float = 10.0, stage1: str = "lvim") -> ProblemSpec:
     wall; the far-field slope it reaches fixes the true wall curvature
     through a scaling, and that value is the spec's ``x0[2]``.
     """
-    if not (math.isfinite(xi_max) and xi_max > 0):
-        raise ValueError(f"xi_max must be finite and positive, got {xi_max!r}")
+    checked("xi_max", xi_max, 0.0, strict=True)
     if stage1 not in ("lvim", "rk45"):
         raise ValueError("stage1 must be 'lvim' or 'rk45'")
 
@@ -132,8 +131,7 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
     seeded with a two-term series, because the drag term 2/xi has no
     value at the origin itself.
     """
-    if xi_start <= 0:
-        raise ValueError("xi_start must be positive")
+    checked("xi_start", xi_start, 0.0, strict=True)
 
     def rhs(t, x):
         return np.array([x[1], math.exp(-x[0]) - 2.0 / t * x[1]])
@@ -244,9 +242,8 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
 
 def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
     """Parametrically forced linear oscillator."""
-    for name, value in (("delta", delta), ("epsilon", epsilon)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    checked("delta", delta)
+    checked("epsilon", epsilon)
 
     def rhs(t, x):
         x0, x1 = x.tolist()  # Python floats overflow to inf without a warning
@@ -339,8 +336,7 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
     alpha is a plain parameter here; the shooting layer is what makes
     it consistent with the tip rotation.
     """
-    if not (math.isfinite(load) and load >= 0):
-        raise ValueError(f"load must be finite and nonnegative, got {load!r}")
+    checked("load", load, 0.0)
     if load_type not in BAR_LOAD_TYPES:
         raise ValueError(f"load_type must be one of {BAR_LOAD_TYPES}")
     P, al = load, alpha
@@ -381,8 +377,8 @@ _ELASTICA_SPLIT_SQ = (1.0, 1.651868, 2.0)
 
 def elastica_regime(a: float, c: float) -> int:
     """Classify (a, c) into curve family 1, 2 or 3; boundaries are rejected."""
-    if a <= 0 or c <= 0:
-        raise ValueError("a and c must be positive")
+    checked("a", a, 0.0, strict=True)
+    checked("c", c, 0.0, strict=True)
     r2 = (c / a) ** 2
     if r2 < _ELASTICA_SPLIT_SQ[0]:
         return 1
@@ -399,10 +395,8 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     The slope field blows up at |x| = c, so the span stops short of it
     by a relative margin of 1e-3.  The rhs never reads the state.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and positive, got {a!r}")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and positive, got {c!r}")
+    checked("a", a, 0.0, strict=True)
+    checked("c", c, 0.0, strict=True)
     if 2.0 * a * a - c * c <= 0.0:
         raise ValueError("need c < a*sqrt(2) for a real slope field at x = 0")
     a2, c2 = a * a, c * c

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import OdeSystem, Trajectory, _checked_start, _max_of
-from .errors import ConvergenceError, DomainViolationError
+from .errors import ConvergenceError, DomainViolationError, checked
 
 __all__ = ["RkConfig", "RkTrajectory", "rk45_integrate", "sample_at"]
 
@@ -86,12 +86,9 @@ class RkConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        checked("rel_tol", self.rel_tol, 0.0, strict=True)
+        checked("abs_tol", self.abs_tol, 0.0, strict=True)
+        checked("max_steps", self.max_steps, 1)
 
 
 @dataclass

@@ -421,12 +421,29 @@ def test_readme_cli_examples_parse():
     # c*c underflows to 0, so the radicand guard fires at x = 0
     (["run", "elastica", "--c-param", "1e-200"], 2),
     # a NaN guess is refused before the first shot
-    (["run", "buckled-bar", "--guesses", "nan", "1"], 1)])
+    (["run", "buckled-bar", "--guesses", "nan", "1"], 1),
+    # non-finite solver settings are refused when the config is built
+    (["run", "pendulum", "--tol", "inf"], 1),
+    (["compare", "pendulum", "--abs-tol", "inf"], 1),
+    (["compare", "pendulum", "--rel-tol", "inf"], 1),
+    (["run", "pendulum", "--dt", "inf"], 1),
+    # an integer too large for a float is out of range, not an overflow
+    (["run", "pendulum", "--n", "1" + "0" * 400], 1)])
 def test_unworkable_input_is_one_error_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
     prefix = "lvim: error: " if code == 1 else "lvim: solver failed: "
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "pendulum", "--tol", "inf"], "tol"),
+    (["compare", "pendulum", "--abs-tol", "inf"], "abs_tol"),
+    (["compare", "pendulum", "--rel-tol", "inf"], "rel_tol"),
+    (["run", "pendulum", "--dt", "inf"], "dt")])
+def test_non_finite_solver_setting_names_its_field(argv, field, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"lvim: error: {field} must be finite and positive, got inf\n"
 
 
 def test_rhs_overflow_is_exit_2(capsys):

@@ -150,6 +150,54 @@ def test_rk_config_validation(kwargs, name):
         lvim.RkConfig(**kwargs)
 
 
+def _egm8():
+    return load_gravity_model(bundled_gravity_path("egm8.txt"))
+
+
+# Every scalar the program takes in: its name, a build from one value, the
+# stock value, and an out-of-range finite value (None: every finite value
+# is in range).
+SCALARS = [
+    ("n_basis", lambda v: SolverConfig(v, 0.1, 1e-10), 5, 1),
+    ("dt", lambda v: SolverConfig(5, v, 1e-10), 0.1, 0.0),
+    ("tol", lambda v: SolverConfig(5, 0.1, v), 1e-10, -1e-10),
+    ("max_iter", lambda v: SolverConfig(5, 0.1, 1e-10, max_iter=v), 100, 0),
+    ("rel_tol", lambda v: lvim.RkConfig(rel_tol=v), 1e-12, -1.0),
+    ("abs_tol", lambda v: lvim.RkConfig(abs_tol=v), 1e-15, 0.0),
+    ("max_steps", lambda v: lvim.RkConfig(max_steps=v), 1_000_000, -1),
+    ("dt", lambda v: build_operators(5, v), 0.1, -0.1),
+    ("mu", lambda v: replace(_egm8(), mu=v), 3.986004415e14, 0.0),
+    ("r_ref", lambda v: replace(_egm8(), r_ref=v), 6378136.3, -1.0),
+    ("degree", lambda v: lvim.GravityModel(3.986004415e14, 6378136.3, v, {}), 8, -1),
+    ("degree", lambda v: _egm8().truncate(v), 8, -1),
+    ("xi_max", lambda v: problems.blasius(xi_max=v), 10.0, 0.0),
+    ("xi_start", lambda v: problems.emden_chandrasekhar(xi_start=v), 1e-3, 0.0),
+    ("delta", lambda v: problems.mathieu(delta=v), 0.5, None),
+    ("epsilon", lambda v: problems.mathieu(epsilon=v), 0.1, None),
+    ("load", lambda v: problems.buckled_bar(load=v), 50.0, -1.0),
+    ("a", lambda v: problems.elastica(a=v), 1.0, 0.0),
+    ("c", lambda v: problems.elastica(c=v), 1.2, -1.2),
+    ("a", lambda v: problems.elastica_regime(v, 1.2), 1.0, -1.0),
+    ("c", lambda v: problems.elastica_regime(1.0, v), 1.2, 0.0),
+]
+
+
+@pytest.mark.parametrize("name, build, value", [
+    pytest.param(name, build, value, id=f"{i}-{name}-{value}")
+    for i, (name, build, _, bad) in enumerate(SCALARS)
+    for value in (math.inf, -math.inf, math.nan, bad) if value is not None])
+def test_scalar_out_of_range_is_refused_by_name(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(value)
+
+
+@pytest.mark.parametrize("name, build, stock", [
+    pytest.param(name, build, stock, id=f"{i}-{name}")
+    for i, (name, build, stock, _) in enumerate(SCALARS)])
+def test_scalar_stock_value_is_accepted(name, build, stock):
+    build(stock)
+
+
 def test_march_refuses_system_without_jac():
     sys_no_jac = OdeSystem(dim=1, rhs=lambda t, x: np.array([-x[0] ** 3]))
     with pytest.raises(ValueError, match="jac"):

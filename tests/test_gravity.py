@@ -180,7 +180,8 @@ def _reference_accel(model, q):
     ax = ay = az = 0.0
     for n in range(nmax + 1):
         for m in range(n + 1):
-            c, s = float(model._c[n, m]), float(model._s[n, m])
+            f = gravity._denorm_factor(n, m)
+            c, s = float(model._cbar[n, m] * f), float(model._sbar[n, m] * f)
             if m == 0:
                 ax += -c * V[n + 1][1]
                 ay += -c * W[n + 1][1]
