@@ -39,7 +39,7 @@ import numpy as np
 
 from . import problems
 from .cheb import build_operators, cgl_nodes
-from .core import SolverConfig, Trajectory, march
+from .core import _JACOBIAN_MODES, SolverConfig, Trajectory, march
 from .errors import ConvergenceError, DomainViolationError
 from .gravity import (GravityModel, bundled_gravity_path, gravity_potential,
                       load_gravity_model)
@@ -162,7 +162,7 @@ FLAGS = {
     "n": dict(type=int, help="collocation points per segment"),
     "dt": dict(type=float, help="segment length"),
     "tol": dict(type=float, help="iteration tolerance (pinning it disables retries)"),
-    "jacobian": dict(choices=("full", "frozen")),
+    "jacobian": dict(choices=_JACOBIAN_MODES),
     "t_end": dict(type=float, help="integration end"),
     "rel_tol": dict(type=float, help="oracle relative tolerance"),
     "abs_tol": dict(type=float, help="oracle absolute tolerance"),

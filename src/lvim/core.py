@@ -329,13 +329,10 @@ def march(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
             res = iterate_segment(
                 ops, system, x, config, t_start=t_seg,
                 guess=None if guess is None else guess[i * step:(i + 1) * step + 1])
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"segment {i} (t={t_seg:g}): {exc}") from exc
-        except DomainViolationError as exc:
-            raise DomainViolationError(
-                f"segment {i} (t={t_seg:g}): {exc}",
-                t=exc.t, state=exc.state) from exc
+        except (ConvergenceError, DomainViolationError) as exc:
+            # the same object goes on, so its type and attributes survive
+            exc.args = (f"segment {i} (t={t_seg:g}): {exc}",)
+            raise
         times.extend(t_seg + ops.offsets[1:])
         states.extend(res.node_states[1:])
         iters.append(res.iterations)

@@ -141,29 +141,20 @@ class GravityModel:
         checked("mu", self.mu, 0.0, strict=True)
         checked("r_ref", self.r_ref, 0.0, strict=True)
         checked("degree", self.degree, 0)
+        nmax = self.degree
+        cbar, sbar, c, s = (np.zeros((nmax + 1, nmax + 1)) for _ in range(4))
+        # the central term's default; its denormalization factor is 1
+        cbar[0, 0] = c[0, 0] = 1.0
         for (n, m), (cb, sb) in self.coeffs.items():
-            if not (0 <= m <= n <= self.degree):
+            if not (0 <= m <= n <= nmax):
                 raise ValueError(f"coefficient index ({n},{m}) out of range")
             if not (math.isfinite(cb) and math.isfinite(sb)):
                 raise ValueError(f"non-finite coefficient at ({n},{m})")
-        if (0, 0) in self.coeffs:
-            cb, sb = self.coeffs[(0, 0)]
-            if cb != 1.0 or sb != 0.0:
-                raise ValueError("(0,0) coefficient must be (1, 0)")
-        nmax = self.degree
-        cbar = np.zeros((nmax + 1, nmax + 1))
-        sbar = np.zeros((nmax + 1, nmax + 1))
-        cbar[0, 0] = 1.0
-        for (n, m), (cb, sb) in self.coeffs.items():
-            cbar[n, m] = cb
-            sbar[n, m] = sb
-        c = np.zeros_like(cbar)
-        s = np.zeros_like(sbar)
-        for n in range(nmax + 1):
-            for m in range(n + 1):
-                f = _denorm_factor(n, m)
-                c[n, m] = cbar[n, m] * f
-                s[n, m] = sbar[n, m] * f
+            cbar[n, m], sbar[n, m] = cb, sb
+            f = _denorm_factor(n, m)
+            c[n, m], s[n, m] = cbar[n, m] * f, sbar[n, m] * f
+        if cbar[0, 0] != 1.0 or sbar[0, 0] != 0.0:
+            raise ValueError("(0,0) coefficient must be (1, 0)")
         for arr in (cbar, sbar):
             arr.setflags(write=False)
         object.__setattr__(self, "_cbar", cbar)

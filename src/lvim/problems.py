@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,19 @@ __all__ = [
 
 # residual bound for the bracketed roots (white-dwarf edge, pendulum period)
 _ROOT_TOL = 1e-14
+
+
+def _first_root(traj, flips, col: int, level: float = 0.0) -> Optional[float]:
+    """Where state ``col`` crosses ``level`` in the step after sample
+    ``flips[0]``, refined on the trajectory's interpolant; None when no
+    step changes sign (``flips`` is empty)."""
+    if not len(flips):
+        return None
+    from .shooting import shoot_scalar  # shooting imports this module
+
+    i = flips[0]
+    return shoot_scalar(lambda t: sample_at(traj, t)[0, col] - level,
+                        traj.times[i], traj.times[i + 1], shoot_tol=_ROOT_TOL)
 
 
 def _jac2(j10, j11=None) -> np.ndarray:
@@ -171,24 +184,13 @@ def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
         rad = max(x[0] * x[0] - c, 0.0)
         return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
 
-    from .shooting import shoot_scalar
-
     sys_free = OdeSystem(dim=2, rhs=rhs)
     traj = rk45_integrate(sys_free, _ETA_START, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
     edge = math.sqrt(c)
     gap = traj.states[:, 0] - edge
     # strict downward crossing; a profile pinned on the edge has no exit
-    sign_flip = np.nonzero((gap[:-1] > 0.0) & (gap[1:] < 0.0))[0]
-    if len(sign_flip) == 0:
-        return 8.0
-    i = int(sign_flip[0])
-
-    def f(t):
-        return float(sample_at(traj, np.array([t]))[0, 0]) - edge
-
-    a, b = traj.times[i], traj.times[i + 1]
-    crossing = shoot_scalar(f, a, b, shoot_tol=_ROOT_TOL)
-    return 0.98 * crossing
+    crossing = _first_root(traj, np.flatnonzero((gap[:-1] > 0.0) & (gap[1:] < 0.0)), 0, edge)
+    return 8.0 if crossing is None else 0.98 * crossing
 
 
 def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
@@ -291,8 +293,6 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
     interpolant.  Uses the stock pendulum (unit g/l) and its default
     solver settings.
     """
-    from .shooting import shoot_scalar
-
     spec = pendulum()
     cfg = spec.lvim_defaults
     out = []
@@ -310,13 +310,10 @@ def pendulum_frequency_sweep(amplitudes: Sequence[float]) -> np.ndarray:
             traj = march(spec.system, t0, t0 + chunk, x, cfg)
             th, thd = traj.states[:, 0], traj.states[:, 1]
             # velocity sign changes away from a node zero, angle positive
-            i = np.flatnonzero((thd[:-1] != 0.0) & (thd[:-1] * thd[1:] <= 0.0)
-                               & (th[:-1] + th[1:] > 0.0))
-            if i.size:
-                a, b = traj.times[i[0]], traj.times[i[0] + 1]
-                period = shoot_scalar(lambda t: sample_at(traj, t)[0, 1], a, b,
-                                      shoot_tol=_ROOT_TOL)
-            else:
+            flips = np.flatnonzero((thd[:-1] != 0.0) & (thd[:-1] * thd[1:] <= 0.0)
+                                   & (th[:-1] + th[1:] > 0.0))
+            period = _first_root(traj, flips, 1)
+            if period is None:
                 t0, x = traj.times[-1], traj.states[-1]
                 if t0 > 4000.0:
                     raise ConvergenceError(f"no period found for amplitude {amp:g} within t = 4000")

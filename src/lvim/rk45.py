@@ -249,26 +249,26 @@ def sample_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(traj.times, query)
     hit = traj.times[np.minimum(pos, traj.times.size - 1)] == query
     if n_seg:
-        return _sample_segments(traj, n_seg, query, pos, hit)
-    idx = np.clip(pos - 1, 0, traj.step_h.size - 1)
-    h = traj.step_h[idx]
-    theta = (query - traj.times[idx]) / h
-    powers = np.stack([theta, theta ** 2, theta ** 3, theta ** 4], axis=1)
-    out = traj.states[idx] + h[:, np.newaxis] * np.einsum(
-        "qdk,qk->qd", traj.dense_q[idx], powers)
+        out = _sample_segments(traj, n_seg, query, pos, ~hit)
+    else:
+        idx = np.clip(pos - 1, 0, traj.step_h.size - 1)
+        h = traj.step_h[idx]
+        theta = (query - traj.times[idx]) / h
+        powers = np.stack([theta, theta ** 2, theta ** 3, theta ** 4], axis=1)
+        out = traj.states[idx] + h[:, np.newaxis] * np.einsum(
+            "qdk,qk->qd", traj.dense_q[idx], powers)
     out[hit] = traj.states[pos[hit]]
     return out
 
 
-def _sample_segments(traj, n_seg, query, pos, hit):
-    """Barycentric evaluation on the owning segments of a marched
-    trajectory; segment ``k`` owns nodes ``k*(N-1) .. k*(N-1) + N-1``."""
+def _sample_segments(traj, n_seg, query, pos, miss):
+    """Barycentric values at the ``miss`` rows (none sits on a node, so none
+    divides by zero), on the owning segments of a marched trajectory;
+    segment ``k`` owns nodes ``k*(N-1) .. k*(N-1) + N-1``."""
     per, rem = divmod(traj.times.size - 1, n_seg)
     if rem:
         raise ValueError(f"{traj.times.size} samples do not split into {n_seg} segments")
     out = np.empty((query.size, traj.states.shape[1]))
-    out[hit] = traj.states[pos[hit]]
-    miss = ~hit  # only misses reach the division, so none divides by zero
     seg = np.minimum(np.maximum(pos[miss] - 1, 0) // per, n_seg - 1)
     rows = (seg * per)[:, np.newaxis] + np.arange(per + 1)
     w = (-1.0) ** np.arange(per + 1)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lvim
-from lvim import problems
+from lvim import core, problems
 from lvim.cheb import build_operators
 from lvim.core import OdeSystem, SolverConfig, iterate_segment, march, residual
-from lvim.errors import ConvergenceError, DomainViolationError
+from lvim.errors import ConvergenceError, DomainViolationError, LvimError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
 
 
@@ -129,6 +129,39 @@ def test_march_raises_on_non_contractive_segment():
     with pytest.raises(ConvergenceError):
         march(stiff, 0.0, 2.0, np.array([1.0]),
               SolverConfig(5, 2.0, 1e-10, max_iter=40))
+
+
+def _march_raising(monkeypatch, exc):
+    """March a decay whose first segment raises ``exc``; the error that
+    reaches the caller."""
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(core, "iterate_segment", failing)
+    with pytest.raises(LvimError) as info:
+        march(decay_system(), 0.0, 1.0, np.array([1.0]), SolverConfig(5, 0.5, 1e-10))
+    return info.value
+
+
+def test_march_keeps_a_segment_errors_type_and_adds_its_prefix(monkeypatch):
+    class Stalled(ConvergenceError):
+        pass
+
+    exc = Stalled("sweeps stopped shrinking")
+    exc.sweeps = 7
+    got = _march_raising(monkeypatch, exc)
+    assert got is exc and type(got) is Stalled and got.sweeps == 7
+    assert str(got) == "segment 0 (t=0): sweeps stopped shrinking"
+
+
+def test_march_keeps_a_domain_violations_location(monkeypatch):
+    state = np.array([0.25])
+    exc = DomainViolationError("left the domain", t=0.125, state=state)
+    exc.kernel = "radicand"
+    got = _march_raising(monkeypatch, exc)
+    assert type(got) is DomainViolationError
+    assert str(got) == "segment 0 (t=0): left the domain"
+    assert got.t == 0.125 and got.state is state and got.kernel == "radicand"
 
 
 def test_solver_config_validation():

@@ -80,11 +80,21 @@ def test_loader_rejects_non_finite_constants(tmp_path, header):
 def test_model_validation():
     with pytest.raises(ValueError):
         GravityModel(mu=-1.0, r_ref=1.0, degree=0, coeffs={(0, 0): (1.0, 0.0)})
-    with pytest.raises(ValueError):
-        GravityModel(mu=1.0, r_ref=1.0, degree=1, coeffs={(2, 0): (1.0, 0.0)})
-    with pytest.raises(ValueError):
-        # a present monopole row must be unity
-        GravityModel(mu=1.0, r_ref=1.0, degree=0, coeffs={(0, 0): (0.5, 0.0)})
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({(2, 0): (1e-6, 0.0)}, r"coefficient index \(2,0\) out of range"),
+    ({(1, 2): (1e-6, 0.0)}, r"coefficient index \(1,2\) out of range"),
+    ({(1, -1): (1e-6, 0.0)}, r"coefficient index \(1,-1\) out of range"),
+    ({(1, 0): (math.nan, 0.0)}, r"non-finite coefficient at \(1,0\)"),
+    ({(1, 1): (0.0, math.inf)}, r"non-finite coefficient at \(1,1\)"),
+    # a present monopole row must be unity
+    ({(0, 0): (0.5, 0.0)}, r"\(0,0\) coefficient must be \(1, 0\)"),
+    ({(0, 0): (1.0, 0.1)}, r"\(0,0\) coefficient must be \(1, 0\)"),
+])
+def test_model_refuses_each_bad_coefficient(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GravityModel(mu=1.0, r_ref=1.0, degree=1, coeffs=coeffs)
 
 
 def test_degree_zero_is_point_mass(model2):
