@@ -5,8 +5,8 @@ root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower load also depends on
 the unknown tip angle, which is its load angle: such a bar is shot from the
 free end on the tip angle instead, with the same secant root finder.
-Within a search each lvim shot starts its march from the node states of the
-shots before it (see :func:`_shot_guess`); the oracle's first shots run loose.
+Each lvim shot starts from its search's earlier shots (:func:`_shot_guess`);
+an oracle search runs loose first and passes its last value and slope on.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ _SHOOT_TOL = 1e-10
 # A root search's stages, one shoot_scalar call each: (oracle config, None
 # for the spec's stock one; residual tolerance).  Early oracle shots only
 # point the secant, so they run loose (inexact Newton: Dembo, Eisenstat &
-# Steihaug 1982); the stock stage goes on from the last two values shot.
+# Steihaug 1982).  A loose residual is off by a near-constant truncation
+# error but its slope is good: the stock stage shoots the last value, then
+# the Newton step along the secant slope of the last two shots.
 _STAGES = {"lvim": ((None, _SHOOT_TOL),),
            "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (None, _SHOOT_TOL))}
 
@@ -71,9 +73,10 @@ class ShotResult:
 def shoot_scalar(
     residual_fn: Callable[[float], float],
     guess_a: float,
-    guess_b: float,
+    guess_b: Optional[float] = None,
     shoot_tol: float = _SHOOT_TOL,
     max_shots: int = _DEFAULT_MAX_SHOTS,
+    slope: Optional[float] = None,
 ) -> float:
     """Find a root of ``residual_fn`` by secant iteration from two guesses.
 
@@ -82,20 +85,25 @@ def shoot_scalar(
     the pendulum's period).  It stops once ``|residual| < shoot_tol``, and
     the root it returns is the last value it passed to ``residual_fn``.
 
+    Given ``slope`` in place of ``guess_b``, the second guess is the Newton
+    step ``guess_a - residual(guess_a) / slope``.
+
     When the residual changes sign between the guesses, the sorted guesses
     are a bracket, tightened as evaluations land inside it; a secant step
     that leaves the guesses is replaced by bisection of the tightest
     sign-changing pair (Dekker's safeguard), so no evaluation falls
     outside them.  Otherwise the iteration is the plain secant.
 
-    Raises ValueError for equal or non-finite guesses and
-    ConvergenceError after ``max_shots`` residual evaluations.
+    Raises ValueError, before any evaluation, for bad guesses or ``slope``,
+    and ConvergenceError after ``max_shots`` residual evaluations.
     Exceptions raised by ``residual_fn`` propagate unchanged, with the
     offending guess attached as a ``slope_guess`` attribute unless an
     inner search already attached its own.
     """
-    a, b = float(guess_a), float(guess_b)
-    if a == b or not (math.isfinite(a) and math.isfinite(b)):
+    a, b = float(guess_a), float(guess_a if guess_b is None else guess_b)
+    if slope is not None and (guess_b is not None or not math.isfinite(slope) or slope == 0.0):
+        raise ValueError(f"slope must be finite and non-zero, in place of guess_b, got {slope!r}")
+    if (a == b and slope is None) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"secant needs two distinct finite guesses, got {a!r} and {b!r}")
 
     def evaluate(v: float) -> float:
@@ -109,6 +117,7 @@ def shoot_scalar(
     fa = evaluate(a)
     if abs(fa) < shoot_tol:
         return a
+    b = b if slope is None else a - fa / slope
     fb = evaluate(b)
     # (lo, flo, hi, fhi): the sorted guesses if flo * fhi < 0, tightened as evaluations land
     bracket = None
@@ -185,7 +194,8 @@ def solve_buckled_bar(
     on the alpha whose clamp angle vanishes, seeded from the first tip
     angle.  Each search walks its integrator's ``_STAGES``, one
     ``shoot_scalar`` call and log each (the oracle's first runs loose, to a
-    1e-6 residual); a log holds its shots, each marched once, as ``(v,
+    1e-6 residual, and hands its last value and last secant slope to the
+    stock one); a log holds its shots, each marched once, as ``(v,
     trajectory)`` in order.  ``shoot_scalar`` returns the value it shot
     last, so the accepted trajectory is the last log's last entry.
     ``outer_iters`` counts the logs and ``inner_iters`` their shots.  An
@@ -200,8 +210,9 @@ def solve_buckled_bar(
     def search(guesses, shot_from):
         """The accepted trajectory of a root search on component ``row``
         of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
+        slope = None  # the last stage's secant slope, once it took two shots
         for rk_config, tol in _STAGES[integrator]:
-            log = []
+            log, values = [], []
             logs.append(log)
 
             def residual(v: float) -> float:
@@ -213,11 +224,12 @@ def solve_buckled_bar(
                     tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0,
                                         rk_config or spec.rk_defaults)
                 log.append((v, tr))
-                return float(tr.states[-1, row])
+                values.append(float(tr.states[-1, row]))
+                return values[-1]
 
-            shoot_scalar(residual, *guesses, shoot_tol=tol)
-            if len(log) > 1:  # else the first guess met tol and stays first
-                guesses = (log[-2][0], log[-1][0])
+            v = shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
+            if len(log) > 1:  # else the first guess met tol and the guesses stay
+                guesses, slope = (v,), (values[-1] - values[-2]) / (v - log[-2][0])
         return log[-1][1]
 
     spec = buckled_bar(load_type, load)  # validates load and type

@@ -1,5 +1,6 @@
 """Secant shooting and the cantilever equilibrium driver."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -102,13 +103,21 @@ def test_non_finite_guesses_rejected(guesses):
         shoot_scalar(never, *guesses)
 
 
-# each exit of shoot_scalar: (residual, guesses)
+def _steep(v):
+    return math.tanh(50.0 * (v - 4.0)) + 1e-6 * (v - 4.0)
+
+
+# each exit of shoot_scalar: (residual, guesses, slope); a "slope/" path
+# takes its second guess from the first and the slope
 SHOOT_EXITS = {
-    "first-guess-root": (lambda v: v - 1.0, (1.0, 3.0)),
-    "second-guess-root": (lambda v: v - 1.0, (3.0, 1.0)),
-    "plain-secant": (lambda v: v * v - 4.0, (3.0, 5.0)),
-    "bracket-bisects": (lambda v: math.tanh(50.0 * (v - 4.0)) + 1e-6 * (v - 4.0),
-                        (1.0, 9.0)),
+    "first-guess-root": (lambda v: v - 1.0, (1.0, 3.0), None),
+    "second-guess-root": (lambda v: v - 1.0, (3.0, 1.0), None),
+    "plain-secant": (lambda v: v * v - 4.0, (3.0, 5.0), None),
+    "bracket-bisects": (_steep, (1.0, 9.0), None),
+    "slope/first-guess-root": (lambda v: v - 1.0, (1.0,), 2.0),
+    "slope/second-guess-root": (lambda v: v - 1.0, (3.0,), 1.0),
+    "slope/plain-secant": (lambda v: v * v - 4.0, (3.0,), 10.0),
+    "slope/bracket-bisects": (_steep, (1.0,), 0.125),
 }
 
 
@@ -116,7 +125,7 @@ SHOOT_EXITS = {
 def test_root_is_the_last_value_evaluated(path):
     """Every exit returns the last value passed to ``residual_fn``, so a
     caller's last evaluation is the one at the root."""
-    f, guesses = SHOOT_EXITS[path]
+    f, guesses, slope = SHOOT_EXITS[path]
     calls, values = [], []
 
     def logged(v):
@@ -124,18 +133,66 @@ def test_root_is_the_last_value_evaluated(path):
         values.append(f(v))
         return values[-1]
 
-    root = shoot_scalar(logged, *guesses)
+    root = shoot_scalar(logged, *guesses, slope=slope)
     assert root == calls[-1]
+    if slope is not None and len(calls) > 1:
+        assert calls[1] == calls[0] - values[0] / slope
     # the exit taken is the one named: bisected evaluations are those off
     # the secant through the two before them
     secant = [b - fb * (b - a) / (fb - fa)
               for a, b, fa, fb in zip(calls, calls[1:], values, values[1:])]
     bisected = any(c != s for c, s in zip(calls[2:], secant))
-    if path.endswith("-root"):
-        assert len(calls) == (1 if path.startswith("first") else 2)
+    exit_ = path.rpartition("/")[2]
+    if exit_.endswith("-root"):
+        assert len(calls) == (1 if exit_.startswith("first") else 2)
     else:
         assert len(calls) > 2
-        assert (values[0] * values[1] < 0.0) == bisected == (path == "bracket-bisects")
+        assert (values[0] * values[1] < 0.0) == bisected == (exit_ == "bracket-bisects")
+
+
+def test_exact_slope_lands_on_the_second_evaluation():
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return 3.0 * v - 6.0
+
+    assert shoot_scalar(f, 0.0, slope=3.0) == 2.0
+    assert calls == [0.0, 2.0]
+
+
+def test_wrong_slope_still_converges_through_the_secant():
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return v * v * v - 8.0
+
+    root = shoot_scalar(f, 3.0, slope=-1.0)  # points away from the root
+    assert root == pytest.approx(2.0, abs=1e-10)
+    assert calls[1] == 3.0 + 19.0
+    assert 2 < len(calls) < 40
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_zero_or_non_finite_slope_rejected(slope):
+    def never(v):
+        raise AssertionError("evaluated a residual for a bad slope")
+
+    with pytest.raises(ValueError, match="^slope must be finite and non-zero"):
+        shoot_scalar(never, 1.0, slope=slope)
+
+
+def test_slope_and_second_guess_are_one_or_the_other():
+    def never(v):
+        raise AssertionError("evaluated a residual without a usable second point")
+
+    with pytest.raises(ValueError, match="^slope "):
+        shoot_scalar(never, 1.0, 2.0, slope=1.0)
+    with pytest.raises(ValueError, match="two distinct finite guesses"):
+        shoot_scalar(never, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        shoot_scalar(never, math.nan, slope=1.0)
 
 
 def test_failure_breadcrumb_carries_guess():
@@ -340,31 +397,32 @@ def test_negative_load():
 # iteration tolerance of a cold-started search (roots by at most 1.7e-11)
 # and keeps every shot count.  Each oracle search runs a loose stage to a
 # 1e-6 residual and a stock one to 1e-10, two ``shoot_scalar`` calls in
-# ``outer_iters``; that moves the rk45 roots by at most 2.2e-12 from a
-# search at stock tolerance alone.
+# ``outer_iters``; the stock stage starts from the loose stage's last value
+# and the slope of its last two shots.  That moves the rk45 roots by at
+# most 2.2e-12 from a search at stock tolerance alone.
 # The perpendicular follower is shot from the free end, in 7 clamp-end and
 # 10 free-end lvim shots.
 STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
         (12.955453669588628, -2.3164304659029513, 1.0235403758515494e-12, 6, 1),
     ("dead", 50.0, (12.9, 13.1), "rk45"):
-        (12.955453779315285, -2.3164304715991313, 7.526392703516294e-13, 8, 2),
+        (12.955453779315285, -2.3164304715991313, 7.526392703516294e-13, 7, 2),
     ("dead", 50.0, (14.05, 14.12), "lvim"):
         (14.142053829265688, 3.1347979158526194, 1.8244070091085035e-12, 7, 1),
     ("dead", 50.0, (14.05, 14.12), "rk45"):
-        (14.142054008730907, 3.1347979158506263, 4.2023098867881303e-13, 10, 2),
+        (14.142054008730913, 3.1347979158507466, 1.2713347627250904e-12, 9, 2),
     ("dead", 25.0, (4.5, 4.75), "lvim"):
         (4.624224460028825, -0.961450723125954, 1.59860893847026e-11, 6, 1),
     ("dead", 25.0, (4.5, 4.75), "rk45"):
-        (4.624224459910403, -0.9614507230460482, 1.5753514812089087e-11, 8, 2),
+        (4.6242244599103906, -0.9614507230460434, 1.576811771430986e-11, 7, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
         (1.4218073415761956, -0.286316080687334, 2.0788344641090465e-12, 17, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.4218073416039292, -0.28631608070070996, 2.6588735553556564e-13, 21, 4),
+        (1.4218073416039183, -0.2863160807007075, 2.636970503067104e-13, 19, 4),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
         (-5.839093471963579e-14, 0.0, 5.839093471966396e-14, 15, 1),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
-        (-5.839092728989952e-14, 0.0, 5.839092728992794e-14, 17, 2),
+        (-5.839092728989952e-14, 0.0, 5.839092728992794e-14, 16, 2),
 }
 
 
@@ -383,12 +441,15 @@ def _case_id(case):
 def stock_shots():
     """Each stock case solved once, with the root searches, marches and
     integrations it spent counted, and, as the benchmark's trace counts
-    shots, the marches and integrations run inside a ``shoot_scalar`` call."""
+    shots, the marches and integrations run inside a ``shoot_scalar`` call,
+    and the config of each integration in order."""
     calls = dict.fromkeys(("lvim", "rk45", "searches", "shots", "open"), 0)
+    configs = []
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            configs.append(args[4])
             calls["shots"] += calls["open"] > 0
             return fn(*args, **kwargs)
         return wrapper
@@ -408,9 +469,10 @@ def stock_shots():
         mp.setattr(shooting, "shoot_scalar", search)
         for case in STOCK_SHOTS:
             load_type, load, pair, integrator = case
-            before = dict(calls)
+            before, first = dict(calls), len(configs)
             res = solve_buckled_bar(load_type, load, pair, integrator=integrator)
             spent = {k: calls[k] - before[k] for k in calls}
+            spent["configs"] = configs[first:]
             out[case] = (res, spent)
     return out
 
@@ -444,6 +506,23 @@ def test_shot_counts_are_what_the_benchmark_traces(stock_shots, case):
     assert spent["open"] == 0
     assert spent["searches"] == res.outer_iters
     assert spent["shots"] == spent[case[3]] == res.inner_iters
+
+
+@pytest.mark.parametrize("case", [c for c in STOCK_SHOTS if c[3] == "rk45"], ids=_case_id)
+def test_stock_stage_takes_two_shots(stock_shots, case):
+    """The oracle's integrations run in stages, loose then stock, one
+    pair per search.  A stock stage shoots the loose stage's last value
+    and the Newton step from it along the loose stage's last secant slope,
+    and that step already meets 1e-10: two shots."""
+    res, spent = stock_shots[case]
+    spec = buckled_bar(case[0], case[1])
+    (loose, _), _ = shooting._STAGES["rk45"]
+    stages = [(config, len(list(run))) for config, run in itertools.groupby(spent["configs"])]
+    assert [config for config, _ in stages] == \
+        [loose, spec.rk_defaults] * (res.outer_iters // 2)
+    for (_, n_loose), (_, n_stock) in zip(stages[::2], stages[1::2]):
+        assert n_loose >= 2
+        assert n_stock == 2
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
@@ -542,10 +621,21 @@ def test_dead_load_roots_match_the_elliptic_solution(stock_shots, pair, n):
 def test_oracle_stages_keep_the_stock_search_root(monkeypatch, load_type, load, pair):
     """On grid cases with more than one equilibrium within reach, the
     loose-then-stock oracle search lands on the root that a search at
-    stock tolerance alone finds."""
+    stock tolerance alone finds, in fewer oracle step attempts."""
+    attempts = []
+
+    def spy(system, t0, tf, x0, config):
+        tr = rk45_integrate(system, t0, tf, x0, config)
+        attempts[-1] += tr.steps_accepted + tr.steps_rejected
+        return tr
+
+    monkeypatch.setattr(shooting, "rk45_integrate", spy)
+    attempts.append(0)
     staged = solve_buckled_bar(load_type, load, pair, integrator="rk45")
     monkeypatch.setitem(shooting._STAGES, "rk45", ((None, shooting._SHOOT_TOL),))
+    attempts.append(0)
     stock = solve_buckled_bar(load_type, load, pair, integrator="rk45")
+    assert attempts[0] < attempts[1]
     assert stock.outer_iters * 2 == staged.outer_iters
     assert abs(staged.theta_prime_0 - stock.theta_prime_0) < 1e-9
     assert abs(staged.alpha - stock.alpha) < 1e-9
