@@ -214,6 +214,11 @@ def bundled_gravity_path(name: str = "egm_test.txt"):
     return p
 
 
+def _inside_sphere(model: GravityModel, r: float, q: np.ndarray) -> DomainViolationError:
+    return DomainViolationError(
+        f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m", state=q)
+
+
 def gravity_accel(model: GravityModel, q) -> np.ndarray:
     """Acceleration -dU/dq at body-fixed position q (meters).
 
@@ -230,10 +235,7 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     x, y, z = map(complex if is_complex else float, q.tolist())
     r_real = math.sqrt(x.real * x.real + y.real * y.real + z.real * z.real)
     if not r_real > 0.9 * model.r_ref:
-        raise DomainViolationError(
-            f"|q| = {r_real:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
-            state=np.asarray(q),
-        )
+        raise _inside_sphere(model, r_real, q)
     try:
         vw = model._kernel(x, y, z)
     except OverflowError as exc:
@@ -261,10 +263,7 @@ def gravity_potential(model: GravityModel, q) -> float:
     x, y, z = q
     r = math.sqrt(x * x + y * y + z * z)
     if not r > 0.9 * model.r_ref:
-        raise DomainViolationError(
-            f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
-            state=q,
-        )
+        raise _inside_sphere(model, r, q)
     nmax = model.degree
     sphi = z / r
     cphi = math.sqrt(x * x + y * y) / r

@@ -334,6 +334,7 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
     it consistent with the tip rotation.
     """
     checked("load", load, 0.0)
+    checked("alpha", alpha)
     if load_type not in BAR_LOAD_TYPES:
         raise ValueError(f"load_type must be one of {BAR_LOAD_TYPES}")
     P, al = load, alpha
@@ -344,18 +345,15 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
 
         def jac(t, x):
             return _jac2([-P * math.cos(v) for v in x[:, 0].tolist()])
-    elif load_type == "perpendicular_follower":
-        def rhs(t, x):
-            return np.array([x[1], -P * math.cos(x[0] - al) * math.sin(x[0])])
-
-        def jac(t, x):
-            return _jac2([-P * math.cos(2.0 * v - al) for v in x[:, 0].tolist()])
     else:
+        # d/dtheta [f(theta - alpha) sin(theta)] = f(2 theta - alpha), f = cos or sin
+        f = math.cos if load_type == "perpendicular_follower" else math.sin
+
         def rhs(t, x):
-            return np.array([x[1], -P * math.sin(x[0] - al) * math.sin(x[0])])
+            return np.array([x[1], -P * f(x[0] - al) * math.sin(x[0])])
 
         def jac(t, x):
-            return _jac2([-P * math.sin(2.0 * v - al) for v in x[:, 0].tolist()])
+            return _jac2([-P * f(2.0 * v - al) for v in x[:, 0].tolist()])
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),

@@ -204,12 +204,9 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
             n_acc += 1
             if t < tf:
                 f_cur = rhs(t, x)
-            factor = _MAX_FACTOR if err == 0.0 else \
-                min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         else:
             n_rej += 1
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-        h *= factor
+        h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
 
     # dense output of all accepted steps at once: step i's k.T @ _P
     dense_q = np.matmul(np.array(stages).transpose(0, 2, 1), _P)

@@ -18,14 +18,14 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .core import SolverConfig, Trajectory, march
-from .errors import ConvergenceError
+from .errors import ConvergenceError, checked
 from .problems import buckled_bar
 from .rk45 import RkConfig, RkTrajectory, rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
-# Secant iterations stop making progress well before this on the bar
-# residuals; the cap only guards pathological guess pairs.
+# Not only a guard: the oracle's loose clamp-end stage for the tangent
+# follower at P=80 from (12.9, 13.1) meets its tolerance on the 60th shot.
 _DEFAULT_MAX_SHOTS = 60
 
 # the bar's far-end slope residual, and a follower's clamp angle when shot
@@ -33,13 +33,13 @@ _DEFAULT_MAX_SHOTS = 60
 _SHOOT_TOL = 1e-10
 
 # A root search's stages, one shoot_scalar call each: (oracle config, None
-# for the spec's stock one; residual tolerance).  Early oracle shots only
-# point the secant, so they run loose (inexact Newton: Dembo, Eisenstat &
-# Steihaug 1982).  A loose residual is off by a near-constant truncation
-# error but its slope is good: the stock stage shoots the last value, then
+# for an lvim march; residual tolerance).  Early oracle shots only point the
+# secant, so they run loose (inexact Newton: Dembo, Eisenstat & Steihaug
+# 1982).  A loose residual is off by a near-constant truncation error but
+# its slope is good: the stock RkConfig() stage shoots the last value, then
 # the Newton step along the secant slope of the last two shots.
 _STAGES = {"lvim": ((None, _SHOOT_TOL),),
-           "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (None, _SHOOT_TOL))}
+           "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (RkConfig(), _SHOOT_TOL))}
 
 # (theta, theta') of a free-end shot read from the clamp, and the map of a
 # quartic's coefficients (theta^1..theta^4) onto its expansion about the
@@ -55,7 +55,8 @@ class ShotResult:
 
     ``alpha`` is the load-direction angle used on the final shot.  For a
     follower shot from the free end it is the tip angle
-    ``trajectory.states[-1, 0]`` exactly; for dead loads (where no such
+    ``trajectory.states[-1, 0]`` exactly; for a straight follower it is
+    0.0, the load angle of its one search; for dead loads (where no such
     angle exists) it is simply the tip angle itself.  ``residual`` is
     ``max(|theta(0)|, |theta'(1)|)`` of the returned trajectory.
     ``outer_iters`` counts ``shoot_scalar`` calls (one per lvim root
@@ -94,12 +95,14 @@ def shoot_scalar(
     sign-changing pair (Dekker's safeguard), so no evaluation falls
     outside them.  Otherwise the iteration is the plain secant.
 
-    Raises ValueError, before any evaluation, for bad guesses or ``slope``,
+    Raises ValueError, before any evaluation, for a bad guess or setting,
     and ConvergenceError after ``max_shots`` residual evaluations.
     Exceptions raised by ``residual_fn`` propagate unchanged, with the
     offending guess attached as a ``slope_guess`` attribute unless an
     inner search already attached its own.
     """
+    checked("shoot_tol", shoot_tol, 0.0, strict=True)
+    checked("max_shots", max_shots, 2)
     a, b = float(guess_a), float(guess_a if guess_b is None else guess_b)
     if slope is not None and (guess_b is not None or not math.isfinite(slope) or slope == 0.0):
         raise ValueError(f"slope must be finite and non-zero, in place of guess_b, got {slope!r}")
@@ -217,12 +220,11 @@ def solve_buckled_bar(
 
             def residual(v: float) -> float:
                 spec, x0, row = shot_from(v)
-                if integrator == "lvim":
+                if rk_config is None:
                     tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
                                guess=_shot_guess(v, log))
                 else:
-                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0,
-                                        rk_config or spec.rk_defaults)
+                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, rk_config)
                 log.append((v, tr))
                 values.append(float(tr.states[-1, row]))
                 return values[-1]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lvim
-from lvim import core, problems
+from lvim import core, problems, shooting
 from lvim.cheb import build_operators
 from lvim.core import OdeSystem, SolverConfig, iterate_segment, march, residual
 from lvim.errors import ConvergenceError, DomainViolationError, LvimError
@@ -212,6 +212,11 @@ SCALARS = [
     ("c", lambda v: problems.elastica(c=v), 1.2, -1.2),
     ("a", lambda v: problems.elastica_regime(v, 1.2), 1.0, -1.0),
     ("c", lambda v: problems.elastica_regime(1.0, v), 1.2, 0.0),
+    ("alpha", lambda v: problems.buckled_bar("perpendicular_follower", 25.0, alpha=v), 0.0, None),
+    ("shoot_tol", lambda v: shooting.shoot_scalar(lambda x: x - 1.0, 0.0, 2.0, shoot_tol=v),
+     1e-10, 0.0),
+    ("max_shots", lambda v: shooting.shoot_scalar(lambda x: x - 1.0, 0.0, 2.0, max_shots=v),
+     60, 1),
 ]
 
 

@@ -262,8 +262,15 @@ def test_complex_input_with_zero_imaginary_part(model8):
 
 
 def test_interior_guard(model2):
-    with pytest.raises(DomainViolationError):
-        gravity_accel(model2, np.array([0.1 * R_REF, 0.0, 0.0]))
+    """Both field routes refuse the same points with the same errors."""
+    q = np.array([0.1 * R_REF, 0.0, 0.0])
+    for field in (gravity_accel, gravity_potential):
+        with pytest.raises(DomainViolationError) as info:
+            field(model2, q)
+        assert str(info.value) == "|q| = 637814 m is not above 0.9 * r_ref = 5.74032e+06 m"
+        assert np.array_equal(info.value.state, q)
+        with pytest.raises(ValueError, match="^position must be a 3-vector$"):
+            field(model2, q[:2])
 
 
 def test_far_field_guard_does_not_overflow(model8):

@@ -14,7 +14,7 @@ from lvim.cli import BAR_GUESSES
 from lvim.core import Trajectory, march
 from lvim.errors import ConvergenceError
 from lvim.problems import buckled_bar
-from lvim.rk45 import RkTrajectory, rk45_integrate, sample_at
+from lvim.rk45 import RkConfig, RkTrajectory, rk45_integrate, sample_at
 from lvim.shooting import ShotResult, shoot_scalar, solve_buckled_bar
 
 
@@ -632,7 +632,7 @@ def test_oracle_stages_keep_the_stock_search_root(monkeypatch, load_type, load, 
     monkeypatch.setattr(shooting, "rk45_integrate", spy)
     attempts.append(0)
     staged = solve_buckled_bar(load_type, load, pair, integrator="rk45")
-    monkeypatch.setitem(shooting._STAGES, "rk45", ((None, shooting._SHOOT_TOL),))
+    monkeypatch.setitem(shooting._STAGES, "rk45", ((RkConfig(), shooting._SHOOT_TOL),))
     attempts.append(0)
     stock = solve_buckled_bar(load_type, load, pair, integrator="rk45")
     assert attempts[0] < attempts[1]
