@@ -5,8 +5,8 @@ root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower load also depends on
 the unknown tip angle, which is its load angle: such a bar is shot from the
 free end on the tip angle instead, with the same secant root finder.
-Each lvim shot starts from its search's earlier shots (:func:`_shot_guess`);
-an oracle search runs loose first and passes its last value and slope on.
+Each root search runs loose, then stock from the last loose value and slope;
+each lvim shot starts from its search's earlier shots (:func:`_shot_guess`).
 """
 
 from __future__ import annotations
@@ -24,21 +24,24 @@ from .rk45 import RkConfig, RkTrajectory, rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
-# Not only a guard: the oracle's loose clamp-end stage for the tangent
-# follower at P=80 from (12.9, 13.1) meets its tolerance on the 60th shot.
+# Not only a guard: the oracle's (lvim's) loose clamp-end stage for the tangent
+# follower at P=80 from (12.9, 13.1) meets its tolerance on the 60th (29th) shot.
 _DEFAULT_MAX_SHOTS = 60
 
 # the bar's far-end slope residual, and a follower's clamp angle when shot
 # from the free end, both count as zero below this
 _SHOOT_TOL = 1e-10
 
-# A root search's stages, one shoot_scalar call each: (oracle config, None
-# for an lvim march; residual tolerance).  Early oracle shots only point the
-# secant, so they run loose (inexact Newton: Dembo, Eisenstat & Steihaug
-# 1982).  A loose residual is off by a near-constant truncation error but
-# its slope is good: the stock RkConfig() stage shoots the last value, then
-# the Newton step along the secant slope of the last two shots.
-_STAGES = {"lvim": ((None, _SHOOT_TOL),),
+# A root search's stages, one shoot_scalar call each: (oracle config, or the
+# tol of a loose lvim march at the caller's config, None for that config;
+# residual tolerance).  Early shots only point the secant, so they run loose
+# (inexact Newton: Dembo, Eisenstat & Steihaug 1982); a loose residual is off
+# by a near-constant error but its slope is good, so the stock stage shoots
+# the last value, then the Newton step along the last secant slope.  Of march
+# tols 1e-6, 1e-5 and 1e-4 only 1e-5 solves the 144-case bar grid with no case
+# costing more sweeps (tests/test_bar_grid.py); its 1e-4 bound leaves a
+# straight bar's last step to the stock shots' own secant.
+_STAGES = {"lvim": ((1e-5, 1e-4), (None, _SHOOT_TOL)),
            "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (RkConfig(), _SHOOT_TOL))}
 
 # (theta, theta') of a free-end shot read from the clamp, and the map of a
@@ -59,8 +62,9 @@ class ShotResult:
     0.0, the load angle of its one search; for dead loads (where no such
     angle exists) it is simply the tip angle itself.  ``residual`` is
     ``max(|theta(0)|, |theta'(1)|)`` of the returned trajectory.
-    ``outer_iters`` counts ``shoot_scalar`` calls (one per lvim root
-    search, two per oracle one) and ``inner_iters`` the shots in them.
+    ``outer_iters`` counts ``shoot_scalar`` calls (two per root search,
+    loose then stock; one at an lvim ``config.tol`` above 1e-10) and
+    ``inner_iters`` the shots in them.
     """
 
     theta_prime_0: float
@@ -196,41 +200,47 @@ def solve_buckled_bar(
     over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
     on the alpha whose clamp angle vanishes, seeded from the first tip
     angle.  Each search walks its integrator's ``_STAGES``, one
-    ``shoot_scalar`` call and log each (the oracle's first runs loose, to a
-    1e-6 residual, and hands its last value and last secant slope to the
-    stock one); a log holds its shots, each marched once, as ``(v,
-    trajectory)`` in order.  ``shoot_scalar`` returns the value it shot
-    last, so the accepted trajectory is the last log's last entry.
-    ``outer_iters`` counts the logs and ``inner_iters`` their shots.  An
+    ``shoot_scalar`` call each: a loose stage (the oracle at 1e-8, a march at
+    ``tol`` 1e-5) hands its last value and secant slope to a stock one
+    (``RkConfig()``, ``config or spec.lvim_defaults``; a ``config.tol``
+    above 1e-10 runs it alone).  A search logs its shots, each marched once,
+    as ``(v, trajectory)`` in order; ``shoot_scalar`` returns the value it
+    shot last, so the accepted trajectory is the log's last entry.
+    ``outer_iters`` counts the stages and ``inner_iters`` the shots.  An
     lvim shot after the first of its search is seeded from the log's last
     two shots, so the returned trajectory agrees with a cold march at the
     accepted value to within the iteration tolerance, not bit for bit.
     """
     if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
+    # a march looser than the residual bound cannot tell a loose seed's error from it
+    stages = _STAGES[integrator][-1:] if integrator == "lvim" and config is not None \
+        and config.tol > _SHOOT_TOL else _STAGES[integrator]
     logs = []
 
     def search(guesses, shot_from):
         """The accepted trajectory of a root search on component ``row``
         of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
-        slope = None  # the last stage's secant slope, once it took two shots
-        for rk_config, tol in _STAGES[integrator]:
-            log, values = [], []
-            logs.append(log)
+        log, slope = [], None  # the last stage's secant slope, once it took two shots
+        logs.append(log)
+        for stage, tol in stages:
+            values = []
 
             def residual(v: float) -> float:
                 spec, x0, row = shot_from(v)
-                if rk_config is None:
-                    tr = march(spec.system, spec.t0, spec.tf, x0, config or spec.lvim_defaults,
-                               guess=_shot_guess(v, log))
+                if isinstance(stage, RkConfig):
+                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, stage)
                 else:
-                    tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, rk_config)
+                    cfg = config or spec.lvim_defaults
+                    tr = march(spec.system, spec.t0, spec.tf, x0,
+                               cfg if stage is None else replace(cfg, tol=stage),
+                               guess=_shot_guess(v, log))
                 log.append((v, tr))
                 values.append(float(tr.states[-1, row]))
                 return values[-1]
 
             v = shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
-            if len(log) > 1:  # else the first guess met tol and the guesses stay
+            if len(values) > 1:  # else the first guess met tol and the guesses stay
                 guesses, slope = (v,), (values[-1] - values[-2]) / (v - log[-2][0])
         return log[-1][1]
 
@@ -247,6 +257,6 @@ def solve_buckled_bar(
         alpha=alpha,
         trajectory=tr,
         residual=max(abs(float(tr.states[0, 0])), abs(float(tr.states[-1, 1]))),
-        outer_iters=len(logs),
+        outer_iters=len(logs) * len(stages),
         inner_iters=sum(map(len, logs)),
     )

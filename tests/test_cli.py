@@ -239,7 +239,7 @@ def test_compare_follower_bar_reports_its_sweeps(tmp_path):
                  "--load", "25", "--guesses", "2", "2.5", "--format", "json",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert "outer=2 inner=17" in report["notes"]
+    assert "outer=4 inner=19" in report["notes"]
     acc, rej = report["oracle_steps_accepted"], report["oracle_steps_rejected"]
     assert report["oracle_rhs_evals"] == 7 * acc + 6 * rej + 1
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import ellipkm1
 
 from lvim import shooting
 from lvim.cli import BAR_GUESSES
-from lvim.core import Trajectory, march
+from lvim.core import SolverConfig, Trajectory, march
 from lvim.errors import ConvergenceError
 from lvim.problems import buckled_bar
 from lvim.rk45 import RkConfig, RkTrajectory, rk45_integrate, sample_at
@@ -235,7 +236,7 @@ def test_dead_load_shot_result_shape(dead_p50_solutions):
     res = dead_p50_solutions[1]
     assert isinstance(res, ShotResult)
     assert isinstance(res.trajectory, Trajectory)
-    assert res.outer_iters == 1
+    assert res.outer_iters == 2  # one search: its loose stage, then its stock one
     assert res.inner_iters > 0
     assert abs(res.residual) < 1e-10
     # dead load: alpha reports the converged tip angle
@@ -284,7 +285,7 @@ def test_inner_failure_keeps_the_failing_slope(monkeypatch):
 
     def failing_march(system, t0, tf, x0, config, guess=None):
         starts.append(list(x0))
-        if len(starts) == 10:  # the clamp-end shoot at P = 25 takes 7 shots
+        if len(starts) == 10:  # the clamp-end shoot at P = 25 takes 8 shots
             raise ConvergenceError("stalled")
         return march(system, t0, tf, x0, config, guess=guess)
 
@@ -347,28 +348,42 @@ def test_shot_guess_falls_back_to_the_last_shot_on_a_repeated_value():
 ])
 def test_each_search_seeds_its_shots_from_its_own_earlier_shots(
         monkeypatch, load_type, load, pair):
-    """The first shot of each search is cold, the second starts from the
-    first, and every later one from the secant extrapolation of the two
-    before it."""
+    """One log per search spans its loose and stock stages.  The first shot
+    of each search is cold, the second starts from the first, and every
+    later one from the secant extrapolation of the two before it, or from
+    the last shot when those two share a value: the stock stage's first
+    shot repeats the loose stage's last value and starts from its
+    trajectory, and its second starts from that first stock shot."""
     shots = []
 
     def spy(system, t0, tf, x0, config, guess=None):
         tr = march(system, t0, tf, x0, config, guess=guess)
-        shots.append((list(x0), guess, tr.states))
+        shots.append((list(x0), guess, tr.states, config))
         return tr
 
     monkeypatch.setattr(shooting, "march", spy)
     res = solve_buckled_bar(load_type, load, pair)
     assert len(shots) == res.inner_iters
     # a clamp-end shot varies theta'(0), a free-end shot theta(1)
-    free_end = [x0[1] == 0.0 for x0, _, _ in shots]
-    value = [x0[0] if free else x0[1] for (x0, _, _), free in zip(shots, free_end)]
+    free_end = [x0[1] == 0.0 for x0, *_ in shots]
+    value = [x0[0] if free else x0[1] for (x0, *_), free in zip(shots, free_end)]
     firsts = [i for i in range(len(shots)) if i == 0 or free_end[i] != free_end[i - 1]]
-    assert len(firsts) == res.outer_iters
-    for i, (_, guess, _) in enumerate(shots):
+    assert len(firsts) * 2 == res.outer_iters
+    stock = buckled_bar(load_type, load).lvim_defaults
+    (loose_tol, _), _ = shooting._STAGES["lvim"]
+    for start, end in zip(firsts, firsts[1:] + [len(shots)]):
+        configs = [config for config, _ in itertools.groupby(s[3] for s in shots[start:end])]
+        assert configs == [replace(stock, tol=loose_tol), stock]
+    handoffs = [i for i in range(1, len(shots)) if shots[i][3] != shots[i - 1][3]
+                and i not in firsts]
+    assert len(handoffs) == len(firsts)
+    for i in handoffs:
+        assert value[i] == value[i - 1]
+        assert np.array_equal(shots[i][1], shots[i - 1][2])
+    for i, (_, guess, _, _) in enumerate(shots):
         if i in firsts:
             assert guess is None
-        elif i - 1 in firsts:
+        elif i - 1 in firsts or value[i - 1] == value[i - 2]:
             assert guess is shots[i - 1][2]
         else:
             w = (value[i] - value[i - 1]) / (value[i - 1] - value[i - 2])
@@ -393,34 +408,34 @@ def test_negative_load():
 # (theta_prime_0, alpha, residual, inner_iters, outer_iters) of every stock
 # seed pair with both integrators, pinned exactly: keeping the accepted shot
 # in place of marching it again must not move a bit.  The lvim shots are
-# seeded from the shots before them, which moves the lvim rows within the
-# iteration tolerance of a cold-started search (roots by at most 1.7e-11)
-# and keeps every shot count.  Each oracle search runs a loose stage to a
-# 1e-6 residual and a stock one to 1e-10, two ``shoot_scalar`` calls in
-# ``outer_iters``; the stock stage starts from the loose stage's last value
-# and the slope of its last two shots.  That moves the rk45 roots by at
-# most 2.2e-12 from a search at stock tolerance alone.
-# The perpendicular follower is shot from the free end, in 7 clamp-end and
-# 10 free-end lvim shots.
+# seeded from the shots before them.  Each search runs a loose stage and a
+# stock one to 1e-10, two ``shoot_scalar`` calls in ``outer_iters``; the
+# stock stage starts from the loose stage's last value and the slope of its
+# last two shots.  The oracle's loose stage runs to a 1e-6 residual, which
+# moves the rk45 roots by at most 2.2e-12 from a search at stock tolerance
+# alone.  The lvim one marches at tol 1e-5 to a 1e-4 residual, which keeps
+# the lvim roots within 2.6e-11 of a cold-started search at stock tol alone.
+# The perpendicular follower is shot from the free end, in 5 + 3 clamp-end
+# and 8 + 3 free-end lvim shots (loose + stock).
 STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
-        (12.955453669588628, -2.3164304659029513, 1.0235403758515494e-12, 6, 1),
+        (12.955453669588167, -2.316430465902664, 4.446620222085802e-12, 8, 2),
     ("dead", 50.0, (12.9, 13.1), "rk45"):
         (12.955453779315285, -2.3164304715991313, 7.526392703516294e-13, 7, 2),
     ("dead", 50.0, (14.05, 14.12), "lvim"):
-        (14.142053829265688, 3.1347979158526194, 1.8244070091085035e-12, 7, 1),
+        (14.142053829265562, 3.134797915848217, 3.258818498699532e-11, 9, 2),
     ("dead", 50.0, (14.05, 14.12), "rk45"):
         (14.142054008730913, 3.1347979158507466, 1.2713347627250904e-12, 9, 2),
     ("dead", 25.0, (4.5, 4.75), "lvim"):
-        (4.624224460028825, -0.961450723125954, 1.59860893847026e-11, 6, 1),
+        (4.624224460055165, -0.9614507231321563, 1.6629694013035968e-13, 8, 2),
     ("dead", 25.0, (4.5, 4.75), "rk45"):
         (4.6242244599103906, -0.9614507230460434, 1.576811771430986e-11, 7, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
-        (1.4218073415761956, -0.286316080687334, 2.0788344641090465e-12, 17, 2),
+        (1.4218073415935895, -0.28631608069064635, 3.102906868463113e-13, 19, 4),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
         (1.4218073416039183, -0.2863160807007075, 2.636970503067104e-13, 19, 4),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
-        (-5.839093471963579e-14, 0.0, 5.839093471966396e-14, 15, 1),
+        (-5.827623589506754e-14, 0.0, 5.827623589509561e-14, 16, 2),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
         (-5.839092728989952e-14, 0.0, 5.839092728992794e-14, 16, 2),
 }
@@ -487,14 +502,13 @@ def test_every_shot_is_marched_once(stock_shots, case):
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
 def test_counts_are_root_searches_and_shots(stock_shots, case):
-    """``outer_iters`` counts the ``shoot_scalar`` calls: one per root
-    search for lvim and two for the oracle (its loose stage, then its stock
-    one), with a second search only for a follower whose tip leaves zero."""
+    """``outer_iters`` counts the ``shoot_scalar`` calls: two per root
+    search (its loose stage, then its stock one), with a second search only
+    for a follower whose tip leaves zero."""
     res, _ = stock_shots[case]
     tip = res.trajectory.states[-1, 0]
     follower_off_zero = case[0] != "dead" and abs(tip) >= 1e-10
-    stages = 2 if case[3] == "rk45" else 1
-    assert res.outer_iters == (2 if follower_off_zero else 1) * stages
+    assert res.outer_iters == (2 if follower_off_zero else 1) * 2
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
@@ -539,7 +553,7 @@ def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     from the free end, a fresh run from the tip angle read from the clamp.
     An oracle run at ``spec.rk_defaults`` equals it bit for bit, so no
     loose-stage shot is ever returned.  A seeded march equals a cold one
-    on the same grid to within the iteration tolerance (at most 2.9e-12
+    on the same grid to within the iteration tolerance (at most 2.6e-12
     relative on these cases) and still spends N rhs evals per sweep."""
     load_type, load, _, integrator = case
     res, spent = stock_shots[case]
@@ -667,12 +681,101 @@ def test_loose_stage_met_on_its_first_guess(monkeypatch):
     assert np.array_equal(res.trajectory.states, fresh.states)
 
 
+# -------------------------------------------------------------- lvim stages
+
+@pytest.mark.parametrize("load_type, load, pair", [
+    ("perpendicular_follower", 40.0, (2.0, 2.5)),
+    ("perpendicular_follower", 25.0, (5.0, 5.5)),
+    ("perpendicular_follower", 80.0, (4.5, 4.75)),
+    ("perpendicular_follower", 80.0, (5.0, 5.5)),
+    ("dead", 10.0, (2.0, 2.5)),
+])
+def test_lvim_stages_keep_the_stock_search_root(monkeypatch, load_type, load, pair):
+    """On grid cases with more than one equilibrium within reach, the
+    loose-then-stock lvim search lands on the root that a search at stock
+    tol alone finds, in fewer sweeps."""
+    sweeps = []
+
+    def spy(system, t0, tf, x0, config, guess=None):
+        tr = march(system, t0, tf, x0, config, guess=guess)
+        sweeps[-1] += int(np.sum(tr.segment_iterations))
+        return tr
+
+    monkeypatch.setattr(shooting, "march", spy)
+    sweeps.append(0)
+    staged = solve_buckled_bar(load_type, load, pair)
+    monkeypatch.setitem(shooting._STAGES, "lvim", ((None, shooting._SHOOT_TOL),))
+    sweeps.append(0)
+    stock = solve_buckled_bar(load_type, load, pair)
+    assert sweeps[0] < sweeps[1]
+    assert stock.outer_iters * 2 == staged.outer_iters
+    assert abs(staged.theta_prime_0 - stock.theta_prime_0) < 1e-9
+    assert abs(staged.alpha - stock.alpha) < 1e-9
+    assert staged.residual < 1e-10
+
+
+def test_lvim_loose_stage_met_on_its_first_guess(monkeypatch):
+    """Seeded at the elliptic root, the loose march meets its bound on the
+    first shot; the stock stage shoots that value again from the loose
+    trajectory, and the solve's last march runs at ``spec.lvim_defaults``,
+    never at the loose tol."""
+    calls = []
+
+    def spy(system, t0, tf, x0, config, guess=None):
+        tr = march(system, t0, tf, x0, config, guess=guess)
+        calls.append((x0[1], config, guess, tr))
+        return tr
+
+    exact = _exact_dead_root(50.0, 1)
+    monkeypatch.setattr(shooting, "march", spy)
+    res = solve_buckled_bar("dead", 50.0, (exact, 13.1))
+    spec = buckled_bar("dead", 50.0)
+    (loose_tol, _), _ = shooting._STAGES["lvim"]
+    assert [(v, config) for v, config, _, _ in calls[:2]] == \
+        [(exact, replace(spec.lvim_defaults, tol=loose_tol)), (exact, spec.lvim_defaults)]
+    assert calls[0][2] is None and calls[1][2] is calls[0][3].states
+    assert (res.outer_iters, res.inner_iters) == (2, len(calls))
+    assert calls[-1][1] == spec.lvim_defaults and res.trajectory is calls[-1][3]
+    assert res.residual < 1e-10
+    assert abs(res.theta_prime_0 - exact) < 3e-7
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_lvim_stages_march_at_the_callers_config(monkeypatch, tol):
+    """A caller's config takes the place of ``spec.lvim_defaults`` in both
+    stages.  A caller tol above the 1e-10 residual bound runs the stock
+    stage alone, the search of a stock-only table: a march that loose stops
+    before it clears a loose seed's error, so its residual would follow the
+    seed (at 1e-6 the two-stage search ran out of shots here)."""
+    configs = []
+
+    def spy(system, t0, tf, x0, config, guess=None):
+        configs.append(config)
+        return march(system, t0, tf, x0, config, guess=guess)
+
+    config = SolverConfig(n_basis=7, dt=0.1, tol=tol)
+    monkeypatch.setattr(shooting, "march", spy)
+    res = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
+    (loose_tol, _), _ = shooting._STAGES["lvim"]
+    stages = [config for config, _ in itertools.groupby(configs)]
+    assert res.residual < 1e-10
+    if tol < shooting._SHOOT_TOL:
+        assert stages == [replace(config, tol=loose_tol), config]
+        assert res.outer_iters == 2
+    else:
+        assert stages == [config]
+        monkeypatch.setitem(shooting._STAGES, "lvim", ((None, shooting._SHOOT_TOL),))
+        stock = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
+        assert (res.theta_prime_0, res.inner_iters, res.outer_iters) == \
+            (stock.theta_prime_0, stock.inner_iters, 1)
+
+
 @pytest.mark.parametrize("integrator", ["lvim", "rk45"])
 def test_tangent_follower_at_p80_finds_the_straight_bar(integrator):
     """From (12.9, 13.1) at P = 80 the oracle searching at stock tolerance
     alone ran out of shots; both routes now find the straight bar.  The
     oracle's loose clamp-end stage meets 1e-6 only on the 60th and last
-    shot of its budget."""
+    shot of its budget, the lvim one its bound on the 29th."""
     res = solve_buckled_bar("tangent_follower", 80.0, (12.9, 13.1), integrator=integrator)
     assert res.residual < 1e-10
     assert abs(res.theta_prime_0) < 1e-10
