@@ -23,13 +23,14 @@ the iterate the stop rule accepts, not the fixed point.
 The update is a feedback-accelerated Picard iteration: dropping the
 Jacobian term entirely would leave plain Picard in integrated form, and
 the ``J H`` term supplies the first-order correction that speeds up
-convergence on longer segments.
+convergence on longer segments.  The :class:`Trajectory` a march returns
+reads itself between its nodes and backwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -182,18 +183,42 @@ class SegmentResult:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of a solve.
-
-    ``times``/``states`` hold every collocation node (or accepted step)
-    in increasing time order with duplicate segment joins removed.
-    ``segment_iterations`` is per-segment for the iterative solver and
-    empty for single-pass integrators.
-    """
+    """Sampled solution of a march: every collocation node in increasing
+    time order, segment joins once, and the sweeps of each segment.  It
+    reads itself between nodes (:meth:`_between`, for
+    :func:`lvim.rk45.sample_at`) and backwards (:meth:`mirrored`);
+    :class:`lvim.rk45.RkTrajectory` overrides both."""
 
     times: np.ndarray               # (n,)
     states: np.ndarray              # (n, D)
     segment_iterations: np.ndarray  # (n_segments,) of int
     total_rhs_evals: int
+
+    def _between(self, query: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Values at times ``query`` off the nodes (none divides by zero),
+        ``pos`` their ``searchsorted`` positions in ``times``, each on the
+        interpolant of its segment: the barycentric formula with weights
+        ``(-1)^j``, halved at the ends (Berrut & Trefethen, SIAM Review 2004),
+        on ``N = (len(times) - 1) / n_segments + 1`` nodes; segment ``k``
+        owns nodes ``k*(N-1) .. k*(N-1) + N-1``, the end ones the span's slack."""
+        n_seg = len(self.segment_iterations)
+        per, rem = divmod(self.times.size - 1, n_seg)
+        if rem:
+            raise ValueError(f"{self.times.size} samples do not split into {n_seg} segments")
+        seg = np.minimum(np.maximum(pos - 1, 0) // per, n_seg - 1)
+        rows = (seg * per)[:, np.newaxis] + np.arange(per + 1)
+        w = (-1.0) ** np.arange(per + 1)
+        w[[0, -1]] *= 0.5
+        c = w / (query[:, np.newaxis] - self.times[rows])
+        return np.einsum("qj,qjd->qd", c, self.states[rows]) / c.sum(axis=1)[:, np.newaxis]
+
+    def mirrored(self, signs) -> Trajectory:
+        """The run read backwards over its span: time ``t`` becomes
+        ``times[0] + times[-1] - t``, states are multiplied by ``signs`` (one
+        per component), the per-segment counts reversed; the rhs count stays."""
+        return replace(self, times=(self.times[0] + self.times[-1]) - self.times[::-1],
+                       states=self.states[::-1] * signs,
+                       segment_iterations=self.segment_iterations[::-1])
 
 
 def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,

@@ -5,10 +5,10 @@ against.  The implementation is the textbook embedded pair: a fifth-order
 solution is advanced, the embedded fourth-order solution provides the
 error estimate, and the step size follows the standard controller
 ``h * clamp(0.9 * err**(-1/5), 0.2, 5)``.  Every accepted step stores the
-coefficients of the quartic interpolant so the solution can later be
-sampled at arbitrary times without re-integrating.  :func:`sample_at`
-reads marched trajectories as well, through each segment's Chebyshev
-interpolant, so both kinds are sampled the same way.
+coefficients of its quartic interpolant, through which an
+:class:`RkTrajectory` reads itself between steps and backwards (its
+``_between`` and ``mirrored``).  :func:`sample_at` samples either kind of
+trajectory through the trajectory's own interpolant.
 
 The step loop is bitwise the textbook loop at a smaller numpy call count.
 The stage matrix, its seven row views and the five stage slices are made
@@ -24,8 +24,7 @@ element-wise numpy expression rounds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,6 +67,11 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# the map of a quartic's coefficients (theta^1..theta^4) onto its expansion
+# about the step's other end: _REEXPAND[k-1, m-1] = (-1)^m C(k, m)
+_REEXPAND = np.array([[(-1.0) ** m * math.comb(k, m) for m in range(1, 5)]
+                      for k in range(1, 5)])
+
 # stages 1-5 as (c_s, a_s); a Python-float c_s keeps t + c_s * h off numpy
 _STAGES = tuple((float(_C[s]), _A[s]) for s in range(1, 6))
 
@@ -93,18 +97,32 @@ class RkConfig:
 
 @dataclass
 class RkTrajectory(Trajectory):
-    """Trajectory of accepted steps plus dense-output data.
+    """Accepted steps plus dense output: ``dense_q[i]`` holds the ``D x 4``
+    quartic coefficients of step ``i`` (``times[i]`` to ``times[i+1]``) and
+    ``step_h[i]`` its size; ``segment_iterations`` is empty (no segments)."""
 
-    ``dense_q[i]`` holds the ``D x 4`` interpolation coefficients of step
-    ``i`` (from ``times[i]`` to ``times[i+1]``) and ``step_h[i]`` its
-    size.  ``segment_iterations`` is empty: there is no per-segment
-    iteration in a single-pass integrator.
-    """
+    steps_accepted: int
+    steps_rejected: int
+    step_h: np.ndarray   # (n - 1,)
+    dense_q: np.ndarray  # (n - 1, D, 4)
 
-    steps_accepted: int = 0
-    steps_rejected: int = 0
-    step_h: Optional[np.ndarray] = None
-    dense_q: Optional[np.ndarray] = None
+    def _between(self, query: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Values at times ``query`` off the stored steps, ``pos`` their
+        ``searchsorted`` positions in ``times``, on the quartic of the step
+        that owns each (the end ones the span's slack)."""
+        idx = np.clip(pos - 1, 0, self.step_h.size - 1)
+        h = self.step_h[idx]
+        theta = (query - self.times[idx]) / h
+        powers = np.stack([theta, theta ** 2, theta ** 3, theta ** 4], axis=1)
+        return self.states[idx] + h[:, np.newaxis] * np.einsum(
+            "qdk,qk->qd", self.dense_q[idx], powers)
+
+    def mirrored(self, signs) -> RkTrajectory:
+        """The run read backwards (:meth:`Trajectory.mirrored`), each step's
+        quartic re-expanded about its other end, ``q'_m = (-1)^m sum_{k>=m}
+        C(k, m) q_k``, and multiplied by ``signs``; the step counts stay."""
+        return replace(super().mirrored(signs), step_h=self.step_h[::-1],
+                       dense_q=(self.dense_q[::-1] * np.asarray(signs)[:, np.newaxis]) @ _REEXPAND)
 
 
 def _initial_step(system, t0, x0, f0, cfg, span):
@@ -218,21 +236,14 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
 
 
 def sample_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Sample a trajectory at arbitrary times, oracle or marched.
-
-    An oracle trajectory (no segments) is read through its quartic dense
-    output.  A marched trajectory is read through the interpolant of the
-    segment that owns the query: the barycentric formula with weights
-    ``(-1)^j``, halved at the two ends (Berrut & Trefethen, SIAM Review
-    2004), on that segment's ``N = (len(times) - 1) / n_segments + 1``
-    nodes.  Times that coincide with a stored step or node return the
-    stored state exactly.  Queries outside the integrated span raise
-    ``ValueError``.  Returns an ``len(times) x D`` array.
+    """Sample a trajectory, oracle or marched, at ``times``: an ``len(times)
+    x D`` array.  A stored step or node returns its stored state exactly, any
+    other time the trajectory's own interpolant (``traj._between``).  A
+    ``times`` not 1-D, or outside the integrated span, raises ``ValueError``.
     """
-    n_seg = len(traj.segment_iterations)
-    if not n_seg and (getattr(traj, "dense_q", None) is None or len(traj.dense_q) == 0):
-        raise ValueError("trajectory carries neither dense-output data nor segments")
     query = np.atleast_1d(np.asarray(times, dtype=float))
+    if query.ndim != 1:
+        raise ValueError(f"times must be 1-D, got shape {query.shape}")
     t_lo = traj.times[0]
     t_hi = traj.times[-1]
     slack = 1e-12 * max(1.0, abs(t_hi - t_lo))
@@ -241,35 +252,10 @@ def sample_at(traj: Trajectory, times: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sample times outside the integrated span [{t_lo!r}, {t_hi!r}]")
 
-    # one sorted search and one batched evaluation for all queries; queries
-    # within the slack beyond either end use the first or last step (segment)
+    # one sorted search and one batched evaluation for all queries
     pos = np.searchsorted(traj.times, query)
     hit = traj.times[np.minimum(pos, traj.times.size - 1)] == query
-    if n_seg:
-        out = _sample_segments(traj, n_seg, query, pos, ~hit)
-    else:
-        idx = np.clip(pos - 1, 0, traj.step_h.size - 1)
-        h = traj.step_h[idx]
-        theta = (query - traj.times[idx]) / h
-        powers = np.stack([theta, theta ** 2, theta ** 3, theta ** 4], axis=1)
-        out = traj.states[idx] + h[:, np.newaxis] * np.einsum(
-            "qdk,qk->qd", traj.dense_q[idx], powers)
-    out[hit] = traj.states[pos[hit]]
-    return out
-
-
-def _sample_segments(traj, n_seg, query, pos, miss):
-    """Barycentric values at the ``miss`` rows (none sits on a node, so none
-    divides by zero), on the owning segments of a marched trajectory;
-    segment ``k`` owns nodes ``k*(N-1) .. k*(N-1) + N-1``."""
-    per, rem = divmod(traj.times.size - 1, n_seg)
-    if rem:
-        raise ValueError(f"{traj.times.size} samples do not split into {n_seg} segments")
     out = np.empty((query.size, traj.states.shape[1]))
-    seg = np.minimum(np.maximum(pos[miss] - 1, 0) // per, n_seg - 1)
-    rows = (seg * per)[:, np.newaxis] + np.arange(per + 1)
-    w = (-1.0) ** np.arange(per + 1)
-    w[[0, -1]] *= 0.5
-    c = w / (query[miss, np.newaxis] - traj.times[rows])
-    out[miss] = np.einsum("qj,qjd->qd", c, traj.states[rows]) / c.sum(axis=1)[:, np.newaxis]
+    out[~hit] = traj._between(query[~hit], pos[~hit])
+    out[hit] = traj.states[pos[hit]]
     return out

@@ -4,7 +4,8 @@ The bar equation is integrated as an initial-value problem from a guessed
 root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower load also depends on
 the unknown tip angle, which is its load angle: such a bar is shot from the
-free end on the tip angle instead, with the same secant root finder.
+free end on the tip angle instead, with the same secant root finder, and
+read from the clamp by the trajectory's own ``mirrored``.
 Each root search runs loose, then stock from the last loose value and slope;
 each lvim shot starts from its search's earlier shots (:func:`_shot_guess`).
 """
@@ -13,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError, checked
 from .problems import buckled_bar
-from .rk45 import RkConfig, RkTrajectory, rk45_integrate
+from .rk45 import RkConfig, rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
@@ -44,12 +45,9 @@ _SHOOT_TOL = 1e-10
 _STAGES = {"lvim": ((1e-5, 1e-4), (None, _SHOOT_TOL)),
            "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (RkConfig(), _SHOOT_TOL))}
 
-# (theta, theta') of a free-end shot read from the clamp, and the map of a
-# quartic's coefficients (theta^1..theta^4) onto its expansion about the
-# step's other end: _REEXPAND[k-1, m-1] = (-1)^m C(k, m)
+# the signs of (theta, theta') when a free-end shot, run over sigma = 1 - s,
+# is read from the clamp: theta' = -dtheta/dsigma
 _FLIP = np.array([1.0, -1.0])
-_REEXPAND = np.array([[(-1.0) ** m * math.comb(k, m) for m in range(1, 5)]
-                      for k in range(1, 5)])
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class ShotResult:
 
     theta_prime_0: float
     alpha: float
-    trajectory: Union[Trajectory, RkTrajectory]
+    trajectory: Trajectory
     residual: float
     outer_iters: int
     inner_iters: int
@@ -170,19 +168,6 @@ def _shot_guess(v: float, shots) -> Optional[np.ndarray]:
     return b.states + (v - v_b) / (v_b - v_a) * (b.states - a.states)
 
 
-def _from_clamp(tr: Union[Trajectory, RkTrajectory]) -> Union[Trajectory, RkTrajectory]:
-    """A shot from the free end, run over ``sigma = 1 - s``, read from the
-    clamp: times ``1 - sigma`` in increasing order and ``theta' =
-    -dtheta/dsigma``.  Each oracle step's quartic is re-expanded about its
-    other end, ``q'_m = (-1)^m sum_{k>=m} C(k, m) q_k``; the counts stay."""
-    fields = dict(times=1.0 - tr.times[::-1], states=tr.states[::-1] * _FLIP,
-                  segment_iterations=tr.segment_iterations[::-1])
-    if isinstance(tr, RkTrajectory):
-        fields.update(step_h=tr.step_h[::-1],
-                      dense_q=(tr.dense_q[::-1] * _FLIP[:, np.newaxis]) @ _REEXPAND)
-    return replace(tr, **fields)
-
-
 def solve_buckled_bar(
     load_type: str,
     load: float,
@@ -249,8 +234,8 @@ def solve_buckled_bar(
     tip = float(tr.states[-1, 0])
     alpha = tip if load_type == "dead" else 0.0  # a dead load's direction ignores alpha
     if load_type != "dead" and not abs(tip) < _SHOOT_TOL:
-        tr = _from_clamp(search((tip, 0.9 * tip), lambda a: (
-            buckled_bar(load_type, load, alpha=a), [a, 0.0], 0)))
+        tr = search((tip, 0.9 * tip), lambda a: (
+            buckled_bar(load_type, load, alpha=a), [a, 0.0], 0)).mirrored(_FLIP)
         alpha = float(tr.states[-1, 0])
     return ShotResult(
         theta_prime_0=float(tr.states[0, 1]),

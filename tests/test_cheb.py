@@ -184,6 +184,16 @@ def test_sample_at_segment_joins():
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def test_sample_at_refuses_nodes_that_do_not_split_into_segments():
+    """Eight nodes are not two segments of one N (7 = 2 (N - 1) has no
+    integer N): a query between nodes is refused, not read off a bad split."""
+    times = np.linspace(0.0, 1.0, 8)
+    traj = Trajectory(times=times, states=times[:, np.newaxis],
+                      segment_iterations=np.array([1, 1]), total_rhs_evals=0)
+    with pytest.raises(ValueError, match="8 samples do not split into 2 segments"):
+        sample_at(traj, np.array([0.05]))
+
+
 def test_sample_at_reads_a_march():
     # march stores N nodes per segment, joins once: a cubic is reproduced
     cubic = OdeSystem(dim=1, rhs=lambda t, x: np.array([3.0 * t * t]),

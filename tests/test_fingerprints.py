@@ -1,0 +1,84 @@
+"""Result fingerprints: a sha256 of each CLI output, so that a change
+meant to keep every result shows, bit for bit, that it did.
+
+The cases are ``run`` and ``compare`` of every problem, the bar under each
+of its three load types, ``run --print-defaults`` and the three sweeps.  A
+``run`` pins its CSV bytes.  A ``compare`` pins its JSON report less
+``wall_time_s``: the same samples as its CSV (which is the ``run`` CSV) at
+full precision, plus the oracle's counts and ``max_discrepancy``, which
+reads the oracle through ``sample_at``.  The pins are bitwise on numpy
+2.4.6, as ``STOCK_SHOTS`` in ``test_shooting.py`` is; another numpy or BLAS
+may round a last bit differently.  A change that moves results by design
+re-pins the rows it moves and lists each old -> new pin in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lvim.cli import main
+
+PINS = {
+    "run blasius":
+        "b64822ce4ee514cfbdae99cf46dfa6d94037bc894889565f848c3e3fd5ccfa18",
+    "run emden":
+        "3ab0382bf1325d02567f043e06af316af11b57b75ae9543fbfe78af93ec66750",
+    "run white-dwarf":
+        "cdee3568cfcc2fd9556a0acff700f1b5bcf0497afc8d0b9697e53ed40c94ff95",
+    "run mathieu":
+        "051e0398bc40f548266fd7cac80a3ee3315f6d71c25eef8619a776f9ecf11713",
+    "run pendulum":
+        "d4a47065bfff22184149395da4c6da397a71d77f5c4779afd06df5bff1ba1e3c",
+    "run buckled-bar --load-type dead":
+        "0ec7a4af41cd4cd70730033b36ff64c10de23a00d99f18487b91b1714741ed0d",
+    "run buckled-bar --load-type perpendicular_follower":
+        "b6c532ae14977dc495d01918ff98d2f39191febc3aa131ac10db9d57773ed992",
+    "run buckled-bar --load-type tangent_follower":
+        "d7fb3f147469be10569a4678a8d5a6a9cdf31c0fac02fe691a949154ba21df28",
+    "run elastica":
+        "36fec60251fc55a518e2d76b32e94a6f3d7fc5903f59d6a2ead201207d4993ed",
+    "run leo":
+        "dccdbce2028cb9424fce3771bcbd016bffdd6a4287fb0a3c3e8ffe21e3677608",
+    "compare blasius":
+        "18b72f6ca7e5ab03d221e66a2eaa71dea3a10e5e548c78e9494de00f8d9e3737",
+    "compare emden":
+        "cef4eb1ea0a3a4191089e93e2006af7a24845d65073f628cba79d657ca007ba2",
+    "compare white-dwarf":
+        "b1dc31b497c2bd3bb5adce66f15c33977beb25bde7ffdbebbc488cffa6dd2c53",
+    "compare mathieu":
+        "d9e26e2c39f946e5baf519451c208c67ccc91dc00411c0b45487aba54bd99272",
+    "compare pendulum":
+        "edb734207fb8c3b77b3fde651b59dedfd768c8431202ee84b6a862af3dcd8138",
+    "compare buckled-bar --load-type dead":
+        "71f087a56d95710ee8c4ec70b8dd69c3a7202da1f8b0e8f37ead24db1cb64d59",
+    "compare buckled-bar --load-type perpendicular_follower":
+        "ac1bb9cce4884e18d607a3a84b353beca72a73d4daade52a5750f71de4f0bc3b",
+    "compare buckled-bar --load-type tangent_follower":
+        "adf47c4f89ff8688c3f29f6ccf012cbf1da74313b4070434814baf427fdae007",
+    "compare elastica":
+        "45c06401f201da6d9fc995d19c447d240f546c62472b74b855c906a734455fd4",
+    "compare leo":
+        "75c17f3b8174f5d9e01b3b70a58ebcfdad9bf45ccdd44e6939f68f231e950052",
+    "run --print-defaults":
+        "aaad8a419e1691c182791caacd1425ed0619967a37f6fed3e736f6a6c65e87d2",
+    "sweep pendulum-frequency":
+        "c1eba4accf3d9171041176020bd16d8b47b8f1700bda0798765c7018b77dc369",
+    "sweep elastica-regimes":
+        "6ab420f759e02ffed36311eda7b4686da9c8566be47447bd0f4cec48780a4d15",
+    "sweep bar-load":
+        "af12196a8b16fae6c28adfc415a0a3a0769c5da3aaa71d8641a8d779a702c31f",
+}
+
+
+@pytest.mark.parametrize("case", PINS)
+def test_output_matches_its_pin(case, capsys):
+    argv = case.split()
+    compare = argv[0] == "compare"
+    assert main(argv + ["--format", "json"] if compare else argv) == 0
+    text = capsys.readouterr().out
+    if compare:
+        report = json.loads(text)
+        del report["wall_time_s"]
+        text = json.dumps(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS[case]

@@ -102,21 +102,51 @@ def test_sample_outside_span_raises():
         sample_at(tr, np.array([1.5]))
     with pytest.raises(ValueError):
         sample_at(tr, np.array([-1e-9]))
-    with pytest.raises(ValueError):
-        sample_at(RkTrajectory(times=tr.times, states=tr.states,
-                               segment_iterations=tr.segment_iterations,
-                               total_rhs_evals=0), tr.times)
+
+
+def _both_kinds(system, t0, tf, x0):
+    """An oracle run and a march (segments of 0.5, a shorter last one)."""
+    return (rk45_integrate(system, t0, tf, np.array(x0), RkConfig()),
+            march(system, t0, tf, np.array(x0), SolverConfig(5, 0.5, 1e-12)))
+
+
+DECAY_JAC = OdeSystem(dim=1, rhs=lambda t, x: -x,
+                      jac=lambda t, x: np.full((len(t), 1, 1), -1.0))
+
+OSC_JAC = OdeSystem(dim=2, rhs=OSC.rhs,
+                    jac=lambda t, x: np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]],
+                                                     (len(t), 2, 2)))
 
 
 def test_sample_at_refuses_a_nan_query():
     # a NaN time is neither below nor above the span, and is not inside it
-    oracle = rk45_integrate(DECAY, 0.0, 1.0, np.array([1.0]), RkConfig())
-    system = OdeSystem(dim=1, rhs=lambda t, x: -x,
-                       jac=lambda t, x: np.full((len(t), 1, 1), -1.0))
-    marched = march(system, 0.0, 1.0, np.array([1.0]), SolverConfig(5, 0.5, 1e-12))
-    for traj in (oracle, marched):
+    for traj in _both_kinds(DECAY_JAC, 0.0, 1.0, [1.0]):
         with pytest.raises(ValueError, match="outside the integrated span"):
             sample_at(traj, np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1)])
+def test_sample_at_refuses_times_that_are_not_1d(shape):
+    # in the span, so only the shape is wrong
+    for traj in _both_kinds(DECAY_JAC, 0.0, 1.0, [1.0]):
+        with pytest.raises(ValueError, match="times must be 1-D"):
+            sample_at(traj, np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["oracle", "march"])
+def test_mirrored_run_is_the_run_at_the_mirrored_time(kind):
+    """Off the unit span, over [0.3, 1.7], a run read backwards is the run
+    at ``2.0 - t`` with the signs applied: at the stored times (segment
+    joins included), between them and at times unrelated to either."""
+    signs = np.array([1.0, -1.0])
+    tr = _both_kinds(OSC_JAC, 0.3, 1.7, [1.0, 0.5])[kind]
+    rev = tr.mirrored(signs)
+    assert type(rev) is type(tr)
+    assert np.array_equal(rev.states[0], tr.states[-1] * signs)
+    mid = 0.5 * (tr.times[:-1] + tr.times[1:])
+    t = np.concatenate([tr.times, mid, np.linspace(0.3, 1.7, 101)])
+    gap = sample_at(rev, 2.0 - t) - sample_at(tr, t) * signs
+    assert np.max(np.abs(gap)) <= 1e-14
 
 
 def test_eval_accounting_exact():

@@ -569,7 +569,7 @@ def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     else:
         fresh = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
     if from_free_end:
-        fresh = shooting._from_clamp(fresh)
+        fresh = fresh.mirrored(shooting._FLIP)
     tr = res.trajectory
     assert np.array_equal(tr.times, fresh.times)
     if integrator == "lvim":
@@ -794,8 +794,8 @@ def free_end_runs():
     x0 = [alpha, 0.0]
     rk = rk45_integrate(spec.system, spec.t0, spec.tf, x0, spec.rk_defaults)
     tr = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
-    return {"rk45": (rk, shooting._from_clamp(rk)),
-            "lvim": (tr, shooting._from_clamp(tr))}
+    return {"rk45": (rk, rk.mirrored(shooting._FLIP)),
+            "lvim": (tr, tr.mirrored(shooting._FLIP))}
 
 
 @pytest.mark.parametrize("kind", ["rk45", "lvim"])
