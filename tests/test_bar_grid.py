@@ -1,6 +1,8 @@
 """The 144-case bar grid on the lvim route: three load types, eight loads
 and six secant seed pairs, each solved once per session (about 3 s)."""
 
+import hashlib
+
 import pytest
 
 from lvim import shooting
@@ -144,6 +146,18 @@ def grid():
     return out
 
 
+def _digest(results):
+    """A sha256 over each result's scalars, counts and trajectory bytes."""
+    h = hashlib.sha256()
+    for res in results:
+        tr = res.trajectory
+        h.update(repr((res.theta_prime_0, res.alpha, res.residual, res.outer_iters,
+                       res.inner_iters, tr.total_rhs_evals)).encode())
+        for array in (tr.times, tr.states, tr.segment_iterations):
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
 def _case_id(case):
     load_type, load, pair = case
     return f"{load_type}-{load:g}-{pair[0]}"
@@ -175,3 +189,20 @@ def test_tangent_p80_loose_stage_keeps_its_shot_margin(grid):
     assert len(stage_shots) == res.outer_iters == 4
     assert stage_shots[0] <= 29 < shooting._DEFAULT_MAX_SHOTS
     assert sum(stage_shots) == res.inner_iters
+
+
+# Every grid result bit for bit: the lvim route on all 144 cases, and the
+# oracle route on every ninth case (16 solves, under a second).  Bitwise on
+# numpy 2.4.6, as STOCK_SHOTS and the CLI fingerprints are; a change that
+# moves a result by design re-pins these and says why in CHANGES.md.
+GRID_SHA256 = "089bb3d34b23f3d0e111fd2ec2d84c6c1954839110f93a5dd9516d54ac7c1e3b"
+ORACLE_SHA256 = "c3b31f2a1bd59606643bd23eb77fa701e60188b8f4064d664f56221eb8ffc1ef"
+
+
+def test_grid_results_match_their_pin(grid):
+    assert _digest(grid[case][0] for case in CASES) == GRID_SHA256
+
+
+def test_oracle_grid_results_match_their_pin():
+    assert _digest(solve_buckled_bar(*case, integrator="rk45")
+                   for case in CASES[::9]) == ORACLE_SHA256

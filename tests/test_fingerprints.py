@@ -71,6 +71,46 @@ PINS = {
 }
 
 
+# Next to each ``compare`` hash, the report's counts and the repr of its
+# ``max_discrepancy`` as plain values, so that a red pin names the field
+# that moved; the hash still covers every other byte.
+FIELDS = ("total_iterations", "total_rhs_evals", "oracle_steps_accepted",
+          "oracle_steps_rejected", "oracle_rhs_evals", "max_discrepancy")
+COMPARE_FIELDS = {
+    "compare blasius": (
+        120, 600, 771, 0, 5398,
+        "[3.4113872504626386e-08, 6.186744860858795e-08, 5.4850956349855595e-08]"),
+    "compare emden": (
+        117, 1521, 309, 0, 2164,
+        "[9.682872559313438e-12, 3.9760441467029395e-11]"),
+    "compare white-dwarf": (
+        180, 900, 292, 4, 2069,
+        "[1.3132483989153343e-10, 1.293242540834072e-09]"),
+    "compare mathieu": (
+        1077, 5385, 6059, 53, 42732,
+        "[4.6772580541976083e-07, 2.767672917514119e-07]"),
+    "compare pendulum": (
+        2000, 10000, 3463, 6, 24278,
+        "[1.0365361967482056e-05, 5.182821617655264e-06]"),
+    "compare buckled-bar --load-type dead": (
+        10, 70, 500, 4, 3525,
+        "[5.189784678671927e-07, 1.5549394110081494e-06]"),
+    "compare buckled-bar --load-type perpendicular_follower": (
+        10, 70, 3, 0, 22,
+        "[4.241884874592679e-13, 3.988797454564708e-12]"),
+    "compare buckled-bar --load-type tangent_follower": (
+        10, 70, 10, 0, 71,
+        "[1.387778780781446e-17, 7.800196529933064e-47]"),
+    "compare elastica": (
+        20, 140, 296, 3, 2091,
+        "[0.00861510290118489]"),
+    "compare leo": (
+        110, 2860, 553, 9, 3926,
+        "[1.7002341337502003e-05, 1.0938849300146103e-05, 2.9465649276971817e-05, "
+        "1.0718849807744846e-08, 3.003248849609008e-08, 1.856733433669433e-08]"),
+}
+
+
 @pytest.mark.parametrize("case", PINS)
 def test_output_matches_its_pin(case, capsys):
     argv = case.split()
@@ -80,5 +120,7 @@ def test_output_matches_its_pin(case, capsys):
     if compare:
         report = json.loads(text)
         del report["wall_time_s"]
+        read = [report[f] for f in FIELDS[:-1]] + [repr(report["max_discrepancy"])]
+        assert dict(zip(FIELDS, read)) == dict(zip(FIELDS, COMPARE_FIELDS[case]))
         text = json.dumps(report)
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[case]

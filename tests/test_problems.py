@@ -378,10 +378,21 @@ def test_elastica_against_quadrature():
         assert y == pytest.approx(ref, abs=5e-8)
 
 
+def _elastica_guard_context(spec, t, match):
+    """Both guard routes, one rhs call and a march whose first node is
+    ``t``, raise ``match`` naming that node's time and its (1,) state."""
+    x = np.array([0.5])
+    for run in (lambda: spec.system.eval_rhs(t, x),
+                lambda: march(spec.system, t, t + 0.01, x, spec.lvim_defaults)):
+        with pytest.raises(DomainViolationError, match=match) as info:
+            run()
+        assert info.value.t == t
+        assert info.value.state.shape == (1,) and info.value.state[0] == 0.5
+
+
 def test_elastica_domain_guard():
-    spec = problems.elastica(1.0, 1.2)
-    with pytest.raises(DomainViolationError):
-        spec.system.eval_rhs(1.3, np.array([0.0]))
+    _elastica_guard_context(problems.elastica(1.0, 1.2), 1.3,
+                            "reached the slope-field edge at c = 1.2")
 
 
 def test_elastica_radicand_guard_fires_on_underflow():
@@ -391,6 +402,7 @@ def test_elastica_radicand_guard_fires_on_underflow():
     with pytest.raises(DomainViolationError, match="radicand 0.000e\\+00 not positive"):
         march(spec.system, spec.t0, spec.tf, spec.x0, spec.lvim_defaults)
     assert spec.system.rhs_evals == 1
+    _elastica_guard_context(spec, 0.0, "radicand 0.000e\\+00 not positive")
 
 
 def test_elastica_parameter_validation():

@@ -740,10 +740,11 @@ def test_lvim_loose_stage_met_on_its_first_guess(monkeypatch):
     assert abs(res.theta_prime_0 - exact) < 3e-7
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("tol", [1e-12, shooting._SHOOT_TOL, 1e-6])
 def test_lvim_stages_march_at_the_callers_config(monkeypatch, tol):
     """A caller's config takes the place of ``spec.lvim_defaults`` in both
-    stages.  A caller tol above the 1e-10 residual bound runs the stock
+    stages, a tol of exactly the residual bound included.  A caller tol
+    above the 1e-10 residual bound runs the stock
     stage alone, the search of a stock-only table: a march that loose stops
     before it clears a loose seed's error, so its residual would follow the
     seed (at 1e-6 the two-stage search ran out of shots here)."""
@@ -759,7 +760,7 @@ def test_lvim_stages_march_at_the_callers_config(monkeypatch, tol):
     (loose_tol, _), _ = shooting._STAGES["lvim"]
     stages = [config for config, _ in itertools.groupby(configs)]
     assert res.residual < 1e-10
-    if tol < shooting._SHOOT_TOL:
+    if tol <= shooting._SHOOT_TOL:
         assert stages == [replace(config, tol=loose_tol), config]
         assert res.outer_iters == 2
     else:
@@ -768,6 +769,26 @@ def test_lvim_stages_march_at_the_callers_config(monkeypatch, tol):
         stock = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
         assert (res.theta_prime_0, res.inner_iters, res.outer_iters) == \
             (stock.theta_prime_0, stock.inner_iters, 1)
+
+
+def test_the_stock_config_passed_is_no_config(monkeypatch):
+    """Passing the bar's own ``lvim_defaults`` is passing None: the same
+    shots at the same configs, the same root and the same trajectory bytes."""
+    def solve(config):
+        shots = []
+
+        def spy(system, t0, tf, x0, config, guess=None):
+            shots.append((list(x0), config))
+            return march(system, t0, tf, x0, config, guess=guess)
+
+        monkeypatch.setattr(shooting, "march", spy)
+        res = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
+        tr = res.trajectory
+        return shots, res.theta_prime_0, res.alpha, tr.times.tobytes(), tr.states.tobytes()
+
+    stock = solve(buckled_bar("dead", 50.0).lvim_defaults)
+    assert len({config for _, config in stock[0]}) == 2  # both stages ran
+    assert stock == solve(None)
 
 
 @pytest.mark.parametrize("integrator", ["lvim", "rk45"])
