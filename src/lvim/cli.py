@@ -125,17 +125,14 @@ def _check_out(out: str) -> None:
         raise ValueError(f"cannot write {out!r}: no writable directory {folder!r}")
 
 
-def _resolve_gravity(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    try:
-        return bundled_gravity_path(os.path.basename(path))
-    except FileNotFoundError:
-        raise ValueError(f"gravity file not found: {path!r}")
-
-
 def _leo_model(gravity_file: str, degree: Optional[int]) -> GravityModel:
-    model = load_gravity_model(_resolve_gravity(gravity_file))
+    path = gravity_file
+    if not os.path.exists(path):
+        try:
+            path = bundled_gravity_path(os.path.basename(path))
+        except FileNotFoundError:
+            raise ValueError(f"gravity file not found: {path!r}")
+    model = load_gravity_model(path)
     return model if degree is None else model.truncate(degree)
 
 

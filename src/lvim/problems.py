@@ -397,18 +397,14 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
     a2, c2 = a * a, c * c
 
     def rhs(t, x):
+        # OdeSystem.eval_rhs names the node (t and state) of a guard that fires
         t = float(t)  # Python float arithmetic: inf / inf is nan without a warning
         if abs(t) >= c:
             raise DomainViolationError(
-                f"|x| = {abs(t):.6g} reached the slope-field edge at c = {c:g}",
-                t=t,
-                state=np.asarray(x),
-            )
+                f"|x| = {abs(t):.6g} reached the slope-field edge at c = {c:g}")
         rad = (c2 - t * t) * (2.0 * a2 - c2 + t * t)
         if rad <= 0.0:
-            raise DomainViolationError(
-                f"radicand {rad:.3e} not positive at x = {t:.6g}", t=t, state=np.asarray(x)
-            )
+            raise DomainViolationError(f"radicand {rad:.3e} not positive at x = {t:.6g}")
         return np.array([(a2 - c2 + t * t) / math.sqrt(rad)])
 
     def jac(t, x):

@@ -182,7 +182,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     states = [x.copy()]
     step_h = []
     stages = []
-    n_acc = n_rej = attempts = 0
+    n_rej = attempts = 0
     # views made once: on small states a slice costs as much as the product
     k = np.empty((7, system.dim))
     row = tuple(k)
@@ -194,7 +194,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         if attempts >= cfg.max_steps:
             raise ConvergenceError(
                 f"step budget of {cfg.max_steps} exhausted at t={t:g} "
-                f"(accepted {n_acc}, rejected {n_rej})")
+                f"(accepted {len(step_h)}, rejected {n_rej})")
         attempts += 1
         h = min(h, tf - t)
 
@@ -219,7 +219,6 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
             times.append(t)
             states.append(x_new)
             x, ax = x_new, ax_new
-            n_acc += 1
             if t < tf:
                 f_cur = rhs(t, x)
         else:
@@ -231,7 +230,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     return RkTrajectory(times=np.array(times), states=np.array(states),
                         segment_iterations=np.empty(0, dtype=int),
                         total_rhs_evals=system.rhs_evals - evals_before,
-                        steps_accepted=n_acc, steps_rejected=n_rej,
+                        steps_accepted=len(step_h), steps_rejected=n_rej,
                         step_h=np.array(step_h), dense_q=dense_q)
 
 

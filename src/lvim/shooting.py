@@ -198,44 +198,43 @@ def solve_buckled_bar(
     """
     if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
+    spec = buckled_bar(load_type, load)  # validates load and type
+    cfg = config or spec.lvim_defaults
     # a march looser than the residual bound cannot tell a loose seed's error from it
-    stages = _STAGES[integrator][-1:] if integrator == "lvim" and config is not None \
-        and config.tol > _SHOOT_TOL else _STAGES[integrator]
+    stages = _STAGES[integrator][-1:] if integrator == "lvim" and cfg.tol > _SHOOT_TOL \
+        else _STAGES[integrator]
     logs = []
 
-    def search(guesses, shot_from):
+    def search(guesses, row, shot_from):
         """The accepted trajectory of a root search on component ``row``
-        of the end state of the shots ``shot_from(v) -> (spec, x0, row)``."""
-        log, slope = [], None  # the last stage's secant slope, once it took two shots
+        of the end state of the shots ``shot_from(v) -> (spec, x0)``."""
+        log, slope = [], None
         logs.append(log)
         for stage, tol in stages:
-            values = []
+            if len(log) > 1:  # the stock stage, after two loose shots: their last value and slope
+                (u, a), (v, b) = log[-2:]
+                guesses, slope = (v,), float(b.states[-1, row] - a.states[-1, row]) / (v - u)
+            if not isinstance(stage, RkConfig):
+                stage = cfg if stage is None else replace(cfg, tol=stage)
 
             def residual(v: float) -> float:
-                spec, x0, row = shot_from(v)
+                spec, x0 = shot_from(v)
                 if isinstance(stage, RkConfig):
                     tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, stage)
                 else:
-                    cfg = config or spec.lvim_defaults
-                    tr = march(spec.system, spec.t0, spec.tf, x0,
-                               cfg if stage is None else replace(cfg, tol=stage),
-                               guess=_shot_guess(v, log))
+                    tr = march(spec.system, spec.t0, spec.tf, x0, stage, guess=_shot_guess(v, log))
                 log.append((v, tr))
-                values.append(float(tr.states[-1, row]))
-                return values[-1]
+                return float(tr.states[-1, row])
 
-            v = shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
-            if len(values) > 1:  # else the first guess met tol and the guesses stay
-                guesses, slope = (v,), (values[-1] - values[-2]) / (v - log[-2][0])
+            shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
         return log[-1][1]
 
-    spec = buckled_bar(load_type, load)  # validates load and type
-    tr = search(slope_guesses, lambda v: (spec, [0.0, v], 1))  # theta(0) = 0 exactly
+    tr = search(slope_guesses, 1, lambda v: (spec, [0.0, v]))  # theta(0) = 0 exactly
     tip = float(tr.states[-1, 0])
     alpha = tip if load_type == "dead" else 0.0  # a dead load's direction ignores alpha
     if load_type != "dead" and not abs(tip) < _SHOOT_TOL:
-        tr = search((tip, 0.9 * tip), lambda a: (
-            buckled_bar(load_type, load, alpha=a), [a, 0.0], 0)).mirrored(_FLIP)
+        tr = search((tip, 0.9 * tip), 0, lambda a: (
+            buckled_bar(load_type, load, alpha=a), [a, 0.0])).mirrored(_FLIP)
         alpha = float(tr.states[-1, 0])
     return ShotResult(
         theta_prime_0=float(tr.states[0, 1]),
