@@ -252,27 +252,21 @@ def _bar_guesses(load_type: str, load: float) -> Tuple[float, float]:
 
 def _march_with_retry(spec, cfg: SolverConfig, tol_pinned: bool,
                       notes: List[str]) -> Tuple[Trajectory, SolverConfig]:
-    tols = [cfg.tol]
-    if not tol_pinned:
-        t = cfg.tol
-        while t < RETRY_TOL_FLOOR * 0.99:
-            t *= 100.0
-            tols.append(min(t, RETRY_TOL_FLOOR))
-    last_exc = None
-    for tol in tols:
-        attempt = replace(cfg, tol=tol)
+    attempt = cfg
+    while True:
         try:
             tr = march(spec.system, spec.t0, spec.tf, spec.x0, attempt)
-        except ConvergenceError as exc:
-            last_exc = exc
-            continue
-        if tol != tols[0]:
-            notes.append(
-                f"tolerance relaxed to {tol:g} after a convergence stall at "
-                f"{tols[0]:g}"
-            )
-        return tr, attempt
-    raise last_exc
+            break
+        except ConvergenceError:
+            if tol_pinned or attempt.tol >= RETRY_TOL_FLOOR * 0.99:
+                raise
+            attempt = replace(cfg, tol=min(100.0 * attempt.tol, RETRY_TOL_FLOOR))
+    if attempt.tol != cfg.tol:
+        notes.append(
+            f"tolerance relaxed to {attempt.tol:g} after a convergence stall at "
+            f"{cfg.tol:g}"
+        )
+    return tr, attempt
 
 
 def _shoot_bar(args, kwargs: dict, cfg: SolverConfig, with_oracle: bool):
@@ -544,8 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_defaults()
             return EXIT_OK
         if args.problem is None:
-            parser.error(
-                f"a problem is required (one of: {', '.join(PROBLEMS)})")
+            raise ValueError(f"a problem is required (one of: {', '.join(PROBLEMS)})")
         return cmd_solve(args)
     except SystemExit as exc:
         # argparse exits on usage errors and --help; keep the function API

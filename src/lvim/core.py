@@ -278,7 +278,6 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
         j_frozen = system.eval_jac(t_nodes[:1], x0[np.newaxis])[0]
 
     history = []
-    corr = np.inf
     for it in range(1, config.max_iter + 1):
         r = residual(ops, system, x, t_nodes=t_nodes)
         hr = ops.h_mat @ r

@@ -182,7 +182,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     states = [x.copy()]
     step_h = []
     stages = []
-    n_rej = attempts = 0
+    n_rej = 0
     # views made once: on small states a slice costs as much as the product
     k = np.empty((7, system.dim))
     row = tuple(k)
@@ -191,11 +191,10 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     ax = [abs(v) for v in x.tolist()]
 
     while t < tf:
-        if attempts >= cfg.max_steps:
+        if len(step_h) + n_rej >= cfg.max_steps:
             raise ConvergenceError(
                 f"step budget of {cfg.max_steps} exhausted at t={t:g} "
                 f"(accepted {len(step_h)}, rejected {n_rej})")
-        attempts += 1
         h = min(h, tf - t)
 
         row[0][...] = f_cur

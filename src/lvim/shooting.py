@@ -92,10 +92,10 @@ def shoot_scalar(
     step ``guess_a - residual(guess_a) / slope``.
 
     When the residual changes sign between the guesses, the sorted guesses
-    are a bracket, tightened as evaluations land inside it; a secant step
-    that leaves the guesses is replaced by bisection of the tightest
-    sign-changing pair (Dekker's safeguard), so no evaluation falls
-    outside them.  Otherwise the iteration is the plain secant.
+    are a bracket, tightened to the tightest sign-changing pair as
+    evaluations land inside it; a secant step that leaves that pair is
+    replaced by its bisection (Dekker's safeguard), so no evaluation falls
+    outside it.  Otherwise the iteration is the plain secant.
 
     Raises ValueError, before any evaluation, for a bad guess or setting,
     and ConvergenceError after ``max_shots`` residual evaluations.
@@ -124,11 +124,10 @@ def shoot_scalar(
         return a
     b = b if slope is None else a - fa / slope
     fb = evaluate(b)
-    # (lo, flo, hi, fhi): the sorted guesses if flo * fhi < 0, tightened as evaluations land
+    # (lo, f(lo), hi): the tightest sign-changing pair so far, if the guesses are one
     bracket = None
     if fa * fb < 0.0:
-        bracket = (a, fa, b, fb) if a < b else (b, fb, a, fa)
-        left, right = bracket[0], bracket[2]
+        bracket = (a, fa, b) if a < b else (b, fb, a)
     shots = 2
     while not abs(fb) < shoot_tol:
         if shots >= max_shots:
@@ -141,13 +140,13 @@ def shoot_scalar(
             )
         c = b - fb * (b - a) / (fb - fa)
         if bracket is not None:
-            lo, flo, hi, fhi = bracket
-            if not left <= c <= right:
+            lo, flo, hi = bracket
+            if not lo <= c <= hi:
                 c = 0.5 * (lo + hi)
         fc = evaluate(c)
         shots += 1
         if bracket is not None and lo < c < hi:
-            bracket = (lo, flo, c, fc) if flo * fc < 0.0 else (c, fc, hi, fhi)
+            bracket = (lo, flo, c) if flo * fc < 0.0 else (c, fc, hi)
         a, fa = b, fb
         b, fb = c, fc
     return b
@@ -195,9 +194,12 @@ def solve_buckled_bar(
     lvim shot after the first of its search is seeded from the log's last
     two shots, so the returned trajectory agrees with a cold march at the
     accepted value to within the iteration tolerance, not bit for bit.
+    ``config`` is the lvim route's; the oracle route refuses one.
     """
     if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
+    if integrator == "rk45" and config is not None:
+        raise ValueError("config sets the lvim march; the rk45 route takes none")
     spec = buckled_bar(load_type, load)  # validates load and type
     cfg = config or spec.lvim_defaults
     # a march looser than the residual bound cannot tell a loose seed's error from it

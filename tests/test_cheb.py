@@ -44,6 +44,8 @@ def test_grid_validation():
         build_operators(1, 1.0)
     with pytest.raises(ValueError):
         build_operators(5, 0.0)
+    with pytest.raises(ValueError, match="at least 2 nodes, got m=1"):
+        cgl_nodes(1)
 
 
 @pytest.mark.parametrize("n", [2, 5, 7, 13, 26])

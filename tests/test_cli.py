@@ -428,7 +428,10 @@ def test_readme_cli_examples_parse():
     (["compare", "pendulum", "--rel-tol", "inf"], 1),
     (["run", "pendulum", "--dt", "inf"], 1),
     # an integer too large for a float is out of range, not an overflow
-    (["run", "pendulum", "--n", "1" + "0" * 400], 1)])
+    (["run", "pendulum", "--n", "1" + "0" * 400], 1),
+    # nothing to solve, and a coefficient file that is not there
+    (["run"], 1),
+    (["run", "leo", "--gravity-file", "missing.txt"], 1)])
 def test_unworkable_input_is_one_error_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err

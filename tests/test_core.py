@@ -246,6 +246,17 @@ def test_march_refuses_system_without_jac():
     assert sys_no_jac.rhs_evals == 0
 
 
+def test_misshaped_start_is_refused_before_any_rhs():
+    system = decay_system()
+    cfg = SolverConfig(5, 0.5, 1e-10)
+    for bad in (np.array([1.0, 2.0]), np.array([[1.0]]), np.array(1.0)):
+        with pytest.raises(ValueError, match=r"initial state has shape .*, expected \(1,\)"):
+            march(system, 0.0, 1.0, bad, cfg)
+        with pytest.raises(ValueError, match=r"initial state has shape .*, expected \(1,\)"):
+            iterate_segment(build_operators(5, 0.5), system, bad, cfg)
+    assert system.rhs_evals == 0
+
+
 @pytest.mark.parametrize("t0, tf", [(0.0, math.inf), (-math.inf, 1.0),
                                     (0.0, math.nan)])
 def test_march_refuses_non_finite_span(t0, tf):

@@ -15,9 +15,14 @@ re-pins the rows it moves and lists each old -> new pin in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from lvim import shooting
 from lvim.cli import main
+from lvim.core import march
+from lvim.problems import buckled_bar, pendulum
+from lvim.rk45 import rk45_integrate, sample_at
 
 PINS = {
     "run blasius":
@@ -124,3 +129,45 @@ def test_output_matches_its_pin(case, capsys):
         assert dict(zip(FIELDS, read)) == dict(zip(FIELDS, COMPARE_FIELDS[case]))
         text = json.dumps(report)
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[case]
+
+
+# ``sample_at`` off both trajectory kinds: a sha256 of the readings at every
+# stored time, every midpoint between two and 200 seeded random times, for
+# the stock pendulum march and oracle run and a free-end follower shot
+# (perpendicular, P = 80, at its buckled tip angle) of each kind read from
+# the clamp through ``mirrored``.  Bitwise on numpy 2.4.6, as above.
+SAMPLE_PINS = {
+    "pendulum march":
+        "b42b96874652a4778e4d9d8c7532686fcb051c694786a48ab6eb7da2e96f7438",
+    "pendulum oracle":
+        "41bd7a77e60e0c98b10e770854aa20e4d100487d70de9cbb91b56fa5f2644a84",
+    "mirrored follower march":
+        "6905fa5787b62e37346bffcdb93058db22027852e7ea2f62ddeeddfaacf8b9f7",
+    "mirrored follower oracle":
+        "f222c17ffd35befb6db9afaa1fc25a25566a92e0776a5e2f6bf54f4fec70cfde",
+}
+
+
+@pytest.fixture(scope="module")
+def sampled_runs():
+    spec = pendulum()
+    args = (spec.system, spec.t0, spec.tf, spec.x0)
+    alpha = 0.45702753025091486
+    bar = buckled_bar("perpendicular_follower", 80.0, alpha=alpha)
+    shot = (bar.system, bar.t0, bar.tf, [alpha, 0.0])
+    return {
+        "pendulum march": march(*args, spec.lvim_defaults),
+        "pendulum oracle": rk45_integrate(*args, spec.rk_defaults),
+        "mirrored follower march": march(*shot, bar.lvim_defaults).mirrored(shooting._FLIP),
+        "mirrored follower oracle":
+            rk45_integrate(*shot, bar.rk_defaults).mirrored(shooting._FLIP),
+    }
+
+
+@pytest.mark.parametrize("case", SAMPLE_PINS)
+def test_sample_at_readings_match_their_pin(case, sampled_runs):
+    tr = sampled_runs[case]
+    mid = 0.5 * (tr.times[:-1] + tr.times[1:])
+    rand = np.random.default_rng(2024).uniform(tr.times[0], tr.times[-1], 200)
+    readings = sample_at(tr, np.concatenate([tr.times, mid, rand]))
+    assert hashlib.sha256(readings.tobytes()).hexdigest() == SAMPLE_PINS[case]

@@ -60,6 +60,22 @@ def test_loader_accepts_comments(tmp_path):
     assert m.coeffs[(1, 1)] == (1e-6, 2e-6)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mu 1.0 r_ref 1.0\n0 0 1.0 0.0\n", "malformed header line: 'mu 1.0 r_ref 1.0'"),
+    ("mu 1.0 r_ref 1.0 degree 0\n0 0 1.0\n", "malformed coefficient line: '0 0 1.0'"),
+    ("", "empty gravity file")])
+def test_loader_refuses_a_malformed_file(tmp_path, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_gravity_model(str(f))
+
+
+def test_unknown_bundled_file_is_refused():
+    with pytest.raises(FileNotFoundError, match="no bundled gravity file named 'nope.txt'"):
+        bundled_gravity_path("nope.txt")
+
+
 @pytest.mark.parametrize("mu, r_ref", [
     (float("nan"), R_REF), (float("inf"), R_REF), (MU, float("nan")),
     (MU, float("inf")), (MU, -float("inf"))])

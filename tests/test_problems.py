@@ -188,6 +188,11 @@ def test_blasius_stage_agreement():
     assert abs(f2_lvim - f2_rk) < 1e-8
 
 
+def test_blasius_refuses_an_unknown_stage_one():
+    with pytest.raises(ValueError, match="stage1 must be 'lvim' or 'rk45'"):
+        problems.blasius(stage1="euler")
+
+
 def test_blasius_truncation_doubling():
     # the adaptive stage handles the doubled span; the iterative stage
     # loses contraction once the solution grows linearly without bound
@@ -304,6 +309,11 @@ def test_spec_rejects_non_finite_span(name, value):
         replace(problems.pendulum(), **{name: value})
 
 
+def test_spec_refuses_state_names_of_another_length():
+    with pytest.raises(ValueError, match="state_names length does not match the system"):
+        replace(problems.pendulum(), state_names=("theta",))
+
+
 @pytest.mark.parametrize("factory, arg, value", [
     (problems.blasius, "xi_max", math.inf), (problems.blasius, "xi_max", math.nan),
     (problems.mathieu, "delta", math.nan), (problems.mathieu, "epsilon", math.inf),
@@ -360,6 +370,12 @@ def test_elastica_regimes():
     assert problems.elastica_regime(1.0, 1.35) == 3
     with pytest.raises(ValueError):
         problems.elastica_regime(1.0, math.sqrt(2.0))  # boundary
+
+
+def test_elastica_notes_name_its_family_or_the_boundary():
+    assert problems.elastica(1.0, 1.2).notes == "curve family 2, a = 1, c = 1.2"
+    # c / a = 1 is the boundary between families 1 and 2
+    assert problems.elastica(1.0, 1.0).notes == "family boundary, a = 1, c = 1"
 
 
 def test_elastica_against_quadrature():

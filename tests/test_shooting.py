@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ellipkm1
 
@@ -92,6 +94,29 @@ def test_reversed_bracket_converges_between_guesses():
         assert len(calls) < 30
     assert roots[(10.0, 0.0)] == pytest.approx(roots[(0.0, 10.0)], abs=1e-10)
     assert roots[(0.0, 10.0)] == pytest.approx(6.1, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-50.0, 50.0).filter(lambda k: abs(k) > 0.1), st.floats(-0.9, 0.9),
+       st.floats(-5.0, -1.0), st.floats(1.0, 5.0), st.booleans())
+@example(20.0, 0.215, -2.2, 2.4, False)  # left the tightest pair twice before
+def test_no_evaluation_leaves_the_tightest_bracket(k, root, a, b, reverse):
+    """For ``atan(k (v - root))`` from a sign-changing pair, each evaluation
+    lies inside the tightest sign-changing pair of the evaluations before
+    it (Dekker's safeguard), not merely inside the first two guesses."""
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return math.atan(k * (v - root))
+
+    shoot_scalar(f, *((b, a) if reverse else (a, b)))
+    for i in range(2, len(calls)):
+        # the residual is monotone: the tightest pair is the nearest
+        # evaluation on each side of the root
+        lo = max(v for v in calls[:i] if v < root)
+        hi = min(v for v in calls[:i] if v > root)
+        assert lo <= calls[i] <= hi, f"evaluation {i} at {calls[i]!r} outside [{lo!r}, {hi!r}]"
 
 
 @pytest.mark.parametrize("guesses", [(math.nan, 1.0), (0.0, math.inf),
@@ -859,3 +884,16 @@ def test_unknown_integrator(monkeypatch):
     with pytest.raises(ValueError, match="unknown integrator"):
         solve_buckled_bar("perpendicular_follower", 25.0, (2.0, 2.5),
                           integrator="euler")
+
+
+def test_oracle_route_refuses_a_config(monkeypatch):
+    # the oracle's stages are fixed, so a march config would be dropped unread
+    def never(*args, **kwargs):
+        raise AssertionError("worked before the config was checked")
+
+    for name in ("buckled_bar", "march", "rk45_integrate"):
+        monkeypatch.setattr(shooting, name, never)
+    with pytest.raises(ValueError, match="rk45 route takes none"):
+        solve_buckled_bar("dead", 50.0, (12.9, 13.1),
+                          config=SolverConfig(n_basis=5, dt=0.5, tol=1e-3),
+                          integrator="rk45")
