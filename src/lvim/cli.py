@@ -126,13 +126,12 @@ def _check_out(out: str) -> None:
 
 
 def _leo_model(gravity_file: str, degree: Optional[int]) -> GravityModel:
-    path = gravity_file
-    if not os.path.exists(path):
+    if not os.path.exists(gravity_file):
         try:
-            path = bundled_gravity_path(os.path.basename(path))
+            gravity_file = bundled_gravity_path(gravity_file)  # a bare name only
         except FileNotFoundError:
-            raise ValueError(f"gravity file not found: {path!r}")
-    model = load_gravity_model(path)
+            raise ValueError(f"gravity file not found: {gravity_file!r}")
+    model = load_gravity_model(gravity_file)
     return model if degree is None else model.truncate(degree)
 
 
@@ -441,10 +440,12 @@ def _emit_curves(curves: List[Tuple[str, Trajectory]], header: Sequence[str],
 
 def cmd_sweep(args) -> int:
     if args.kind == "pendulum-frequency":
-        if args.amplitudes:
-            amps = [float(tok) for tok in args.amplitudes.split(",")]
-        else:
-            amps = [round(0.1 + 0.2 * k, 10) for k in range(16)]  # 0.1 .. 3.1
+        amps = [round(0.1 + 0.2 * k, 10) for k in range(16)]  # 0.1 .. 3.1
+        if args.amplitudes is not None:  # "" included: no list is not the default list
+            try:
+                amps = [float(tok) for tok in args.amplitudes.split(",")]
+            except ValueError:
+                raise ValueError(f"--amplitudes takes numbers, got {args.amplitudes!r}") from None
         table = problems.pendulum_frequency_sweep(amps)
         _emit(_table(("amplitude", "frequency"), table), args.out)
         return EXIT_OK

@@ -2,12 +2,11 @@
 
 The bar equation is integrated as an initial-value problem from a guessed
 root slope, and the guess is corrected until the far-end slope vanishes
-(clamped at s = 0, moment-free at s = 1).  A follower load also depends on
-the unknown tip angle, which is its load angle: such a bar is shot from the
-free end on the tip angle instead, with the same secant root finder, and
-read from the clamp by the trajectory's own ``mirrored``.
-Each root search runs loose, then stock from the last loose value and slope;
-each lvim shot starts from its search's earlier shots (:func:`_shot_guess`).
+(clamped at s = 0, moment-free at s = 1).  A follower's load angle is its
+unknown tip angle: a loose clamp-end search only seeds it, and the bar is
+shot from the free end on it and read from the clamp (``mirrored``).  A full
+root search runs loose, then stock from the last loose value and slope; each
+lvim shot starts from its search's earlier shots (:func:`_shot_guess`).
 """
 
 from __future__ import annotations
@@ -54,15 +53,12 @@ _FLIP = np.array([1.0, -1.0])
 class ShotResult:
     """A converged shot.
 
-    ``alpha`` is the load-direction angle used on the final shot.  For a
-    follower shot from the free end it is the tip angle
-    ``trajectory.states[-1, 0]`` exactly; for a straight follower it is
-    0.0, the load angle of its one search; for dead loads (where no such
-    angle exists) it is simply the tip angle itself.  ``residual`` is
-    ``max(|theta(0)|, |theta'(1)|)`` of the returned trajectory.
-    ``outer_iters`` counts ``shoot_scalar`` calls (two per root search,
-    loose then stock; one at an lvim ``config.tol`` above 1e-10) and
-    ``inner_iters`` the shots in them.
+    ``alpha`` is the tip angle ``trajectory.states[-1, 0]`` for every
+    load: a follower's load angle on the final shot, and for a dead load
+    (whose direction has no such angle) the tip angle itself.
+    ``residual`` is ``max(|theta(0)|, |theta'(1)|)`` of the returned
+    trajectory.  ``outer_iters`` counts the ``shoot_scalar`` calls, the
+    stages each root search ran, and ``inner_iters`` the shots in them.
     """
 
     theta_prime_0: float
@@ -178,23 +174,24 @@ def solve_buckled_bar(
 
     ``slope_guesses`` seeds the secant on the root slope at load angle 0;
     distinct pairs can converge to distinct equilibria of the same load.
-    That shoot solves a dead load, and a follower whose tip angle stays
-    below ``_SHOOT_TOL``.  Any other follower's load angle is its tip angle
-    alpha, so the bar is shot again from the free end, from ``(alpha, 0)``
-    over ``sigma = 1 - s`` (the autonomous equation has no theta' term),
-    on the alpha whose clamp angle vanishes, seeded from the first tip
-    angle.  Each search walks its integrator's ``_STAGES``, one
-    ``shoot_scalar`` call each: a loose stage (the oracle at 1e-8, a march at
-    ``tol`` 1e-5) hands its last value and secant slope to a stock one
-    (``RkConfig()``, ``config or spec.lvim_defaults``; a ``config.tol``
-    above 1e-10 runs it alone).  A search logs its shots, each marched once,
-    as ``(v, trajectory)`` in order; ``shoot_scalar`` returns the value it
-    shot last, so the accepted trajectory is the log's last entry.
-    ``outer_iters`` counts the stages and ``inner_iters`` the shots.  An
-    lvim shot after the first of its search is seeded from the log's last
-    two shots, so the returned trajectory agrees with a cold march at the
-    accepted value to within the iteration tolerance, not bit for bit.
-    ``config`` is the lvim route's; the oracle route refuses one.
+    That search solves a dead load.  A follower's load angle is its tip
+    angle alpha, so its clamp-end search runs only its first stage, and its
+    tip seeds a search from the free end, from ``(alpha, 0)`` over ``sigma
+    = 1 - s`` (the equation is autonomous and has no theta' term), on the
+    alpha whose clamp angle vanishes; read from the clamp, that is the
+    answer.  A zero tip is the straight bar, which solves every load, and
+    whose loose run is its stock run bit for bit: it ends the solve.  A
+    full search walks its integrator's ``_STAGES``, one ``shoot_scalar``
+    call each: a loose stage (the oracle at 1e-8, a march at ``tol`` 1e-5)
+    hands its last value and secant slope to a stock one (``RkConfig()``,
+    ``config or spec.lvim_defaults``; a ``config.tol`` above 1e-10 runs it
+    alone).  A search logs its shots, each marched once, as ``(v,
+    trajectory)``; ``shoot_scalar`` returns the value it shot last, so the
+    log's last entry is the accepted trajectory.  An lvim shot after the
+    first of its search is seeded from the log's last two shots, so the
+    returned trajectory agrees with a cold march at the accepted value to
+    within the iteration tolerance, not bit for bit.  ``config`` is the
+    lvim route's; the oracle route refuses one.
     """
     if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
@@ -205,13 +202,13 @@ def solve_buckled_bar(
     # a march looser than the residual bound cannot tell a loose seed's error from it
     stages = _STAGES[integrator][-1:] if integrator == "lvim" and cfg.tol > _SHOOT_TOL \
         else _STAGES[integrator]
-    logs = []
+    logs = []  # one (stages, shot log) per search
 
-    def search(guesses, row, shot_from):
-        """The accepted trajectory of a root search on component ``row``
-        of the end state of the shots ``shot_from(v) -> (spec, x0)``."""
+    def search(guesses, row, shot_from, stages):
+        """The accepted trajectory of a search through ``stages`` on end-state
+        component ``row`` of the shots ``shot_from(v) -> (spec, x0)``."""
         log, slope = [], None
-        logs.append(log)
+        logs.append((stages, log))
         for stage, tol in stages:
             if len(log) > 1:  # the stock stage, after two loose shots: their last value and slope
                 (u, a), (v, b) = log[-2:]
@@ -231,18 +228,17 @@ def solve_buckled_bar(
             shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
         return log[-1][1]
 
-    tr = search(slope_guesses, 1, lambda v: (spec, [0.0, v]))  # theta(0) = 0 exactly
+    follower = load_type != "dead"  # whose clamp-end search only seeds the tip angle
+    tr = search(slope_guesses, 1, lambda v: (spec, [0.0, v]), stages[:1] if follower else stages)
     tip = float(tr.states[-1, 0])
-    alpha = tip if load_type == "dead" else 0.0  # a dead load's direction ignores alpha
-    if load_type != "dead" and not abs(tip) < _SHOOT_TOL:
+    if follower and tip != 0.0:  # a zero tip would seed the secant with equal guesses
         tr = search((tip, 0.9 * tip), 0, lambda a: (
-            buckled_bar(load_type, load, alpha=a), [a, 0.0])).mirrored(_FLIP)
-        alpha = float(tr.states[-1, 0])
+            buckled_bar(load_type, load, alpha=a), [a, 0.0]), stages).mirrored(_FLIP)
     return ShotResult(
         theta_prime_0=float(tr.states[0, 1]),
-        alpha=alpha,
+        alpha=float(tr.states[-1, 0]),
         trajectory=tr,
         residual=max(abs(float(tr.states[0, 0])), abs(float(tr.states[-1, 1]))),
-        outer_iters=len(logs) * len(stages),
-        inner_iters=sum(map(len, logs)),
+        outer_iters=sum(len(stages) for stages, _ in logs),
+        inner_iters=sum(len(log) for _, log in logs),
     )

@@ -1,11 +1,15 @@
 """The 144-case bar grid on the lvim route: three load types, eight loads
-and six secant seed pairs, each solved once per session (about 3 s)."""
+and six secant seed pairs, each solved once per session (about 3 s), and
+every ninth case on the oracle route (under a second)."""
 
 import hashlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lvim import shooting
+from lvim.problems import buckled_bar
 from lvim.shooting import ShotResult, solve_buckled_bar
 
 LOAD_TYPES = ("dead", "perpendicular_follower", "tangent_follower")
@@ -118,32 +122,44 @@ EQUILIBRIA = {
 }
 
 
-@pytest.fixture(scope="module")
-def grid():
-    """Each case's ShotResult, or the exception it raised, and the shots
-    of each of its ``shoot_scalar`` calls in order."""
-    stage_shots, shoot_scalar = [], shooting.shoot_scalar
+def _solve(case, integrator="lvim"):
+    """The case's ShotResult, or the exception it raised; the
+    ``(shoot_tol, shots)`` of each of its ``shoot_scalar`` calls in order,
+    each shot an ``(x0, config)``; and the last trajectory it marched."""
+    stages, last, shoot_scalar = [], [], shooting.shoot_scalar
 
     def counted(residual_fn, *args, **kwargs):
-        stage_shots.append(0)
+        stages.append((kwargs["shoot_tol"], []))
+        return shoot_scalar(residual_fn, *args, **kwargs)
 
-        def residual(v):
-            stage_shots[-1] += 1
-            return residual_fn(v)
+    def logged(integrate):
+        def spy(system, t0, tf, x0, config, **kwargs):
+            last[:] = [integrate(system, t0, tf, x0, config, **kwargs)]
+            stages[-1][1].append((tuple(x0), config))
+            return last[0]
+        return spy
 
-        return shoot_scalar(residual, *args, **kwargs)
-
-    out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shooting, "shoot_scalar", counted)
-        for case in CASES:
-            stage_shots.clear()
-            try:
-                res = solve_buckled_bar(*case)
-            except Exception as exc:  # reported by the case's own test
-                res = exc
-            out[case] = (res, list(stage_shots))
-    return out
+        mp.setattr(shooting, "march", logged(shooting.march))
+        mp.setattr(shooting, "rk45_integrate", logged(shooting.rk45_integrate))
+        try:
+            res = solve_buckled_bar(*case, integrator=integrator)
+        except Exception as exc:  # reported by the case's own test
+            res = exc
+    return res, stages, last[0] if last else None
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """Each case's ``_solve`` on the lvim route."""
+    return {case: _solve(case) for case in CASES}
+
+
+@pytest.fixture(scope="module")
+def oracle_grid():
+    """Every ninth case's ``_solve`` on the oracle route (under a second)."""
+    return {case: _solve(case, "rk45") for case in CASES[::9]}
 
 
 def _digest(results):
@@ -171,7 +187,7 @@ def test_equilibria_cover_the_grid():
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_grid_case_keeps_its_equilibrium(grid, case):
-    res, _ = grid[case]
+    res, _, _ = grid[case]
     assert isinstance(res, ShotResult), f"{case} raised {res!r}"
     root, alpha = EQUILIBRIA[case[:2]][PAIRS.index(case[2])]
     assert abs(res.theta_prime_0 - root) < 1e-8
@@ -179,30 +195,97 @@ def test_grid_case_keeps_its_equilibrium(grid, case):
     assert res.residual < 1e-10
 
 
+@pytest.mark.parametrize("case", CASES[::9], ids=_case_id)
+def test_oracle_case_keeps_its_equilibrium(oracle_grid, case):
+    """The oracle lands on the equilibrium of the lvim route to within the
+    march's truncation on the bar (up to 1.8e-7)."""
+    res, _, _ = oracle_grid[case]
+    assert isinstance(res, ShotResult), f"{case} raised {res!r}"
+    root, alpha = EQUILIBRIA[case[:2]][PAIRS.index(case[2])]
+    assert abs(res.theta_prime_0 - root) < 1e-6
+    assert abs(res.alpha - alpha) < 1e-6
+    assert res.residual < 1e-10
+
+
+def _followers(results):
+    followers = [case for case in results if case[0] != "dead"]
+    assert followers
+    return followers
+
+
+def _stage_settings(case, integrator):
+    """The ``(config, shoot_tol)`` of the route's loose and stock stages on
+    the case's bar."""
+    spec = buckled_bar(*case[:2])
+    (loose, loose_tol), (_, stock_tol) = shooting._STAGES[integrator]
+    if integrator == "lvim":
+        return (replace(spec.lvim_defaults, tol=loose), loose_tol), (spec.lvim_defaults, stock_tol)
+    return (loose, loose_tol), (spec.rk_defaults, stock_tol)
+
+
+@pytest.mark.parametrize("integrator", ["lvim", "rk45"])
+def test_follower_clamp_end_search_runs_its_loose_stage_alone(grid, oracle_grid, integrator):
+    """A follower's clamp-end search only seeds the tip angle, so it runs
+    one stage, at its route's loose setting.  Its tip (nonzero on every
+    grid case) seeds a search from the free end, loose then stock."""
+    results = grid if integrator == "lvim" else oracle_grid
+    for case in _followers(results):
+        _, stages, _ = results[case]
+        loose, stock = _stage_settings(case, integrator)
+        (tol, shots), *free_end = stages
+        assert (tol, {config for _, config in shots}) == (loose[1], {loose[0]}), case
+        assert all(x0[0] == 0.0 for x0, _ in shots), case  # theta(0) = 0: clamp-end shots
+        assert [(tol, {config for _, config in shots}) for tol, shots in free_end] == \
+            [(loose[1], {loose[0]}), (stock[1], {stock[0]})], case
+        assert all(x0[1] == 0.0 for _, shots in free_end for x0, _ in shots), case
+
+
+@pytest.mark.parametrize("integrator", ["lvim", "rk45"])
+def test_follower_comes_back_mirrored_from_the_free_end(grid, oracle_grid, integrator):
+    """Every follower returns its last shot, a free-end one, read from the
+    clamp, straight bars included; ``alpha`` is that shot's start, the
+    trajectory's tip angle, bit for bit."""
+    results = grid if integrator == "lvim" else oracle_grid
+    for case in _followers(results):
+        res, _, last = results[case]
+        mirrored = last.mirrored(shooting._FLIP)
+        assert np.array_equal(res.trajectory.times, mirrored.times), case
+        assert np.array_equal(res.trajectory.states, mirrored.states), case
+        assert res.alpha == res.trajectory.states[-1, 0] == last.states[0, 0], case
+
+
 def test_tangent_p80_loose_stage_keeps_its_shot_margin(grid):
     """The grid's hardest search: the tangent follower at P = 80 from
     (12.9, 13.1) reaches the straight bar from far off.  Its loose clamp-end
     stage met its bound on the 29th of ``_DEFAULT_MAX_SHOTS`` = 60 shots
     (a loose march tol of 1e-6 ran it out of shots, 1e-4 took 53)."""
-    res, stage_shots = grid[("tangent_follower", 80.0, (12.9, 13.1))]
+    res, stages, _ = grid[("tangent_follower", 80.0, (12.9, 13.1))]
     assert isinstance(res, ShotResult)
-    assert len(stage_shots) == res.outer_iters == 4
+    stage_shots = [len(shots) for _, shots in stages]
+    assert len(stage_shots) == res.outer_iters == 3
     assert stage_shots[0] <= 29 < shooting._DEFAULT_MAX_SHOTS
     assert sum(stage_shots) == res.inner_iters
 
 
 # Every grid result bit for bit: the lvim route on all 144 cases, and the
-# oracle route on every ninth case (16 solves, under a second).  Bitwise on
-# numpy 2.4.6, as STOCK_SHOTS and the CLI fingerprints are; a change that
-# moves a result by design re-pins these and says why in CHANGES.md.
-GRID_SHA256 = "089bb3d34b23f3d0e111fd2ec2d84c6c1954839110f93a5dd9516d54ac7c1e3b"
-ORACLE_SHA256 = "c3b31f2a1bd59606643bd23eb77fa701e60188b8f4064d664f56221eb8ffc1ef"
+# oracle route on every ninth case.  Bitwise on numpy 2.4.6, as STOCK_SHOTS
+# and the CLI fingerprints are; a change that moves a result by design
+# re-pins these and says why in CHANGES.md.  Next to each hash, the grid's
+# total shots as a plain value, so that a red hash says whether the search
+# cost moved.
+GRID_SHOTS = 1730
+GRID_SHA256 = "cff61d9d1ba2746c37336277806d40c8c7653264f274239eca90e43fb3d5f819"
+ORACLE_SHOTS = 155
+ORACLE_SHA256 = "0372fac6ab88bd896473dd009f5e93c944f5d6c0145db58f5e605a554a819979"
 
 
 def test_grid_results_match_their_pin(grid):
-    assert _digest(grid[case][0] for case in CASES) == GRID_SHA256
+    results = [grid[case][0] for case in CASES]
+    assert sum(res.inner_iters for res in results) == GRID_SHOTS
+    assert _digest(results) == GRID_SHA256
 
 
-def test_oracle_grid_results_match_their_pin():
-    assert _digest(solve_buckled_bar(*case, integrator="rk45")
-                   for case in CASES[::9]) == ORACLE_SHA256
+def test_oracle_grid_results_match_their_pin(oracle_grid):
+    results = [oracle_grid[case][0] for case in CASES[::9]]
+    assert sum(res.inner_iters for res in results) == ORACLE_SHOTS
+    assert _digest(results) == ORACLE_SHA256

@@ -17,7 +17,7 @@ import pytest
 from jsonschema import validate
 
 import lvim
-from lvim import cli, problems
+from lvim import cli, gravity, problems
 from lvim.cli import main
 
 
@@ -125,6 +125,26 @@ def test_leo_report_has_energy_drift(tmp_path):
     report = json.loads(out.read_text())
     validate(report, RUN_SCHEMA)
     assert abs(report["energy_drift"]) < 1e-6
+
+
+def test_gravity_file_path_is_never_swapped_for_a_bundled_file(tmp_path, capsys):
+    """A bare name that is not in the working directory names a bundled
+    file; a path that is not there is an error, even when its file name is
+    a bundled one."""
+    missing = str(tmp_path / "egm8.txt")
+    assert main(["run", "leo", "--gravity-file", missing, "--t-end", "10"]) == 1
+    assert capsys.readouterr().err == f"lvim: error: gravity file not found: {missing!r}\n"
+    assert main(["run", "leo", "--gravity-file", "egm8.txt", "--t-end", "10",
+                 "--format", "json"]) == 0
+    assert "degree 8 field" in json.loads(capsys.readouterr().out)["notes"]
+
+
+def test_gravity_degree_above_the_bound_is_one_error_line(tmp_path, capsys):
+    typo = tmp_path / "typo.txt"
+    typo.write_text(f"mu 1.0 r_ref 1.0 degree {gravity._MAX_DEGREE + 1}\n")
+    assert main(["run", "leo", "--gravity-file", str(typo)]) == 1
+    assert capsys.readouterr().err == (f"lvim: error: degree must lie in "
+                                       f"[0, {gravity._MAX_DEGREE}], got {gravity._MAX_DEGREE + 1}\n")
 
 
 def test_print_defaults(capsys):
@@ -239,7 +259,7 @@ def test_compare_follower_bar_reports_its_sweeps(tmp_path):
                  "--load", "25", "--guesses", "2", "2.5", "--format", "json",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert "outer=4 inner=19" in report["notes"]
+    assert "outer=3 inner=16" in report["notes"]
     acc, rej = report["oracle_steps_accepted"], report["oracle_steps_rejected"]
     assert report["oracle_rhs_evals"] == 7 * acc + 6 * rej + 1
 
@@ -431,7 +451,9 @@ def test_readme_cli_examples_parse():
     (["run", "pendulum", "--n", "1" + "0" * 400], 1),
     # nothing to solve, and a coefficient file that is not there
     (["run"], 1),
-    (["run", "leo", "--gravity-file", "missing.txt"], 1)])
+    (["run", "leo", "--gravity-file", "missing.txt"], 1),
+    # an empty amplitude list is not the default list
+    (["sweep", "pendulum-frequency", "--amplitudes", ""], 1)])
 def test_unworkable_input_is_one_error_line(argv, code, capsys):
     assert main(argv) == code
     err = capsys.readouterr().err
@@ -520,6 +542,13 @@ def test_ops_check_refuses_an_unbuildable_n_before_any_output(argv, capsys):
 
 
 # ------------------------------------------------------------------ sweep
+
+@pytest.mark.parametrize("amplitudes", ["", "0.5,,1.5", "0.5,x"])
+def test_amplitude_list_that_is_not_numbers_names_its_flag(amplitudes, capsys):
+    assert main(["sweep", "pendulum-frequency", "--amplitudes", amplitudes]) == 1
+    assert capsys.readouterr().err == \
+        f"lvim: error: --amplitudes takes numbers, got {amplitudes!r}\n"
+
 
 def test_frequency_sweep_table(tmp_path):
     out = tmp_path / "freq.csv"

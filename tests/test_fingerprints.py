@@ -38,9 +38,9 @@ PINS = {
     "run buckled-bar --load-type dead":
         "0ec7a4af41cd4cd70730033b36ff64c10de23a00d99f18487b91b1714741ed0d",
     "run buckled-bar --load-type perpendicular_follower":
-        "b6c532ae14977dc495d01918ff98d2f39191febc3aa131ac10db9d57773ed992",
+        "6df8e26298e5857cba98ac6d215fd1e75d6daaa372b33f7e054741e500143441",
     "run buckled-bar --load-type tangent_follower":
-        "d7fb3f147469be10569a4678a8d5a6a9cdf31c0fac02fe691a949154ba21df28",
+        "c11e7d679dd20c4d89213365ee43fd5739e050fdb6422473dfcc7146bfea936e",
     "run elastica":
         "36fec60251fc55a518e2d76b32e94a6f3d7fc5903f59d6a2ead201207d4993ed",
     "run leo":
@@ -58,9 +58,9 @@ PINS = {
     "compare buckled-bar --load-type dead":
         "71f087a56d95710ee8c4ec70b8dd69c3a7202da1f8b0e8f37ead24db1cb64d59",
     "compare buckled-bar --load-type perpendicular_follower":
-        "ac1bb9cce4884e18d607a3a84b353beca72a73d4daade52a5750f71de4f0bc3b",
+        "4330b1248492be15d2ba47f57b69788fe7067d4e677cab60887cc1109e1a8e53",
     "compare buckled-bar --load-type tangent_follower":
-        "adf47c4f89ff8688c3f29f6ccf012cbf1da74313b4070434814baf427fdae007",
+        "d3d956dfb2b96bb1c6394897635143c1c2e5b1d4289b26dcb2415e6e6bbf8251",
     "compare elastica":
         "45c06401f201da6d9fc995d19c447d240f546c62472b74b855c906a734455fd4",
     "compare leo":
@@ -101,11 +101,11 @@ COMPARE_FIELDS = {
         10, 70, 500, 4, 3525,
         "[5.189784678671927e-07, 1.5549394110081494e-06]"),
     "compare buckled-bar --load-type perpendicular_follower": (
-        10, 70, 3, 0, 22,
-        "[4.241884874592679e-13, 3.988797454564708e-12]"),
+        10, 70, 4, 0, 29,
+        "[4.20046580173258e-12, 2.926827128745862e-11]"),
     "compare buckled-bar --load-type tangent_follower": (
         10, 70, 10, 0, 71,
-        "[1.387778780781446e-17, 7.800196529933064e-47]"),
+        "[2.0816681711721685e-17, 8.210733189403225e-47]"),
     "compare elastica": (
         20, 140, 296, 3, 2091,
         "[0.00861510290118489]"),

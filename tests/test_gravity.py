@@ -76,6 +76,39 @@ def test_unknown_bundled_file_is_refused():
         bundled_gravity_path("nope.txt")
 
 
+@pytest.mark.parametrize("name", ["/no/such/dir/egm8.txt", "../data/egm8.txt", "./egm8.txt"])
+def test_a_bundled_file_is_named_by_its_bare_name(name):
+    with pytest.raises(FileNotFoundError, match="no bundled gravity file named"):
+        bundled_gravity_path(name)
+
+
+@pytest.fixture
+def nothing_allocated(monkeypatch):
+    """Any array or kernel a model would build fails the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the degree was checked")
+
+    monkeypatch.setattr(gravity.np, "zeros", never)
+    monkeypatch.setattr(gravity, "_kernel_code", never)
+
+
+def test_degree_bound_covers_the_degree_70_field():
+    assert gravity._MAX_DEGREE >= 70
+
+
+def test_model_refuses_a_degree_above_the_bound(nothing_allocated):
+    too_big = gravity._MAX_DEGREE + 1
+    with pytest.raises(ValueError, match=f"^degree must lie in \\[0, {too_big - 1}\\], got {too_big}$"):
+        GravityModel(mu=1.0, r_ref=1.0, degree=too_big, coeffs={})
+
+
+def test_loader_refuses_a_header_degree_above_the_bound(tmp_path, nothing_allocated):
+    f = tmp_path / "typo.txt"
+    f.write_text(f"mu 1.0 r_ref 1.0 degree {gravity._MAX_DEGREE + 1}\n0 0 1.0 0.0\n")
+    with pytest.raises(ValueError, match="^degree must lie in"):
+        load_gravity_model(str(f))
+
+
 @pytest.mark.parametrize("mu, r_ref", [
     (float("nan"), R_REF), (float("inf"), R_REF), (MU, float("nan")),
     (MU, float("inf")), (MU, -float("inf"))])

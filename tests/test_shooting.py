@@ -310,7 +310,7 @@ def test_inner_failure_keeps_the_failing_slope(monkeypatch):
 
     def failing_march(system, t0, tf, x0, config, guess=None):
         starts.append(list(x0))
-        if len(starts) == 10:  # the clamp-end shoot at P = 25 takes 8 shots
+        if len(starts) == 10:  # the clamp-end shoot at P = 25 takes 5 shots
             raise ConvergenceError("stalled")
         return march(system, t0, tf, x0, config, guess=guess)
 
@@ -343,6 +343,29 @@ def test_perpendicular_follower_keeps_its_equilibrium(load, pair, root):
     assert abs(res.alpha - res.trajectory.states[-1, 0]) < 1e-10
 
 
+@pytest.mark.parametrize("integrator", ["lvim", "rk45"])
+@pytest.mark.parametrize("load_type", ["perpendicular_follower", "tangent_follower"])
+def test_straight_first_shot_ends_a_follower_solve(load_type, integrator):
+    """From guesses (0.0, 0.1) the first shot is theta = 0, which solves
+    every load.  Its tip of exactly 0 would seed the free-end search with
+    two equal guesses, so it ends the solve: one search, one shot.  Every
+    sweep and step of that shot sees a zero rhs, so its loose run is a
+    stock run bit for bit."""
+    res = solve_buckled_bar(load_type, 25.0, (0.0, 0.1), integrator=integrator)
+    assert (res.outer_iters, res.inner_iters) == (1, 1)
+    assert (res.theta_prime_0, res.alpha, res.residual) == (0.0, 0.0, 0.0)
+    spec = buckled_bar(load_type, 25.0)
+    if integrator == "lvim":
+        fresh = march(spec.system, spec.t0, spec.tf, [0.0, 0.0], spec.lvim_defaults)
+        assert np.array_equal(res.trajectory.segment_iterations, fresh.segment_iterations)
+    else:
+        fresh = rk45_integrate(spec.system, spec.t0, spec.tf, [0.0, 0.0], spec.rk_defaults)
+        assert np.array_equal(res.trajectory.dense_q, fresh.dense_q)
+    assert np.array_equal(res.trajectory.times, fresh.times)
+    assert np.array_equal(res.trajectory.states, fresh.states)
+    assert not np.any(fresh.states)
+
+
 # ------------------------------------------------------------ seeded shots
 
 def _shot(v, states):
@@ -373,12 +396,13 @@ def test_shot_guess_falls_back_to_the_last_shot_on_a_repeated_value():
 ])
 def test_each_search_seeds_its_shots_from_its_own_earlier_shots(
         monkeypatch, load_type, load, pair):
-    """One log per search spans its loose and stock stages.  The first shot
-    of each search is cold, the second starts from the first, and every
-    later one from the secant extrapolation of the two before it, or from
-    the last shot when those two share a value: the stock stage's first
-    shot repeats the loose stage's last value and starts from its
-    trajectory, and its second starts from that first stock shot."""
+    """One log per search spans its stages: loose then stock, but loose
+    alone for a follower's clamp-end search.  The first shot of each search
+    is cold, the second starts from the first, and every later one from the
+    secant extrapolation of the two before it, or from the last shot when
+    those two share a value: the stock stage's first shot repeats the loose
+    stage's last value and starts from its trajectory, and its second
+    starts from that first stock shot."""
     shots = []
 
     def spy(system, t0, tf, x0, config, guess=None):
@@ -393,15 +417,16 @@ def test_each_search_seeds_its_shots_from_its_own_earlier_shots(
     free_end = [x0[1] == 0.0 for x0, *_ in shots]
     value = [x0[0] if free else x0[1] for (x0, *_), free in zip(shots, free_end)]
     firsts = [i for i in range(len(shots)) if i == 0 or free_end[i] != free_end[i - 1]]
-    assert len(firsts) * 2 == res.outer_iters
     stock = buckled_bar(load_type, load).lvim_defaults
     (loose_tol, _), _ = shooting._STAGES["lvim"]
-    for start, end in zip(firsts, firsts[1:] + [len(shots)]):
-        configs = [config for config, _ in itertools.groupby(s[3] for s in shots[start:end])]
-        assert configs == [replace(stock, tol=loose_tol), stock]
+    staged = [replace(stock, tol=loose_tol), stock]
+    searches = [[config for config, _ in itertools.groupby(s[3] for s in shots[start:end])]
+                for start, end in zip(firsts, firsts[1:] + [len(shots)])]
+    assert searches == ([staged[:1]] if load_type != "dead" else []) + [staged]
+    assert sum(map(len, searches)) == res.outer_iters
     handoffs = [i for i in range(1, len(shots)) if shots[i][3] != shots[i - 1][3]
                 and i not in firsts]
-    assert len(handoffs) == len(firsts)
+    assert len(handoffs) == 1  # the one search that runs both stages
     for i in handoffs:
         assert value[i] == value[i - 1]
         assert np.array_equal(shots[i][1], shots[i - 1][2])
@@ -433,15 +458,17 @@ def test_negative_load():
 # (theta_prime_0, alpha, residual, inner_iters, outer_iters) of every stock
 # seed pair with both integrators, pinned exactly: keeping the accepted shot
 # in place of marching it again must not move a bit.  The lvim shots are
-# seeded from the shots before them.  Each search runs a loose stage and a
+# seeded from the shots before them.  A full search runs a loose stage and a
 # stock one to 1e-10, two ``shoot_scalar`` calls in ``outer_iters``; the
 # stock stage starts from the loose stage's last value and the slope of its
-# last two shots.  The oracle's loose stage runs to a 1e-6 residual, which
+# last two shots.  A follower's clamp-end search runs its loose stage alone,
+# one call, and its tip seeds a full search from the free end.  The oracle's loose stage runs to a 1e-6 residual, which
 # moves the rk45 roots by at most 2.2e-12 from a search at stock tolerance
 # alone.  The lvim one marches at tol 1e-5 to a 1e-4 residual, which keeps
 # the lvim roots within 2.6e-11 of a cold-started search at stock tol alone.
-# The perpendicular follower is shot from the free end, in 5 + 3 clamp-end
-# and 8 + 3 free-end lvim shots (loose + stock).
+# The perpendicular follower takes 5 clamp-end and 8 + 3 free-end lvim
+# shots (loose + stock).  The tangent follower ends straight: its free-end
+# loose stage meets its bound on its first shot, at the clamp-end tip.
 STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
         (12.955453669588167, -2.316430465902664, 4.446620222085802e-12, 8, 2),
@@ -456,13 +483,13 @@ STOCK_SHOTS = {
     ("dead", 25.0, (4.5, 4.75), "rk45"):
         (4.6242244599103906, -0.9614507230460434, 1.576811771430986e-11, 7, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
-        (1.4218073415935895, -0.28631608069064635, 3.102906868463113e-13, 19, 4),
+        (1.4218073415936006, -0.2863160806906484, 3.1166274372456993e-13, 16, 3),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.4218073416039183, -0.2863160807007075, 2.636970503067104e-13, 19, 4),
+        (1.421807341603925, -0.28631608070070913, 2.6521406598645214e-13, 17, 3),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
-        (-5.827623589506754e-14, 0.0, 5.827623589509561e-14, 16, 2),
+        (9.183549615799121e-41, -1.1434944787933055e-20, 1.1434944787933027e-20, 17, 3),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
-        (-5.839092728989952e-14, 0.0, 5.839092728992794e-14, 16, 2),
+        (-0.0, 0.0, 0.0, 18, 3),
 }
 
 
@@ -527,13 +554,12 @@ def test_every_shot_is_marched_once(stock_shots, case):
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
 def test_counts_are_root_searches_and_shots(stock_shots, case):
-    """``outer_iters`` counts the ``shoot_scalar`` calls: two per root
-    search (its loose stage, then its stock one), with a second search only
-    for a follower whose tip leaves zero."""
+    """``outer_iters`` counts the ``shoot_scalar`` calls: two for a full
+    root search (its loose stage, then its stock one), which solves a dead
+    load, and one more for a follower, whose clamp-end search runs its loose
+    stage alone and seeds the free-end search with a nonzero tip."""
     res, _ = stock_shots[case]
-    tip = res.trajectory.states[-1, 0]
-    follower_off_zero = case[0] != "dead" and abs(tip) >= 1e-10
-    assert res.outer_iters == (2 if follower_off_zero else 1) * 2
+    assert res.outer_iters == (2 if case[0] == "dead" else 3)
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
@@ -549,19 +575,22 @@ def test_shot_counts_are_what_the_benchmark_traces(stock_shots, case):
 
 @pytest.mark.parametrize("case", [c for c in STOCK_SHOTS if c[3] == "rk45"], ids=_case_id)
 def test_stock_stage_takes_two_shots(stock_shots, case):
-    """The oracle's integrations run in stages, loose then stock, one
-    pair per search.  A stock stage shoots the loose stage's last value
+    """The oracle's integrations run in stages, loose then stock; a
+    follower's loose clamp-end search runs straight into the loose stage of
+    its free-end one.  A stock stage shoots the loose stage's last value
     and the Newton step from it along the loose stage's last secant slope,
-    and that step already meets 1e-10: two shots."""
-    res, spent = stock_shots[case]
+    and that step already meets 1e-10: two shots.  The straight tangent
+    bar's free-end loose stage meets its bound on its first shot, so it
+    hands on no slope, and its stock stage shoots both seeds of the search
+    again, then lands on the root: three shots."""
+    _, spent = stock_shots[case]
     spec = buckled_bar(case[0], case[1])
     (loose, _), _ = shooting._STAGES["rk45"]
-    stages = [(config, len(list(run))) for config, run in itertools.groupby(spent["configs"])]
-    assert [config for config, _ in stages] == \
-        [loose, spec.rk_defaults] * (res.outer_iters // 2)
-    for (_, n_loose), (_, n_stock) in zip(stages[::2], stages[1::2]):
-        assert n_loose >= 2
-        assert n_stock == 2
+    (config_a, n_loose), (config_b, n_stock) = \
+        [(config, len(list(run))) for config, run in itertools.groupby(spent["configs"])]
+    assert (config_a, config_b) == (loose, spec.rk_defaults)
+    assert n_loose >= 2
+    assert n_stock == (3 if case[0] == "tangent_follower" else 2)
 
 
 @pytest.mark.parametrize("case", STOCK_SHOTS, ids=_case_id)
@@ -584,10 +613,10 @@ def test_returned_trajectory_is_the_accepted_shot(stock_shots, case):
     res, spent = stock_shots[case]
     assert spent[integrator] == res.inner_iters  # no march beyond the shots
     spec = buckled_bar(load_type, load, alpha=res.alpha)
-    # a clamp-end shot starts at theta(0) = 0 exactly; a free-end shot only
-    # reaches it to within the residual tolerance
-    from_free_end = res.trajectory.states[0, 0] != 0.0
-    assert from_free_end == (load_type == "perpendicular_follower")
+    # every follower is shot from the free end, whose start alpha is exactly
+    # the tip angle; a dead load from the clamp, at theta(0) = 0 exactly
+    from_free_end = load_type != "dead"
+    assert res.alpha == res.trajectory.states[-1, 0]
     x0 = [res.alpha, 0.0] if from_free_end else [0.0, res.theta_prime_0]
     if integrator == "lvim":
         fresh = march(spec.system, spec.t0, spec.tf, x0, spec.lvim_defaults)
@@ -675,7 +704,7 @@ def test_oracle_stages_keep_the_stock_search_root(monkeypatch, load_type, load, 
     attempts.append(0)
     stock = solve_buckled_bar(load_type, load, pair, integrator="rk45")
     assert attempts[0] < attempts[1]
-    assert stock.outer_iters * 2 == staged.outer_iters
+    assert staged.outer_iters == stock.outer_iters + 1  # the full search's loose stage
     assert abs(staged.theta_prime_0 - stock.theta_prime_0) < 1e-9
     assert abs(staged.alpha - stock.alpha) < 1e-9
     assert staged.residual < 1e-10
@@ -733,7 +762,7 @@ def test_lvim_stages_keep_the_stock_search_root(monkeypatch, load_type, load, pa
     sweeps.append(0)
     stock = solve_buckled_bar(load_type, load, pair)
     assert sweeps[0] < sweeps[1]
-    assert stock.outer_iters * 2 == staged.outer_iters
+    assert staged.outer_iters == stock.outer_iters + 1  # the full search's loose stage
     assert abs(staged.theta_prime_0 - stock.theta_prime_0) < 1e-9
     assert abs(staged.alpha - stock.alpha) < 1e-9
     assert staged.residual < 1e-10
