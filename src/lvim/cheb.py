@@ -52,8 +52,7 @@ def cgl_nodes(m: int) -> np.ndarray:
     They are evaluated through the equivalent sine form so the node set
     is exactly symmetric about zero and the endpoints are exactly +-1.
     """
-    if m < 2:
-        raise ValueError(f"a collocation grid needs at least 2 nodes, got m={m}")
+    checked("m", m, 2, integer=True)
     j = np.arange(m)
     nodes = np.sin(np.pi * (2.0 * j - (m - 1)) / (2.0 * (m - 1)))
     nodes.setflags(write=False)
@@ -148,8 +147,7 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     ``H = (dt/2)^2 (-P_ref o dtau)``, which equals ``P T - T P`` for the
     node times of any segment of this length.
     """
-    if not 2 <= n_basis <= _MAX_N_BASIS:
-        raise ValueError(f"n_basis must lie in [2, {_MAX_N_BASIS}], got {n_basis}")
+    checked("n_basis", n_basis, 2, _MAX_N_BASIS, integer=True)
     checked("dt", dt, 0.0, strict=True)
     p_ref, q_ref, h_ref, tau = _ref_operators(n_basis)
     half = 0.5 * dt

@@ -41,8 +41,7 @@ from . import problems
 from .cheb import build_operators, cgl_nodes
 from .core import _JACOBIAN_MODES, SolverConfig, Trajectory, march
 from .errors import ConvergenceError, DomainViolationError
-from .gravity import (GravityModel, bundled_gravity_path, gravity_potential,
-                      load_gravity_model)
+from .gravity import bundled_gravity_path, load_gravity_model
 from .rk45 import RkConfig, rk45_integrate, sample_at
 from .shooting import solve_buckled_bar
 
@@ -125,20 +124,16 @@ def _check_out(out: str) -> None:
         raise ValueError(f"cannot write {out!r}: no writable directory {folder!r}")
 
 
-def _leo_model(gravity_file: str, degree: Optional[int]) -> GravityModel:
+def _leo(gravity_file: str = "egm_test.txt",
+         degree: Optional[int] = None) -> problems.ProblemSpec:
+    """The orbit problem in a field read from a file path or bundled name."""
     if not os.path.exists(gravity_file):
         try:
             gravity_file = bundled_gravity_path(gravity_file)  # a bare name only
         except FileNotFoundError:
             raise ValueError(f"gravity file not found: {gravity_file!r}")
     model = load_gravity_model(gravity_file)
-    return model if degree is None else model.truncate(degree)
-
-
-def _leo(gravity_file: str = "egm_test.txt",
-         degree: Optional[int] = None) -> problems.ProblemSpec:
-    """The orbit problem in a field read from a file path or bundled name."""
-    return problems.leo(_leo_model(gravity_file, degree))
+    return problems.leo(model if degree is None else model.truncate(degree))
 
 
 def _late(name: str) -> Callable[..., problems.ProblemSpec]:
@@ -295,13 +290,6 @@ def _growth_note(x0: np.ndarray, states: np.ndarray, notes: List[str]) -> None:
                      f"({peak / start:.3g}x the initial scale)")
 
 
-def _energy_drift(model: GravityModel, states: np.ndarray) -> float:
-    v2 = np.sum(states[:, 3:] ** 2, axis=1)
-    potential = np.array([gravity_potential(model, q) for q in states[:, :3]])
-    energy = 0.5 * v2 + potential
-    return float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
-
-
 def cmd_solve(args) -> int:
     """``run`` and ``compare``: one solve path.  ``compare`` adds the
     oracle run, the per-dimension discrepancy and the ``--assert-below``
@@ -337,9 +325,9 @@ def cmd_solve(args) -> int:
         "wall_time_s": time.perf_counter() - t_start,
         "notes": "; ".join(notes),
     }
-    if args.problem == "leo":
-        report["energy_drift"] = _energy_drift(_leo_model(**kwargs),
-                                               trajectory.states)
+    if spec.energy is not None:
+        energy = spec.energy(trajectory.states)
+        report["energy_drift"] = float(np.max(np.abs(energy - energy[0])) / abs(energy[0]))
     if compare:
         report["max_discrepancy"] = [float(v) for v in discrepancy]
         report["oracle_steps_accepted"] = int(oracle.steps_accepted)

@@ -68,15 +68,20 @@ def _overflow(what: str, t: float, x: np.ndarray) -> DomainViolationError:
                                 t=t, state=np.array(x, dtype=float))
 
 
+def _start_state(system: OdeSystem, x0) -> np.ndarray:
+    """``x0`` as a float array, once its shape is checked to be ``(D,)``."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (system.dim,):
+        raise ValueError(f"initial state has shape {x.shape}, expected ({system.dim},)")
+    return x
+
+
 def _checked_start(system: OdeSystem, t0: float, tf: float, x0) -> np.ndarray:
     """``x0`` as a float array, once the span and the state are checked:
     ``tf > t0``, both finite, and a finite ``(D,)`` state."""
     if not (math.isfinite(t0) and math.isfinite(tf) and tf > t0):
         raise ValueError(f"need finite tf > t0, got t0={t0}, tf={tf}")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (system.dim,):
-        raise ValueError(
-            f"initial state has shape {x.shape}, expected ({system.dim},)")
+    x = _start_state(system, x0)
     if not np.all(np.isfinite(x)):
         raise DomainViolationError("initial state is not finite", t=t0, state=x)
     return x
@@ -86,17 +91,18 @@ def _checked_start(system: OdeSystem, t0: float, tf: float, x0) -> np.ndarray:
 class OdeSystem:
     """A first-order system ``dx/dt = rhs(t, x)`` with its Jacobian.
 
-    ``rhs(t, x)`` takes one point: a time and a ``(D,)`` state.  ``jac``
-    takes all nodes of a sweep at once: ``jac(t_nodes, X)`` with
-    ``t_nodes`` of shape ``(M,)`` and ``X`` of shape ``(M, D)`` returns
-    the ``(M, D, D)`` stack of row Jacobians, row ``i`` a function of
-    ``(t_nodes[i], X[i])`` only.  The rhs stays per point because every
-    rhs evaluation is counted one by one (``rhs_evals``, and the
-    benchmark's span count).  Both must be pure; the only state an
-    instance mutates is its own evaluation counter, which is why the
-    engine funnels every rhs call through :meth:`eval_rhs`.  The
-    iteration needs the analytic ``jac`` and refuses a system without
-    one; :func:`lvim.rk45.rk45_integrate` never reads it.
+    ``rhs(t, x)`` takes one point, a time and a ``(D,)`` state, and returns
+    a ``(D,)`` value.  ``jac`` takes all nodes of a sweep at once:
+    ``jac(t_nodes, X)`` with ``t_nodes`` of shape ``(M,)`` and ``X`` of
+    shape ``(M, D)`` returns the ``(M, D, D)`` stack of row Jacobians, row
+    ``i`` a function of ``(t_nodes[i], X[i])`` only.  The rhs stays per
+    point because every rhs evaluation is counted one by one
+    (``rhs_evals``, and the benchmark's span count).  Both must be pure;
+    the only state an instance mutates is its own evaluation counter,
+    which is why the engine funnels every rhs call through
+    :meth:`eval_rhs`.  The iteration needs the analytic ``jac`` and
+    refuses a system without one; :func:`lvim.rk45.rk45_integrate` never
+    reads it.
     """
 
     dim: int
@@ -116,9 +122,12 @@ class OdeSystem:
             if exc.t is None:
                 exc.t, exc.state = t, np.array(x, dtype=float)
             raise
+        v = g.tolist()
+        if g.ndim != 1 or len(v) != self.dim:
+            raise ValueError(f"rhs returned shape {g.shape}, expected (D,) = ({self.dim},)")
         # a finite sum implies finite entries; only a sum that is not
         # finite (possibly by overflow) needs the element-wise test
-        if not math.isfinite(sum(g.ravel().tolist())) and not np.all(np.isfinite(g)):
+        if not math.isfinite(sum(v)) and not np.all(np.isfinite(g)):
             raise DomainViolationError(
                 f"right-hand side returned a non-finite value at t={float(t)!r}",
                 t=t, state=np.array(x, dtype=float))
@@ -161,10 +170,10 @@ class SolverConfig:
     jacobian_mode: str = "full"
 
     def __post_init__(self):
-        checked("n_basis", self.n_basis, 2)
+        checked("n_basis", self.n_basis, 2, integer=True)
         checked("dt", self.dt, 0.0, strict=True)
         checked("tol", self.tol, 0.0, strict=True)
-        checked("max_iter", self.max_iter, 1)
+        checked("max_iter", self.max_iter, 1, integer=True)
         if self.jacobian_mode not in _JACOBIAN_MODES:
             raise ValueError(
                 f"jacobian_mode must be one of {_JACOBIAN_MODES}, "
@@ -255,10 +264,7 @@ def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,
     ``ValueError`` for a system without ``jac`` and for a guess of any
     other shape, before any rhs call.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(
-            f"initial state has shape {x0.shape}, expected ({system.dim},)")
+    x0 = _start_state(system, x0)
     if system.jac is None:
         raise ValueError("the iteration needs the system's analytic jac")
     t_nodes = t_start + ops.offsets

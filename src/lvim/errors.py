@@ -2,21 +2,24 @@
 the one range check every scalar the program takes in goes through."""
 
 import math
+import numbers
 
 
-def checked(name, value, low=-math.inf, strict=False):
-    """Return ``value`` if it is finite and ``>= low`` (``> low`` when
-    ``strict``); otherwise raise ``ValueError`` naming ``name``."""
+def checked(name, value, low=-math.inf, high=math.inf, strict=False, integer=False):
+    """Return ``value`` if it is finite (an integer when ``integer``), ``>= low``
+    (``> low`` when ``strict``) and ``<= high``; else raise ``ValueError`` naming ``name``."""
     # an int is finite even when too large for math.isfinite's float
-    if (isinstance(value, int) or math.isfinite(value)) and (
-            value > low if strict else value >= low):
+    kind_ok = isinstance(value, numbers.Integral) if integer else (
+        isinstance(value, int) or math.isfinite(value))
+    if kind_ok and (value > low if strict else value >= low) and value <= high:
         return value
-    if low == -math.inf:
-        rule = "finite"
+    rule = "an integer" if integer else "finite"
+    if high < math.inf:
+        rule += f" and in {'(' if strict else '['}{low:g}, {high:g}]"
     elif low == 0:
-        rule = "finite and " + ("positive" if strict else "nonnegative")
-    else:
-        rule = f"finite and {'>' if strict else '>='} {low}"
+        rule += " and positive" if strict else " and nonnegative"
+    elif low > -math.inf:
+        rule += f" and {'>' if strict else '>='} {low:g}"
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -144,8 +144,7 @@ class GravityModel:
     def __post_init__(self) -> None:
         checked("mu", self.mu, 0.0, strict=True)
         checked("r_ref", self.r_ref, 0.0, strict=True)
-        if checked("degree", self.degree, 0) > _MAX_DEGREE:
-            raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}], got {self.degree}")
+        checked("degree", self.degree, 0, _MAX_DEGREE, integer=True)
         nmax = self.degree
         cbar, sbar, c, s = (np.zeros((nmax + 1, nmax + 1)) for _ in range(4))
         # the central term's default; its denormalization factor is 1
@@ -173,7 +172,7 @@ class GravityModel:
 
     def truncate(self, degree: int) -> "GravityModel":
         """Return a copy keeping only terms of degree <= the given degree."""
-        degree = min(checked("degree", degree, 0), self.degree)
+        degree = min(checked("degree", degree, 0, integer=True), self.degree)
         kept = {k: v for k, v in self.coeffs.items() if k[0] <= degree}
         return GravityModel(self.mu, self.r_ref, degree, kept)
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import OdeSystem, SolverConfig, _checked_start, march
 from .errors import ConvergenceError, DomainViolationError, checked
-from .gravity import GravityModel, gravity_accel
+from .gravity import GravityModel, gravity_accel, gravity_potential
 from .rk45 import RkConfig, rk45_integrate, sample_at
 
 __all__ = [
@@ -73,7 +73,8 @@ class ProblemSpec:
     """A benchmark instance: system, initial data, span, default configs.
 
     ``rk_defaults`` is a class constant: every problem runs the oracle at
-    ``RkConfig``'s own tolerances.
+    ``RkConfig``'s own tolerances.  ``energy``, for a problem that conserves
+    one, maps ``(n, D)`` states to the energy of each.
     """
 
     system: OdeSystem
@@ -83,6 +84,7 @@ class ProblemSpec:
     lvim_defaults: SolverConfig
     state_names: Tuple[str, ...]
     notes: str = ""
+    energy: Optional[Callable[[np.ndarray], np.ndarray]] = None
     rk_defaults: ClassVar[RkConfig] = RkConfig()
 
     def __post_init__(self) -> None:
@@ -201,9 +203,7 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
     happened.  The default span ends just short of the first crossing
     for the default c_param (measured against the adaptive oracle).
     """
-    if not 0.0 <= c_param <= 1.0:
-        raise ValueError("c_param must lie in [0, 1]")
-    c = c_param
+    c = checked("c_param", c_param, 0.0, 1.0)
     # roundoff slack keeps an exactly-on-edge profile (phi^2 = c) evaluable
     slack = 1e-13 * (1.0 + c)
 
@@ -465,6 +465,10 @@ def leo(model: GravityModel) -> ProblemSpec:
                                      - eye) / r3
         return out
 
+    def energy(states):
+        potential = np.array([gravity_potential(model, q) for q in states[:, :3]])
+        return 0.5 * np.sum(states[:, 3:] ** 2, axis=1) + potential
+
     period = orbital_period(model, _LEO_STATE)
     return ProblemSpec(
         system=OdeSystem(dim=6, rhs=rhs, jac=jac),
@@ -474,4 +478,5 @@ def leo(model: GravityModel) -> ProblemSpec:
         lvim_defaults=SolverConfig(n_basis=26, dt=500.0, tol=1e-8, jacobian_mode="frozen"),
         state_names=("x", "y", "z", "vx", "vy", "vz"),
         notes=f"degree {model.degree} field, one period = {period:.6g} s",
+        energy=energy,
     )

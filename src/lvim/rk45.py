@@ -92,7 +92,7 @@ class RkConfig:
     def __post_init__(self):
         checked("rel_tol", self.rel_tol, 0.0, strict=True)
         checked("abs_tol", self.abs_tol, 0.0, strict=True)
-        checked("max_steps", self.max_steps, 1)
+        checked("max_steps", self.max_steps, 1, integer=True)
 
 
 @dataclass

@@ -100,7 +100,7 @@ def shoot_scalar(
     inner search already attached its own.
     """
     checked("shoot_tol", shoot_tol, 0.0, strict=True)
-    checked("max_shots", max_shots, 2)
+    checked("max_shots", max_shots, 2, integer=True)
     a, b = float(guess_a), float(guess_a if guess_b is None else guess_b)
     if slope is not None and (guess_b is not None or not math.isfinite(slope) or slope == 0.0):
         raise ValueError(f"slope must be finite and non-zero, in place of guess_b, got {slope!r}")

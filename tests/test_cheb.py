@@ -44,7 +44,7 @@ def test_grid_validation():
         build_operators(1, 1.0)
     with pytest.raises(ValueError):
         build_operators(5, 0.0)
-    with pytest.raises(ValueError, match="at least 2 nodes, got m=1"):
+    with pytest.raises(ValueError, match="^m must be an integer and >= 2, got 1$"):
         cgl_nodes(1)
 
 

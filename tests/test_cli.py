@@ -127,6 +127,21 @@ def test_leo_report_has_energy_drift(tmp_path):
     assert abs(report["energy_drift"]) < 1e-6
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_leo_field_is_loaded_once_per_command(command, monkeypatch, capsys):
+    """The energy drift reads the field the problem was built on."""
+    load, calls = cli.load_gravity_model, []
+
+    def spy(path):
+        calls.append(path)
+        return load(path)
+    monkeypatch.setattr(cli, "load_gravity_model", spy)
+    assert main([command, "leo", "--gravity-file", "egm8.txt", "--t-end", "10",
+                 "--format", "json"]) == 0
+    assert "energy_drift" in json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+
+
 def test_gravity_file_path_is_never_swapped_for_a_bundled_file(tmp_path, capsys):
     """A bare name that is not in the working directory names a bundled
     file; a path that is not there is an error, even when its file name is
@@ -143,7 +158,7 @@ def test_gravity_degree_above_the_bound_is_one_error_line(tmp_path, capsys):
     typo = tmp_path / "typo.txt"
     typo.write_text(f"mu 1.0 r_ref 1.0 degree {gravity._MAX_DEGREE + 1}\n")
     assert main(["run", "leo", "--gravity-file", str(typo)]) == 1
-    assert capsys.readouterr().err == (f"lvim: error: degree must lie in "
+    assert capsys.readouterr().err == (f"lvim: error: degree must be an integer and in "
                                        f"[0, {gravity._MAX_DEGREE}], got {gravity._MAX_DEGREE + 1}\n")
 
 
@@ -530,7 +545,7 @@ def test_ops_check_rejects_tiny_n(capsys):
     assert main(["ops-check", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("lvim: error: n_basis must lie in [2, ")
+    assert err.startswith("lvim: error: n_basis must be an integer and in [2, ")
 
 
 @pytest.mark.parametrize("argv", [["100000000"], ["5", "100000000"]])
@@ -538,7 +553,7 @@ def test_ops_check_refuses_an_unbuildable_n_before_any_output(argv, capsys):
     assert main(["ops-check", *argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("lvim: error: n_basis must lie in [2, ")
+    assert err.startswith("lvim: error: n_basis must be an integer and in [2, ")
 
 
 # ------------------------------------------------------------------ sweep

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 import lvim
 from lvim import core, problems, shooting
-from lvim.cheb import build_operators
+from lvim.cheb import build_operators, cgl_nodes
 from lvim.core import OdeSystem, SolverConfig, iterate_segment, march, residual
 from lvim.errors import ConvergenceError, DomainViolationError, LvimError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
@@ -189,7 +189,8 @@ def _egm8():
 
 # Every scalar the program takes in: its name, a build from one value, the
 # stock value, and an out-of-range finite value (None: every finite value
-# is in range).
+# is in range).  A count's stock value is an int, and a fractional count
+# (stock + 0.5) is out of range too.
 SCALARS = [
     ("n_basis", lambda v: SolverConfig(v, 0.1, 1e-10), 5, 1),
     ("dt", lambda v: SolverConfig(5, v, 1e-10), 0.1, 0.0),
@@ -217,13 +218,17 @@ SCALARS = [
      1e-10, 0.0),
     ("max_shots", lambda v: shooting.shoot_scalar(lambda x: x - 1.0, 0.0, 2.0, max_shots=v),
      60, 1),
+    ("n_basis", lambda v: build_operators(v, 0.1), 5, 1025),
+    ("m", cgl_nodes, 5, 1),
+    ("c_param", lambda v: problems.white_dwarf(c_param=v), 0.3, 1.5),
 ]
 
 
 @pytest.mark.parametrize("name, build, value", [
     pytest.param(name, build, value, id=f"{i}-{name}-{value}")
-    for i, (name, build, _, bad) in enumerate(SCALARS)
-    for value in (math.inf, -math.inf, math.nan, bad) if value is not None])
+    for i, (name, build, stock, bad) in enumerate(SCALARS)
+    for value in (math.inf, -math.inf, math.nan, bad,
+                  stock + 0.5 if isinstance(stock, int) else None) if value is not None])
 def test_scalar_out_of_range_is_refused_by_name(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build(value)
@@ -277,6 +282,21 @@ def test_non_finite_start_is_refused_before_any_rhs(x0):
         assert exc_info.value.t == 0.0
         messages.append(str(exc_info.value))
     assert messages[0] == messages[1] == "initial state is not finite"
+
+
+@pytest.mark.parametrize("rhs, shape", [
+    pytest.param(lambda t, x: np.array([-x[0]]), r"\(1,\)", id="short"),
+    pytest.param(lambda t, x: -x[0], r"\(\)", id="bare-float"),
+    pytest.param(lambda t, x: np.array([[-x[0], x[1]]]), r"\(1, 2\)", id="row")])
+def test_rhs_value_of_another_shape_is_refused(rhs, shape):
+    """numpy would broadcast it into the state; both integrators refuse it
+    at the first evaluation."""
+    for integrate, cfg in ((march, SolverConfig(5, 0.5, 1e-10)),
+                           (lvim.rk45_integrate, lvim.RkConfig())):
+        system = OdeSystem(dim=2, rhs=rhs, jac=constant_jac(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match=rf"^rhs returned shape {shape}, expected \(D,\) = \(2,\)$"):
+            integrate(system, 0.0, 1.0, np.array([1.0, 2.0]), cfg)
+        assert system.rhs_evals == 1
 
 
 def test_eval_rhs_finiteness_check():

@@ -98,14 +98,19 @@ def test_degree_bound_covers_the_degree_70_field():
 
 def test_model_refuses_a_degree_above_the_bound(nothing_allocated):
     too_big = gravity._MAX_DEGREE + 1
-    with pytest.raises(ValueError, match=f"^degree must lie in \\[0, {too_big - 1}\\], got {too_big}$"):
+    with pytest.raises(ValueError, match=f"^degree must be an integer and in \\[0, {too_big - 1}\\], got {too_big}$"):
         GravityModel(mu=1.0, r_ref=1.0, degree=too_big, coeffs={})
+
+
+def test_model_refuses_a_fractional_degree(nothing_allocated):
+    with pytest.raises(ValueError, match=f"^degree must be an integer and in \\[0, {gravity._MAX_DEGREE}\\], got 2.5$"):
+        GravityModel(mu=1.0, r_ref=1.0, degree=2.5, coeffs={})
 
 
 def test_loader_refuses_a_header_degree_above_the_bound(tmp_path, nothing_allocated):
     f = tmp_path / "typo.txt"
     f.write_text(f"mu 1.0 r_ref 1.0 degree {gravity._MAX_DEGREE + 1}\n0 0 1.0 0.0\n")
-    with pytest.raises(ValueError, match="^degree must lie in"):
+    with pytest.raises(ValueError, match="^degree must be an integer and in"):
         load_gravity_model(str(f))
 
 
