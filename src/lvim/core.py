@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _JACOBIAN_MODES = ("full", "frozen")
+# an rhs value of exactly this dtype (and type ndarray) needs no conversion
+_FLOAT = np.dtype(float)
 
 # Most segments one march takes.  The stock spans need at most 500; a span
 # that needs more than this is refused before the segment list is built.
@@ -113,7 +115,9 @@ class OdeSystem:
     def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         self.rhs_evals += 1
         try:
-            g = np.asarray(self.rhs(t, x), dtype=float)
+            g = self.rhs(t, x)
+            if type(g) is not np.ndarray or g.dtype is not _FLOAT:
+                g = np.asarray(g, dtype=float)
         except OverflowError as exc:
             raise _overflow("right-hand side", t, x) from exc
         except DomainViolationError as exc:

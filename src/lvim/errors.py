@@ -6,11 +6,12 @@ import numbers
 
 
 def checked(name, value, low=-math.inf, high=math.inf, strict=False, integer=False):
-    """Return ``value`` if it is finite (an integer when ``integer``), ``>= low``
-    (``> low`` when ``strict``) and ``<= high``; else raise ``ValueError`` naming ``name``."""
+    """Return ``value`` if it is finite (an integer when ``integer``), not a
+    ``bool``, ``>= low`` (``> low`` when ``strict``) and ``<= high``; else
+    raise ``ValueError`` naming ``name``."""
     # an int is finite even when too large for math.isfinite's float
-    kind_ok = isinstance(value, numbers.Integral) if integer else (
-        isinstance(value, int) or math.isfinite(value))
+    kind_ok = not isinstance(value, bool) and (isinstance(value, numbers.Integral) if integer else (
+        isinstance(value, int) or math.isfinite(value)))
     if kind_ok and (value > low if strict else value >= low) and value <= high:
         return value
     rule = "an integer" if integer else "finite"

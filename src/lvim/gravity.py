@@ -177,6 +177,25 @@ class GravityModel:
         return GravityModel(self.mu, self.r_ref, degree, kept)
 
 
+# the fields of a coefficient file's lines, each with its type
+_HEADER_FIELDS = (("mu", float), ("r_ref", float), ("degree", int))
+_COEFF_FIELDS = (("n", int), ("m", int), ("Cbar", float), ("Sbar", float))
+
+
+def _parsed(fields, texts, kind: str, raw: str) -> list:
+    """Each text converted by its field's type; a text that does not
+    convert is refused by the field's name and the line."""
+    values = []
+    for (name, convert), text in zip(fields, texts):
+        try:
+            values.append(convert(text))
+        except ValueError:
+            rule = "an integer" if convert is int else "a number"
+            raise ValueError(f"{name} must be {rule}, got {text!r} in {kind} line: "
+                             f"{raw.strip()!r}") from None
+    return values
+
+
 def load_gravity_model(path) -> GravityModel:
     """Parse a coefficient file.
 
@@ -195,15 +214,15 @@ def load_gravity_model(path) -> GravityModel:
                 parts = line.split()
                 if len(parts) != 6 or parts[0] != "mu" or parts[2] != "r_ref" or parts[4] != "degree":
                     raise ValueError(f"malformed header line: {raw.strip()!r}")
-                header = (float(parts[1]), float(parts[3]), int(parts[5]))
+                header = _parsed(_HEADER_FIELDS, parts[1::2], "header", raw)
                 continue
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"malformed coefficient line: {raw.strip()!r}")
-            n, m = int(parts[0]), int(parts[1])
+            n, m, cb, sb = _parsed(_COEFF_FIELDS, parts, "coefficient", raw)
             if (n, m) in coeffs:
                 raise ValueError(f"duplicate coefficient ({n},{m})")
-            coeffs[(n, m)] = (float(parts[2]), float(parts[3]))
+            coeffs[(n, m)] = (cb, sb)
     if header is None:
         raise ValueError("empty gravity file")
     mu, r_ref, degree = header

@@ -15,10 +15,13 @@ The stage matrix, its seven row views and the five stage slices are made
 once per integration, and each stage is written through its row view.
 Every weighted stage sum stays a numpy product (``a_s.dot(k[:s])``, the
 fifth-order row ``_A[6].dot(k[:6])`` and ``_E.dot(k)``), so each is rounded
-as before.  The error norm runs over Python floats: ``|x_new|`` comes from
-the ``x_new.tolist()`` that feeds the finiteness test, ``|x|`` carries
-over from the accepted step as a list, and each ratio is rounded as the
-element-wise numpy expression rounds it.
+as before.  The step size multiplies those sums as a 0-d array ``hv``, made
+once per attempt: numpy would convert a Python float in every product, and
+the multiply is the same IEEE operation either way; the stage times, the
+controller and ``step_h`` keep the float.  The error norm runs over Python
+floats: ``|x_new|`` comes from the ``x_new.tolist()`` that feeds the
+finiteness test, ``|x|`` carries over from the accepted step as a list, and
+each ratio is rounded as the element-wise numpy expression rounds it.
 """
 
 from __future__ import annotations
@@ -198,9 +201,10 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         h = min(h, tf - t)
 
         row[0][...] = f_cur
+        hv = np.array(h)
         for c, a, prev, out in steps:
-            out[...] = rhs(t + c * h, x + h * a.dot(prev))
-        x_new = x + h * a6.dot(k6)
+            out[...] = rhs(t + c * h, x + hv * a.dot(prev))
+        x_new = x + hv * a6.dot(k6)
         row[6][...] = rhs(t + h, x_new)
         xl = x_new.tolist()
         if not math.isfinite(sum(xl)) and not np.all(np.isfinite(x_new)):
@@ -209,7 +213,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
                 t=t, state=x_new)
 
         ax_new = [abs(v) for v in xl]
-        err = _err_norm((h * _E.dot(k)).tolist(), ax, ax_new, atol, rtol)
+        err = _err_norm((hv * _E.dot(k)).tolist(), ax, ax_new, atol, rtol)
 
         if err <= 1.0:
             step_h.append(h)

@@ -190,7 +190,7 @@ def _egm8():
 # Every scalar the program takes in: its name, a build from one value, the
 # stock value, and an out-of-range finite value (None: every finite value
 # is in range).  A count's stock value is an int, and a fractional count
-# (stock + 0.5) is out of range too.
+# (stock + 0.5) is out of range too; a bool is out of range for every scalar.
 SCALARS = [
     ("n_basis", lambda v: SolverConfig(v, 0.1, 1e-10), 5, 1),
     ("dt", lambda v: SolverConfig(5, v, 1e-10), 0.1, 0.0),
@@ -228,7 +228,7 @@ SCALARS = [
     pytest.param(name, build, value, id=f"{i}-{name}-{value}")
     for i, (name, build, stock, bad) in enumerate(SCALARS)
     for value in (math.inf, -math.inf, math.nan, bad,
-                  stock + 0.5 if isinstance(stock, int) else None) if value is not None])
+                  stock + 0.5 if isinstance(stock, int) else None, True) if value is not None])
 def test_scalar_out_of_range_is_refused_by_name(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build(value)
@@ -310,6 +310,21 @@ def test_eval_rhs_finiteness_check():
     for bad in ([math.nan, 0.0], [math.inf, -math.inf]):
         with pytest.raises(DomainViolationError):
             constant(bad).eval_rhs(0.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param([3, -1.5], id="list"),
+    pytest.param(np.array([3, -1]), id="int-array"),
+    pytest.param(np.array([3.0, -1.5], dtype=np.float32), id="float32-array"),
+    pytest.param(np.array([3.0, -1.5], dtype=">f8"), id="big-endian-float64")])
+def test_eval_rhs_converts_any_other_value_to_float64(value):
+    """Only a native float64 ndarray is kept as returned; any other value
+    comes back converted to one, with equal values, and counts once."""
+    system = OdeSystem(dim=2, rhs=lambda t, x: value, jac=None)
+    g = system.eval_rhs(0.0, np.zeros(2))
+    assert type(g) is np.ndarray and g.dtype == np.float64 and g.dtype.isnative
+    assert g.shape == (2,) and g.tolist() == np.asarray(value, dtype=float).tolist()
+    assert system.rhs_evals == 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

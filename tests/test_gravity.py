@@ -63,7 +63,13 @@ def test_loader_accepts_comments(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("mu 1.0 r_ref 1.0\n0 0 1.0 0.0\n", "malformed header line: 'mu 1.0 r_ref 1.0'"),
     ("mu 1.0 r_ref 1.0 degree 0\n0 0 1.0\n", "malformed coefficient line: '0 0 1.0'"),
-    ("", "empty gravity file")])
+    ("", "empty gravity file"),
+    ("mu 1.0 r_ref 1.0 degree 2.5\n0 0 1.0 0.0\n",
+     "degree must be an integer, got '2.5' in header line: 'mu 1.0 r_ref 1.0 degree 2.5'"),
+    ("mu 1.0 r_ref 1.0 degree 2\n2.5 0 1e-3 0.0  # J2\n",
+     "n must be an integer, got '2.5' in coefficient line: '2.5 0 1e-3 0.0  # J2'"),
+    ("mu 1.0 r_ref 1.0 degree 2\n2 0 1e-3 x\n",
+     "Sbar must be a number, got 'x' in coefficient line: '2 0 1e-3 x'")])
 def test_loader_refuses_a_malformed_file(tmp_path, text, message):
     f = tmp_path / "bad.txt"
     f.write_text(text)
