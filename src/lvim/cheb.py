@@ -98,13 +98,8 @@ def _ref_operators(n: int):
     c = np.ones(n)
     c[0] = c[-1] = 2.0
 
-    # T_k by the three-term recurrence; one extra degree is needed for the
-    # antiderivative of the highest basis polynomial.
-    t_all = np.empty((n, n + 1))
-    t_all[:, 0] = 1.0
-    t_all[:, 1] = tau
-    for k in range(2, n + 1):
-        t_all[:, k] = 2.0 * tau * t_all[:, k - 1] - t_all[:, k - 2]
+    # T_0 .. T_n: one degree past the basis, for the antiderivative of T_{n-1}
+    t_all = np.polynomial.chebyshev.chebvander(tau, n)
 
     # Antiderivatives normalized to vanish at tau = -1:
     # integral of T_0 is tau + 1, of T_1 is (tau^2 - 1)/2, and for k >= 2
@@ -112,9 +107,9 @@ def _ref_operators(n: int):
     iphi = np.empty((n, n))
     iphi[:, 0] = tau + 1.0
     iphi[:, 1] = 0.5 * (tau * tau - 1.0)
-    for k in range(2, n):
-        iphi[:, k] = 0.5 * (t_all[:, k + 1] / (k + 1) - t_all[:, k - 1] / (k - 1)) \
-            - (-1.0) ** k / (k * k - 1.0)
+    k = np.arange(2, n)
+    iphi[:, 2:] = 0.5 * (t_all[:, 3:] / (k + 1) - t_all[:, 1:n - 1] / (k - 1)) \
+        - (-1.0) ** k / (k * k - 1.0)
     # The first row is an integral from the left endpoint to itself; pin it
     # to exact zero so downstream operators keep an exactly zero first row.
     iphi[0, :] = 0.0

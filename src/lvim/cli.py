@@ -118,7 +118,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _check_out(out: str) -> None:
-    """Refuse, before any solve, an ``--out`` path in a missing or read-only directory."""
+    """Refuse, before any solve, an ``--out`` directory or a path in a missing or read-only one."""
+    if os.path.isdir(out):
+        raise ValueError(f"cannot write {out!r}: it is a directory")
     folder = os.path.dirname(out) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"cannot write {out!r}: no writable directory {folder!r}")

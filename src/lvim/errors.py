@@ -6,12 +6,12 @@ import numbers
 
 
 def checked(name, value, low=-math.inf, high=math.inf, strict=False, integer=False):
-    """Return ``value`` if it is finite (an integer when ``integer``), not a
-    ``bool``, ``>= low`` (``> low`` when ``strict``) and ``<= high``; else
-    raise ``ValueError`` naming ``name``."""
-    # an int is finite even when too large for math.isfinite's float
-    kind_ok = not isinstance(value, bool) and (isinstance(value, numbers.Integral) if integer else (
-        isinstance(value, int) or math.isfinite(value)))
+    """Return ``value`` if it is a real number other than a ``bool``, finite
+    (an integer when ``integer``), ``>= low`` (``> low`` when ``strict``) and
+    ``<= high``; else raise ``ValueError`` naming ``name``."""
+    # np.bool_ is not Real; an int too large for a float is finite too
+    kind_ok = isinstance(value, numbers.Integral if integer else numbers.Real) and \
+        not isinstance(value, bool) and (isinstance(value, int) or math.isfinite(value))
     if kind_ok and (value > low if strict else value >= low) and value <= high:
         return value
     rule = "an integer" if integer else "finite"

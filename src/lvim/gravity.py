@@ -237,9 +237,11 @@ def bundled_gravity_path(name: str = "egm_test.txt"):
     return p
 
 
-def _inside_sphere(model: GravityModel, r: float, q: np.ndarray) -> DomainViolationError:
-    return DomainViolationError(
-        f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m", state=q)
+def _check_radius(model: GravityModel, r: float, q: np.ndarray) -> None:
+    """Refuse a position ``q`` of radius ``r`` not above ``0.9 * r_ref``."""
+    if not r > 0.9 * model.r_ref:
+        raise DomainViolationError(
+            f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m", state=q)
 
 
 def gravity_accel(model: GravityModel, q) -> np.ndarray:
@@ -257,8 +259,7 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     is_complex = np.iscomplexobj(q)
     x, y, z = map(complex if is_complex else float, q.tolist())
     r_real = math.sqrt(x.real * x.real + y.real * y.real + z.real * z.real)
-    if not r_real > 0.9 * model.r_ref:
-        raise _inside_sphere(model, r_real, q)
+    _check_radius(model, r_real, q)
     try:
         vw = model._kernel(x, y, z)
     except OverflowError as exc:
@@ -285,8 +286,7 @@ def gravity_potential(model: GravityModel, q) -> float:
         raise ValueError("position must be a 3-vector")
     x, y, z = q
     r = math.sqrt(x * x + y * y + z * z)
-    if not r > 0.9 * model.r_ref:
-        raise _inside_sphere(model, r, q)
+    _check_radius(model, r, q)
     nmax = model.degree
     sphi = z / r
     cphi = math.sqrt(x * x + y * y) / r

@@ -171,6 +171,11 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
 _ETA_START = 1e-3
 
 
+def _white_dwarf_field(t, x, rad: float) -> np.ndarray:
+    """The white dwarf's rhs at radicand ``rad``, the caller's ``phi^2 - c``."""
+    return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
+
+
 def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
     """Default span end: 2% inside the first phi^2 = c crossing.
 
@@ -182,11 +187,8 @@ def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
     if c == 0.0:
         return 8.0
 
-    def rhs(t, x):
-        rad = max(x[0] * x[0] - c, 0.0)
-        return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
-
-    sys_free = OdeSystem(dim=2, rhs=rhs)
+    sys_free = OdeSystem(dim=2, rhs=lambda t, x: _white_dwarf_field(
+        t, x, max(x[0] * x[0] - c, 0.0)))
     traj = rk45_integrate(sys_free, _ETA_START, 50.0, x0, RkConfig(rel_tol=1e-10, abs_tol=1e-12))
     edge = math.sqrt(c)
     gap = traj.states[:, 0] - edge
@@ -220,8 +222,7 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
         return rad
 
     def rhs(t, x):
-        rad = radicand(t, x)
-        return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
+        return _white_dwarf_field(t, x, radicand(t, x))
 
     def jac(t, x):
         rad = np.array([radicand(ti, xi) for ti, xi in zip(t, x)])

@@ -20,7 +20,7 @@ import numpy as np
 from .core import SolverConfig, Trajectory, march
 from .errors import ConvergenceError, checked
 from .problems import buckled_bar
-from .rk45 import RkConfig, rk45_integrate
+from .rk45 import rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
@@ -32,8 +32,8 @@ _DEFAULT_MAX_SHOTS = 60
 # from the free end, both count as zero below this
 _SHOOT_TOL = 1e-10
 
-# A root search's stages, one shoot_scalar call each: (oracle config, or the
-# tol of a loose lvim march at the caller's config, None for that config;
+# A root search's stages, one shoot_scalar call each: (overrides of the route's
+# base config, ``config or spec.lvim_defaults`` or ``spec.rk_defaults``;
 # residual tolerance).  Early shots only point the secant, so they run loose
 # (inexact Newton: Dembo, Eisenstat & Steihaug 1982); a loose residual is off
 # by a near-constant error but its slope is good, so the stock stage shoots
@@ -41,8 +41,8 @@ _SHOOT_TOL = 1e-10
 # tols 1e-6, 1e-5 and 1e-4 only 1e-5 solves the 144-case bar grid with no case
 # costing more sweeps (tests/test_bar_grid.py); its 1e-4 bound leaves a
 # straight bar's last step to the stock shots' own secant.
-_STAGES = {"lvim": ((1e-5, 1e-4), (None, _SHOOT_TOL)),
-           "rk45": ((RkConfig(rel_tol=1e-8, abs_tol=1e-11), 1e-6), (RkConfig(), _SHOOT_TOL))}
+_STAGES = {"lvim": (({"tol": 1e-5}, 1e-4), ({}, _SHOOT_TOL)),
+           "rk45": (({"rel_tol": 1e-8, "abs_tol": 1e-11}, 1e-6), ({}, _SHOOT_TOL))}
 
 # the signs of (theta, theta') when a free-end shot, run over sigma = 1 - s,
 # is read from the clamp: theta' = -dtheta/dsigma
@@ -195,30 +195,29 @@ def solve_buckled_bar(
     """
     if integrator not in _STAGES:
         raise ValueError(f"unknown integrator {integrator!r}")
-    if integrator == "rk45" and config is not None:
+    oracle = integrator == "rk45"
+    if oracle and config is not None:
         raise ValueError("config sets the lvim march; the rk45 route takes none")
     spec = buckled_bar(load_type, load)  # validates load and type
-    cfg = config or spec.lvim_defaults
+    base = spec.rk_defaults if oracle else config or spec.lvim_defaults
     # a march looser than the residual bound cannot tell a loose seed's error from it
-    stages = _STAGES[integrator][-1:] if integrator == "lvim" and cfg.tol > _SHOOT_TOL \
-        else _STAGES[integrator]
-    logs = []  # one (stages, shot log) per search
+    first = -1 if not oracle and base.tol > _SHOOT_TOL else 0
+    stages = [(replace(base, **overrides), tol) for overrides, tol in _STAGES[integrator][first:]]
+    outer = inner = 0  # the stages and shots run
 
     def search(guesses, row, shot_from, stages):
         """The accepted trajectory of a search through ``stages`` on end-state
         component ``row`` of the shots ``shot_from(v) -> (spec, x0)``."""
+        nonlocal outer, inner
         log, slope = [], None
-        logs.append((stages, log))
         for stage, tol in stages:
             if len(log) > 1:  # the stock stage, after two loose shots: their last value and slope
                 (u, a), (v, b) = log[-2:]
                 guesses, slope = (v,), float(b.states[-1, row] - a.states[-1, row]) / (v - u)
-            if not isinstance(stage, RkConfig):
-                stage = cfg if stage is None else replace(cfg, tol=stage)
 
             def residual(v: float) -> float:
                 spec, x0 = shot_from(v)
-                if isinstance(stage, RkConfig):
+                if oracle:
                     tr = rk45_integrate(spec.system, spec.t0, spec.tf, x0, stage)
                 else:
                     tr = march(spec.system, spec.t0, spec.tf, x0, stage, guess=_shot_guess(v, log))
@@ -226,6 +225,8 @@ def solve_buckled_bar(
                 return float(tr.states[-1, row])
 
             shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
+        outer += len(stages)
+        inner += len(log)
         return log[-1][1]
 
     follower = load_type != "dead"  # whose clamp-end search only seeds the tip angle
@@ -239,6 +240,5 @@ def solve_buckled_bar(
         alpha=float(tr.states[-1, 0]),
         trajectory=tr,
         residual=max(abs(float(tr.states[0, 0])), abs(float(tr.states[-1, 1]))),
-        outer_iters=sum(len(stages) for stages, _ in logs),
-        inner_iters=sum(len(log) for _, log in logs),
+        outer_iters=outer, inner_iters=inner,
     )

@@ -217,10 +217,8 @@ def _stage_settings(case, integrator):
     """The ``(config, shoot_tol)`` of the route's loose and stock stages on
     the case's bar."""
     spec = buckled_bar(*case[:2])
-    (loose, loose_tol), (_, stock_tol) = shooting._STAGES[integrator]
-    if integrator == "lvim":
-        return (replace(spec.lvim_defaults, tol=loose), loose_tol), (spec.lvim_defaults, stock_tol)
-    return (loose, loose_tol), (spec.rk_defaults, stock_tol)
+    base = spec.lvim_defaults if integrator == "lvim" else spec.rk_defaults
+    return tuple((replace(base, **overrides), tol) for overrides, tol in shooting._STAGES[integrator])
 
 
 @pytest.mark.parametrize("integrator", ["lvim", "rk45"])

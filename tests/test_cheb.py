@@ -113,6 +113,27 @@ def test_operators_call_no_lapack(monkeypatch):
         cheb._ref_operators.cache_clear()
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 13, 26, 64, 257])
+def test_integration_matrix_equals_the_recurrence_loop(n):
+    """P from the T_k columns and antiderivatives built one column at a
+    time, the loop ``_ref_operators`` replaced: bit for bit the same."""
+    tau = cgl_nodes(n)
+    c = np.ones(n)
+    c[0] = c[-1] = 2.0
+    t_all = np.empty((n, n + 1))
+    t_all[:, 0], t_all[:, 1] = 1.0, tau
+    for k in range(2, n + 1):
+        t_all[:, k] = 2.0 * tau * t_all[:, k - 1] - t_all[:, k - 2]
+    iphi = np.empty((n, n))
+    iphi[:, 0], iphi[:, 1] = tau + 1.0, 0.5 * (tau * tau - 1.0)
+    for k in range(2, n):
+        iphi[:, k] = 0.5 * (t_all[:, k + 1] / (k + 1) - t_all[:, k - 1] / (k - 1)) \
+            - (-1.0) ** k / (k * k - 1.0)
+    iphi[0, :] = 0.0
+    p_ref = iphi @ ((2.0 / (n - 1)) * t_all[:, :n].T / np.outer(c, c))
+    assert np.array_equal(cheb._ref_operators(n)[0], p_ref)
+
+
 def test_n2_operators_are_two_point_rules():
     # with two nodes the interpolant is the chord, so differentiation is
     # the finite difference and integration the trapezoid

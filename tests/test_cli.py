@@ -355,6 +355,19 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("lvim: error: ") and str(out) in err
 
 
+@pytest.mark.parametrize("argv", [["run", "pendulum"], ["sweep", "elastica-regimes"]])
+def test_directory_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # refused before any march; a multi-curve sweep, which reads --out as a
+    # file stem, would otherwise write <dir>-regime1.csv beside the directory
+    marches = []
+    monkeypatch.setattr(cli, "march", lambda *args, **kwargs: marches.append(args))
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"lvim: error: cannot write {str(tmp_path)!r}: it is a directory\n"
+    assert marches == []
+    assert not list(tmp_path.parent.glob(tmp_path.name + "-*"))
+
+
 # What each problem reads, spelled out here rather than taken from the
 # registry: the solver flags, then the problem's own.
 SOLVER_FLAGS = ("n", "dt", "tol", "jacobian", "t_end", "rel_tol", "abs_tol")

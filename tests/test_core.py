@@ -190,7 +190,8 @@ def _egm8():
 # Every scalar the program takes in: its name, a build from one value, the
 # stock value, and an out-of-range finite value (None: every finite value
 # is in range).  A count's stock value is an int, and a fractional count
-# (stock + 0.5) is out of range too; a bool is out of range for every scalar.
+# (stock + 0.5) is out of range too; a bool (numpy's too) or a string is out
+# of range for every scalar.
 SCALARS = [
     ("n_basis", lambda v: SolverConfig(v, 0.1, 1e-10), 5, 1),
     ("dt", lambda v: SolverConfig(5, v, 1e-10), 0.1, 0.0),
@@ -225,10 +226,11 @@ SCALARS = [
 
 
 @pytest.mark.parametrize("name, build, value", [
-    pytest.param(name, build, value, id=f"{i}-{name}-{value}")
+    pytest.param(name, build, value, id=f"{i}-{name}-{value!r}")
     for i, (name, build, stock, bad) in enumerate(SCALARS)
     for value in (math.inf, -math.inf, math.nan, bad,
-                  stock + 0.5 if isinstance(stock, int) else None, True) if value is not None])
+                  stock + 0.5 if isinstance(stock, int) else None, True, np.True_, "1")
+    if value is not None])
 def test_scalar_out_of_range_is_refused_by_name(name, build, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         build(value)

@@ -17,7 +17,7 @@ from lvim.cli import BAR_GUESSES
 from lvim.core import SolverConfig, Trajectory, march
 from lvim.errors import ConvergenceError
 from lvim.problems import buckled_bar
-from lvim.rk45 import RkConfig, RkTrajectory, rk45_integrate, sample_at
+from lvim.rk45 import RkTrajectory, rk45_integrate, sample_at
 from lvim.shooting import ShotResult, shoot_scalar, solve_buckled_bar
 
 
@@ -418,8 +418,8 @@ def test_each_search_seeds_its_shots_from_its_own_earlier_shots(
     value = [x0[0] if free else x0[1] for (x0, *_), free in zip(shots, free_end)]
     firsts = [i for i in range(len(shots)) if i == 0 or free_end[i] != free_end[i - 1]]
     stock = buckled_bar(load_type, load).lvim_defaults
-    (loose_tol, _), _ = shooting._STAGES["lvim"]
-    staged = [replace(stock, tol=loose_tol), stock]
+    (loose, _), _ = shooting._STAGES["lvim"]
+    staged = [replace(stock, **loose), stock]
     searches = [[config for config, _ in itertools.groupby(s[3] for s in shots[start:end])]
                 for start, end in zip(firsts, firsts[1:] + [len(shots)])]
     assert searches == ([staged[:1]] if load_type != "dead" else []) + [staged]
@@ -588,7 +588,7 @@ def test_stock_stage_takes_two_shots(stock_shots, case):
     (loose, _), _ = shooting._STAGES["rk45"]
     (config_a, n_loose), (config_b, n_stock) = \
         [(config, len(list(run))) for config, run in itertools.groupby(spent["configs"])]
-    assert (config_a, config_b) == (loose, spec.rk_defaults)
+    assert (config_a, config_b) == (replace(spec.rk_defaults, **loose), spec.rk_defaults)
     assert n_loose >= 2
     assert n_stock == (3 if case[0] == "tangent_follower" else 2)
 
@@ -700,7 +700,7 @@ def test_oracle_stages_keep_the_stock_search_root(monkeypatch, load_type, load, 
     monkeypatch.setattr(shooting, "rk45_integrate", spy)
     attempts.append(0)
     staged = solve_buckled_bar(load_type, load, pair, integrator="rk45")
-    monkeypatch.setitem(shooting._STAGES, "rk45", ((RkConfig(), shooting._SHOOT_TOL),))
+    monkeypatch.setitem(shooting._STAGES, "rk45", (({}, shooting._SHOOT_TOL),))
     attempts.append(0)
     stock = solve_buckled_bar(load_type, load, pair, integrator="rk45")
     assert attempts[0] < attempts[1]
@@ -725,7 +725,7 @@ def test_loose_stage_met_on_its_first_guess(monkeypatch):
     res = solve_buckled_bar("dead", 50.0, (exact, 13.1), integrator="rk45")
     spec = buckled_bar("dead", 50.0)
     (loose, _), _ = shooting._STAGES["rk45"]
-    assert calls[:2] == [(exact, loose), (exact, spec.rk_defaults)]
+    assert calls[:2] == [(exact, replace(spec.rk_defaults, **loose)), (exact, spec.rk_defaults)]
     assert (res.outer_iters, res.inner_iters) == (2, len(calls))
     assert res.residual < 1e-10
     assert abs(res.theta_prime_0 - exact) < 1e-10
@@ -758,7 +758,7 @@ def test_lvim_stages_keep_the_stock_search_root(monkeypatch, load_type, load, pa
     monkeypatch.setattr(shooting, "march", spy)
     sweeps.append(0)
     staged = solve_buckled_bar(load_type, load, pair)
-    monkeypatch.setitem(shooting._STAGES, "lvim", ((None, shooting._SHOOT_TOL),))
+    monkeypatch.setitem(shooting._STAGES, "lvim", (({}, shooting._SHOOT_TOL),))
     sweeps.append(0)
     stock = solve_buckled_bar(load_type, load, pair)
     assert sweeps[0] < sweeps[1]
@@ -784,9 +784,9 @@ def test_lvim_loose_stage_met_on_its_first_guess(monkeypatch):
     monkeypatch.setattr(shooting, "march", spy)
     res = solve_buckled_bar("dead", 50.0, (exact, 13.1))
     spec = buckled_bar("dead", 50.0)
-    (loose_tol, _), _ = shooting._STAGES["lvim"]
+    (loose, _), _ = shooting._STAGES["lvim"]
     assert [(v, config) for v, config, _, _ in calls[:2]] == \
-        [(exact, replace(spec.lvim_defaults, tol=loose_tol)), (exact, spec.lvim_defaults)]
+        [(exact, replace(spec.lvim_defaults, **loose)), (exact, spec.lvim_defaults)]
     assert calls[0][2] is None and calls[1][2] is calls[0][3].states
     assert (res.outer_iters, res.inner_iters) == (2, len(calls))
     assert calls[-1][1] == spec.lvim_defaults and res.trajectory is calls[-1][3]
@@ -811,15 +811,15 @@ def test_lvim_stages_march_at_the_callers_config(monkeypatch, tol):
     config = SolverConfig(n_basis=7, dt=0.1, tol=tol)
     monkeypatch.setattr(shooting, "march", spy)
     res = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
-    (loose_tol, _), _ = shooting._STAGES["lvim"]
+    (loose, _), _ = shooting._STAGES["lvim"]
     stages = [config for config, _ in itertools.groupby(configs)]
     assert res.residual < 1e-10
     if tol <= shooting._SHOOT_TOL:
-        assert stages == [replace(config, tol=loose_tol), config]
+        assert stages == [replace(config, **loose), config]
         assert res.outer_iters == 2
     else:
         assert stages == [config]
-        monkeypatch.setitem(shooting._STAGES, "lvim", ((None, shooting._SHOOT_TOL),))
+        monkeypatch.setitem(shooting._STAGES, "lvim", (({}, shooting._SHOOT_TOL),))
         stock = solve_buckled_bar("dead", 50.0, (12.9, 13.1), config=config)
         assert (res.theta_prime_0, res.inner_iters, res.outer_iters) == \
             (stock.theta_prime_0, stock.inner_iters, 1)
