@@ -208,7 +208,7 @@ class _Problem:
 
 
 PROBLEMS = {
-    "blasius": _Problem(_late("blasius"), {"xi_max": "t_end"}),
+    "blasius": _Problem(_late("blasius")),
     "emden": _Problem(_late("emden_chandrasekhar")),
     "white-dwarf": _Problem(_late("white_dwarf"), {"c_param": "c_param"}),
     "mathieu": _Problem(_late("mathieu"), {"delta": "delta", "epsilon": "epsilon"}),
@@ -414,20 +414,6 @@ def cmd_ops_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_SELF_TEST
 
 
-def _emit_curves(curves: List[Tuple[str, Trajectory]], header: Sequence[str],
-                 out: Optional[str]) -> None:
-    """Write labeled curves: with ``out``, one file per curve with the
-    label inserted before the extension; else to stdout, each table after
-    a ``# label`` line."""
-    for label, tr in curves:
-        text = _table(header, np.column_stack([tr.times, tr.states]))
-        if out:
-            stem, ext = os.path.splitext(out)
-            _emit(text, f"{stem}-{label}{ext or '.csv'}")
-        else:
-            _emit(f"# {label}\n{text}", None)
-
-
 def cmd_sweep(args) -> int:
     if args.kind == "pendulum-frequency":
         amps = [round(0.1 + 0.2 * k, 10) for k in range(16)]  # 0.1 .. 3.1
@@ -440,21 +426,37 @@ def cmd_sweep(args) -> int:
         _emit(_table(("amplitude", "frequency"), table), args.out)
         return EXIT_OK
 
-    curves = []
+    # Labeled curves, by label the arguments of their solve: with --out, one
+    # file per curve with the label inserted before the extension, every
+    # one checked before the first solve; else to stdout, each table after
+    # a "# label" line.
     if args.kind == "elastica-regimes":
-        for a, c in ELASTICA_SWEEP_TRIPLES:
-            spec = problems.elastica(a, c)
-            curves.append((f"regime{problems.elastica_regime(a, c)}",
-                           march(spec.system, spec.t0, spec.tf, spec.x0,
-                                 spec.lvim_defaults)))
-        _emit_curves(curves, ("x", "y"), args.out)
-        return EXIT_OK
+        header = ("x", "y")
+        curves = {f"regime{problems.elastica_regime(a, c)}": (a, c)
+                  for a, c in ELASTICA_SWEEP_TRIPLES}
 
-    for load in (25.0, 50.0):  # bar-load
-        for k, pair in enumerate(BAR_GUESSES[("dead", load)], 1):
-            curves.append((f"dead-P{load:g}-branch{k}",
-                           solve_buckled_bar("dead", load, pair).trajectory))
-    _emit_curves(curves, ("s", "theta", "theta_prime"), args.out)
+        def solve(a, c):
+            spec = problems.elastica(a, c)
+            return march(spec.system, spec.t0, spec.tf, spec.x0, spec.lvim_defaults)
+    else:  # bar-load
+        header = ("s", "theta", "theta_prime")
+        curves = {f"dead-P{load:g}-branch{k}": (load, pair) for load in (25.0, 50.0)
+                  for k, pair in enumerate(BAR_GUESSES[("dead", load)], 1)}
+
+        def solve(load, pair):
+            return solve_buckled_bar("dead", load, pair).trajectory
+    paths = dict.fromkeys(curves)
+    if args.out:
+        stem, ext = os.path.splitext(args.out)
+        for label in paths:
+            paths[label] = f"{stem}-{label}{ext or '.csv'}"
+            _check_out(paths[label])
+    tables = {}
+    for label, arg in curves.items():
+        tr = solve(*arg)
+        tables[label] = _table(header, np.column_stack([tr.times, tr.states]))
+    for label, text in tables.items():
+        _emit(text if args.out else f"# {label}\n{text}", paths[label])
     return EXIT_OK
 
 

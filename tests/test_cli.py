@@ -223,7 +223,6 @@ def test_print_defaults_are_what_a_bare_run_uses(capsys, monkeypatch):
 
 # factory parameters that no flag sets, each with what does set it
 SET_ELSEWHERE = {
-    ("blasius", "stage1"): "gate C07 solves stage one with lvim and rk45",
     ("emden", "xi_start"): "gate C04 checks two series starts",
     ("buckled-bar", "alpha"): "the free-end shoot of solve_buckled_bar",
 }
@@ -300,7 +299,7 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, arg", [
-    (["blasius", "--t-end", "inf"], "xi_max"), (["mathieu", "--delta", "nan"], "delta"),
+    (["white-dwarf", "--c-param", "nan"], "c_param"), (["mathieu", "--delta", "nan"], "delta"),
     (["mathieu", "--epsilon", "inf"], "epsilon"), (["buckled-bar", "--load", "nan"], "load"),
     (["elastica", "--a-param", "inf"], "a"), (["elastica", "--c-param", "nan"], "c")])
 def test_non_finite_problem_parameter_is_usage_error(argv, arg, capsys):
@@ -355,17 +354,53 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("lvim: error: ") and str(out) in err
 
 
-@pytest.mark.parametrize("argv", [["run", "pendulum"], ["sweep", "elastica-regimes"]])
+# a later curve's file of each multi-curve sweep run with --out e.csv
+LATER_CURVE = {"elastica-regimes": "e-regime2.csv", "bar-load": "e-dead-P50-branch2.csv"}
+
+
+@pytest.mark.parametrize("argv", [["run", "pendulum"], ["sweep", "elastica-regimes"],
+                                  ["sweep", "bar-load"]])
 def test_directory_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
-    # refused before any march; a multi-curve sweep, which reads --out as a
-    # file stem, would otherwise write <dir>-regime1.csv beside the directory
-    marches = []
-    monkeypatch.setattr(cli, "march", lambda *args, **kwargs: marches.append(args))
-    assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == \
-        f"lvim: error: cannot write {str(tmp_path)!r}: it is a directory\n"
-    assert marches == []
+    # refused before any march or shot; a multi-curve sweep, which reads
+    # --out as a file stem, would otherwise write <dir>-regime1.csv beside
+    # the directory, and a per-curve file that is a directory would fail
+    # only after every curve was solved and the earlier ones written
+    solves = []
+    for name in ("march", "solve_buckled_bar"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: solves.append(args))
+    cases = [(tmp_path, tmp_path)]
+    if argv[-1] in LATER_CURVE:
+        cases.append((tmp_path / "e.csv", tmp_path / LATER_CURVE[argv[-1]]))
+    for out, directory in cases:
+        directory.mkdir(exist_ok=True)
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"lvim: error: cannot write {str(directory)!r}: it is a directory\n"
+    assert solves == []
     assert not list(tmp_path.parent.glob(tmp_path.name + "-*"))
+    assert [p.name for p in tmp_path.iterdir()] == [d.name for _, d in cases[1:]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "blasius", "--t-end", "2"], ["run", "blasius", "--t-end", "12"],
+    ["compare", "blasius", "--t-end", "12"], ["run", "blasius", "--t-end", "20"],
+    ["run", "blasius", "--t-end", "30", "--dt", "0.25"]])
+def test_blasius_span_sets_only_the_profile_span(argv, capsys):
+    # f''(0) comes from a fixed stage-one span, so every span starts from
+    # the stock f''(0), bit for bit; a span of 11.5 or more used to make
+    # stage one itself diverge, and span 2 started from f''(0) = 0.4413
+    assert main(argv + ["--format", "json"]) == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    assert samples[0][1:] == problems.blasius().x0.tolist()
+    assert samples[-1][0] == float(argv[3])
+
+
+def test_blasius_diverging_span_fails_in_one_line(capsys):
+    # at the stock dt the march diverges near t = 24.6, and the rhs
+    # overflows to inf without a RuntimeWarning (filterwarnings = error)
+    assert main(["run", "blasius", "--t-end", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lvim: solver failed: ") and err.count("\n") == 1
 
 
 # What each problem reads, spelled out here rather than taken from the

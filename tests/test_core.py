@@ -205,7 +205,7 @@ SCALARS = [
     ("r_ref", lambda v: replace(_egm8(), r_ref=v), 6378136.3, -1.0),
     ("degree", lambda v: lvim.GravityModel(3.986004415e14, 6378136.3, v, {}), 8, -1),
     ("degree", lambda v: _egm8().truncate(v), 8, -1),
-    ("xi_max", lambda v: problems.blasius(xi_max=v), 10.0, 0.0),
+    ("c_param", lambda v: problems.white_dwarf(c_param=v), 0.3, -0.1),
     ("xi_start", lambda v: problems.emden_chandrasekhar(xi_start=v), 1e-3, 0.0),
     ("delta", lambda v: problems.mathieu(delta=v), 0.5, None),
     ("epsilon", lambda v: problems.mathieu(epsilon=v), 0.1, None),

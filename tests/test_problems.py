@@ -183,22 +183,24 @@ def test_blasius_wall_curvature_value():
     assert spec.state_names == ("f", "f_prime", "f_double_prime")
 
 
+def blasius_oracle_wall_curvature(span):
+    """f''(0) from the stage-one companion run by the oracle over ``span``."""
+    companion = rk45_integrate(problems.blasius().system, 0.0, span,
+                               np.array([0.0, 0.0, 1.0]), RkConfig())
+    return companion.states[-1, 1] ** -1.5
+
+
 def test_blasius_stage_agreement():
-    f2_lvim = problems.blasius(stage1="lvim").x0[2]
-    f2_rk = problems.blasius(stage1="rk45").x0[2]
+    f2_lvim = problems.blasius().x0[2]
+    f2_rk = blasius_oracle_wall_curvature(problems._BLASIUS_STAGE_ONE_SPAN)
     assert abs(f2_lvim - f2_rk) < 1e-8
-
-
-def test_blasius_refuses_an_unknown_stage_one():
-    with pytest.raises(ValueError, match="stage1 must be 'lvim' or 'rk45'"):
-        problems.blasius(stage1="euler")
 
 
 def test_blasius_truncation_doubling():
     # the adaptive stage handles the doubled span; the iterative stage
     # loses contraction once the solution grows linearly without bound
-    f2_10 = problems.blasius(xi_max=10.0, stage1="rk45").x0[2]
-    f2_20 = problems.blasius(xi_max=20.0, stage1="rk45").x0[2]
+    f2_10 = blasius_oracle_wall_curvature(10.0)
+    f2_20 = blasius_oracle_wall_curvature(20.0)
     assert abs(f2_10 - f2_20) < 1e-8
 
 
@@ -321,6 +323,52 @@ def test_pendulum_exact_solution_is_a_reference():
     assert np.max(np.abs(pendulum_exact(spec.x0[0], tr.times) - tr.states)) < 1e-7
 
 
+def kepler_states(mu, x0, t):
+    """(n, 6) states at times ``t`` of the two-body orbit through the
+    6-state ``x0`` at t = 0: Kepler's equation E - e sin E = M, solved by
+    Newton's method, placed in the orbit's perifocal frame."""
+    q0, v0 = x0[:3], x0[3:]
+    r0 = math.sqrt(q0 @ q0)
+    h = np.cross(q0, v0)
+    ecc_vec = np.cross(v0, h) / mu - q0 / r0
+    e = math.sqrt(ecc_vec @ ecc_vec)
+    a = 1.0 / (2.0 / r0 - (v0 @ v0) / mu)
+    p_hat = ecc_vec / e
+    q_hat = np.cross(h, p_hat) / math.sqrt(h @ h)
+    big_e0 = math.atan2((q0 @ v0) / math.sqrt(mu * a), 1.0 - r0 / a)
+    mean = big_e0 - e * math.sin(big_e0) + math.sqrt(mu / a**3) * np.asarray(t)
+    big_e = mean.copy()
+    for _ in range(50):
+        step = (big_e - e * np.sin(big_e) - mean) / (1.0 - e * np.cos(big_e))
+        big_e -= step
+        if np.max(np.abs(step)) < 1e-16:
+            break
+    c, s, b = np.cos(big_e)[:, None], np.sin(big_e)[:, None], math.sqrt(1.0 - e * e)
+    speed = math.sqrt(mu * a) / (a * (1.0 - e * c))
+    return np.hstack((a * ((c - e) * p_hat + b * s * q_hat),
+                      speed * (b * c * q_hat - s * p_hat)))
+
+
+def test_kepler_orbit_is_a_reference():
+    """Errors relative to max|x0|, measured (bound): the closed form
+    reproduces the stock start, 1.5e-17 (1e-15), and comes back to it after
+    ``orbital_period``, 3.9e-16 (4e-15); over that period a tight oracle
+    run stays on it, 3.9e-13 (2e-12), and so does the stock march, 1.5e-13
+    (1e-12)."""
+    model = load_gravity_model(bundled_gravity_path("egm8.txt")).truncate(0)
+    spec = problems.leo(model)
+    scale = np.max(np.abs(spec.x0))
+    assert spec.tf == problems.orbital_period(model, spec.x0)
+    ends = kepler_states(model.mu, spec.x0, [0.0, spec.tf])
+    assert np.max(np.abs(ends[0] - spec.x0)) < 1e-15 * scale
+    assert np.max(np.abs(ends[1] - spec.x0)) < 4e-15 * scale
+    for tr, bound in (
+            (rk45_integrate(spec.system, spec.t0, spec.tf, spec.x0, RkConfig(1e-13, 1e-16)), 2e-12),
+            (march(spec.system, spec.t0, spec.tf, spec.x0, spec.lvim_defaults), 1e-12)):
+        assert np.max(np.abs(kepler_states(model.mu, spec.x0, tr.times) - tr.states)) \
+            < bound * scale
+
+
 @pytest.mark.parametrize("name, value", [("tf", math.inf), ("tf", math.nan),
                                          ("t0", -math.inf)])
 def test_spec_rejects_non_finite_span(name, value):
@@ -334,7 +382,6 @@ def test_spec_refuses_state_names_of_another_length():
 
 
 @pytest.mark.parametrize("factory, arg, value", [
-    (problems.blasius, "xi_max", math.inf), (problems.blasius, "xi_max", math.nan),
     (problems.mathieu, "delta", math.nan), (problems.mathieu, "epsilon", math.inf),
     (problems.buckled_bar, "load", math.nan), (problems.buckled_bar, "load", math.inf),
     (problems.elastica, "a", math.inf), (problems.elastica, "c", math.nan)])
