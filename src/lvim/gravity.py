@@ -5,16 +5,21 @@ The acceleration is evaluated with the recursive V/W formulation
 Cartesian coordinates (no frame rotation is applied).  The recursion is
 compiled into one straight-line kernel once per degree, and each model
 precomputes the linear map from the V/W values to the acceleration, so a
-call is one kernel call and one small matrix product.  The potential is evaluated
-through fully normalized associated Legendre functions; it exists so the
-acceleration can be cross-checked against a finite-difference gradient
-computed by an unrelated code path.
+call is one kernel call and one small matrix product, through
+``ndarray.dot``: the BLAS routine of ``@``, with the same bits, without
+the ufunc dispatch.  A float64 position, what the LEO rhs passes as a
+view into its state, is read with one ``tolist()``; any other position
+is converted to a float64 or complex128 array first.  The potential is
+evaluated through fully normalized associated Legendre functions; it
+exists so the acceleration can be cross-checked against a
+finite-difference gradient computed by an unrelated code path.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from importlib import resources
@@ -32,6 +37,9 @@ __all__ = [
     "gravity_accel",
     "gravity_potential",
 ]
+
+# the dtype of a position array gravity_accel reads without converting it
+_FLOAT = np.dtype(float)
 
 # Largest degree a GravityModel accepts: its kernel source grows with d^2 (degree
 # 100 builds in 0.4 s on a 2-core Xeon host), so a header typo is refused up front.
@@ -197,7 +205,8 @@ def _parsed(fields, texts, kind: str, raw: str) -> list:
 
 
 def load_gravity_model(path) -> GravityModel:
-    """Parse a coefficient file.
+    """Parse a coefficient file, given by its path or as a ``Traversable``
+    (what :func:`bundled_gravity_path` returns from a zipped install).
 
     Line one: ``mu <value> r_ref <value> degree <n>``.  Every further
     non-comment line: ``n m Cbar Sbar`` with fully normalized values.
@@ -205,7 +214,9 @@ def load_gravity_model(path) -> GravityModel:
     """
     header = None
     coeffs: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    with open(path, encoding="utf-8") as fh:
+    opened = (open(path, encoding="utf-8") if isinstance(path, (str, bytes, os.PathLike))
+              else path.open(encoding="utf-8"))
+    with opened as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -253,11 +264,14 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     (the guard uses the real part), which supports complex-step
     derivative checks.
     """
-    q = np.asarray(q)
+    # a float64 array (the rhs passes a view into its state) is read as it
+    # is; anything else becomes a float64 or complex128 array first
+    if type(q) is not np.ndarray or q.dtype is not _FLOAT:
+        q = np.asarray(q)
+        q = q.astype(complex if np.iscomplexobj(q) else float, copy=False)
     if q.shape != (3,):
         raise ValueError("position must be a 3-vector")
-    is_complex = np.iscomplexobj(q)
-    x, y, z = map(complex if is_complex else float, q.tolist())
+    x, y, z = q.tolist()
     r_real = math.sqrt(x.real * x.real + y.real * y.real + z.real * z.real)
     _check_radius(model, r_real, q)
     try:
@@ -265,12 +279,11 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     except OverflowError as exc:
         # complex arithmetic raises where the real path underflows to zero
         raise DomainViolationError(
-            f"|q| = {r_real:.6g} m overflows the field expansion",
-            state=np.asarray(q)) from exc
+            f"|q| = {r_real:.6g} m overflows the field expansion", state=q) from exc
     # struct packs real values faster than np.array reads a list; it has
     # no complex format
-    vw = np.array(vw) if is_complex else np.frombuffer(model._pack(*vw))
-    return vw @ model._g
+    vw = np.array(vw) if type(x) is complex else np.frombuffer(model._pack(*vw))
+    return vw.dot(model._g)
 
 
 def gravity_potential(model: GravityModel, q) -> float:

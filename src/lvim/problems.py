@@ -146,7 +146,8 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
     checked("xi_start", xi_start, 0.0, strict=True)
 
     def rhs(t, x):
-        return np.array([x[1], math.exp(-x[0]) - 2.0 / t * x[1]])
+        psi, dpsi = x.tolist()
+        return np.array([dpsi, math.exp(-psi) - 2.0 / t * dpsi])
 
     def jac(t, x):
         return _jac2([-math.exp(-v) for v in x[:, 0].tolist()], -2.0 / t)
@@ -267,7 +268,8 @@ def pendulum() -> ProblemSpec:
     """Rigid pendulum with unit g/l, released nearly inverted."""
 
     def rhs(t, x):
-        return np.array([x[1], -math.sin(x[0])])
+        th, thd = x.tolist()
+        return np.array([thd, -math.sin(th)])
 
     def jac(t, x):
         return _jac2([-math.cos(v) for v in x[:, 0].tolist()])
@@ -339,7 +341,8 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
 
     if load_type == "dead":
         def rhs(t, x):
-            return np.array([x[1], -P * math.sin(x[0])])
+            th, dth = x.tolist()
+            return np.array([dth, -P * math.sin(th)])
 
         def jac(t, x):
             return _jac2([-P * math.cos(v) for v in x[:, 0].tolist()])
@@ -348,7 +351,8 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
         f = math.cos if load_type == "perpendicular_follower" else math.sin
 
         def rhs(t, x):
-            return np.array([x[1], -P * f(x[0] - al) * math.sin(x[0])])
+            th, dth = x.tolist()
+            return np.array([dth, -P * f(th - al) * math.sin(th)])
 
         def jac(t, x):
             return _jac2([-P * f(2.0 * v - al) for v in x[:, 0].tolist()])

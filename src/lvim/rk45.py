@@ -129,19 +129,32 @@ class RkTrajectory(Trajectory):
 
 
 def _initial_step(system, t0, x0, f0, cfg, span):
-    """Standard two-probe heuristic for the starting step size."""
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(x0)
-    d0 = _max_of(np.abs(x0) / sc)
-    d1 = _max_of(np.abs(f0) / sc)
+    """Standard two-probe heuristic for the starting step size.  A scaled
+    slope ``d1`` or slope change ``d2`` that overflows would give a zero
+    step, so it is refused as a domain violation at ``t0``."""
+    with np.errstate(over="ignore"):
+        sc = cfg.abs_tol + cfg.rel_tol * np.abs(x0)
+        d0 = _max_of(np.abs(x0) / sc)
+        d1 = _max_of(np.abs(f0) / sc)
+    _check_probe("slope", d1, t0, x0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = system.eval_rhs(t0 + h0, x0 + h0 * f0)
-    d2 = _max_of(np.abs(f1 - f0) / sc) / h0
+    with np.errstate(over="ignore"):
+        d2 = _max_of(np.abs(f1 - f0) / sc) / h0
+    _check_probe("slope change", d2, t0, x0)
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span)
+
+
+def _check_probe(what, d, t0, x0):
+    if not math.isfinite(d):
+        raise DomainViolationError(
+            f"the oracle cannot size its first step at t={float(t0)!r}: the {what} "
+            "over the tolerance scale overflows", t=t0, state=np.array(x0, dtype=float))
 
 
 def _err_norm(e, ax, ax_new, atol, rtol):

@@ -505,6 +505,36 @@ def test_readme_layout_names_every_module():
     assert listed == modules
 
 
+# ------------------------------------------------ operator products
+
+def _draw_with_specials(rng, shape):
+    """Normal values over 60 decades, about a sixth of them replaced by
+    +0.0, -0.0, +inf, -inf or NaN."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    u = rng.random(shape)
+    for i, special in enumerate((0.0, -0.0, math.inf, -math.inf, math.nan)):
+        v[(u >= 0.03 * i) & (u < 0.03 * (i + 1))] = special
+    return v
+
+
+@pytest.mark.parametrize("n", [2, 5, 7, 13, 26, 40])
+def test_sweep_products_are_matmul_bitwise(n):
+    """The sweep forms ``Q x``, ``H r`` and ``P r`` with ``ndarray.dot``;
+    each must be the ``@`` product byte for byte (signs of zero and NaNs
+    included) on every state width of the stock problems."""
+    rng = np.random.default_rng(n)
+    for dt in (0.1, 0.5, 500.0):
+        ops = build_operators(n, dt)
+        for d in (1, 2, 3, 6):
+            for trial in range(60):
+                x = (rng.standard_normal((n, d)) if trial % 2
+                     else _draw_with_specials(rng, (n, d)))
+                for mat in (ops.q_mat, ops.h_mat, ops.p_mat):
+                    with np.errstate(all="ignore"):
+                        got, want = mat.dot(x), mat @ x
+                    assert got.tobytes() == want.tobytes(), (n, dt, d, trial)
+
+
 # ------------------------------------------------ reference march
 
 def _residual_ref(ops, system, x, t_nodes):

@@ -1,6 +1,8 @@
 """Gravity model: loader, dual-route field values, curl, truncation."""
 
 import math
+import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -75,6 +77,18 @@ def test_loader_refuses_a_malformed_file(tmp_path, text, message):
     f.write_text(text)
     with pytest.raises(ValueError, match=f"^{message}$"):
         load_gravity_model(str(f))
+
+
+def test_loader_reads_a_zipped_file(tmp_path, model8):
+    """A bundled file of a zipped install is a ``zipfile.Path``, which
+    ``open()`` does not take; it loads the model the plain file does."""
+    archive = tmp_path / "lvim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.write(bundled_gravity_path("egm8.txt"), "lvim/data/egm8.txt")
+    with zipfile.ZipFile(archive) as zf:
+        path = zipfile.Path(zf, "lvim/data/egm8.txt")
+        assert not isinstance(path, os.PathLike)
+        assert load_gravity_model(path) == model8
 
 
 def test_unknown_bundled_file_is_refused():
@@ -446,6 +460,23 @@ def test_kernel_is_the_loop_bitwise(models, name):
         _assert_bitwise(model, q)
     for q in (TEST_POINT, _octant_points()[3]):
         _assert_bitwise(model, q.astype(np.float32))
+
+
+@pytest.mark.parametrize("name", ["egm8", "deg0", "deg2"])
+def test_float64_views_are_read_in_place_bitwise(models, name):
+    """The float route: a position slice of a 6-state (what the LEO rhs
+    passes), a strided view and a read-only array are read as they are;
+    a byte-swapped float64 array is converted first.  Each equals the loop."""
+    model = models[name]
+    for q in _kernel_points():
+        state = np.concatenate((q, [-3.5794e3, 0.0, 6.1997e3]))
+        strided = np.empty(6)
+        strided[::2] = q
+        readonly = q.copy()
+        readonly.setflags(write=False)
+        for view in (state[:3], strided[::2], readonly, q.astype(">f8")):
+            assert view.shape == (3,)
+            _assert_bitwise(model, view)
 
 
 @pytest.mark.parametrize("name", ["egm8", "deg0", "deg1"])

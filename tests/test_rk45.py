@@ -196,6 +196,25 @@ def test_state_overflow_raises_domain_violation():
         rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
 
 
+# an rhs that jumps from +1e308 to -1e308 just after t = 0
+_JUMP = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308 if t == 0.0 else -1e308]))
+
+
+@pytest.mark.parametrize("system, x0, what", [
+    # |f0| / scale overflows: the probe step 0.01 * d0 / d1 would be zero
+    (problems.pendulum().system, [0.0, 1e300], "slope"),
+    # f1 - f0 overflows: the second probe would give a zero step
+    (_JUMP, [1e300], "slope change")], ids=["slope", "slope-change"])
+def test_overflowing_start_probe_is_a_domain_violation(system, x0, what):
+    # no numpy overflow warning either: the suite turns warnings into errors
+    with pytest.raises(DomainViolationError,
+                       match=f"^the oracle cannot size its first step at t=0.0: the {what} "
+                             "over the tolerance scale overflows$") as info:
+        rk45_integrate(system, 0.0, 10.0, np.array(x0), RkConfig())
+    assert info.value.t == 0.0
+    assert np.array_equal(info.value.state, x0)
+
+
 def test_error_norm_matches_numpy_bitwise():
     rng = np.random.default_rng(3)
     for dim in (1, 2, 6):
