@@ -78,25 +78,26 @@ class OperatorSet:
 
 @lru_cache(maxsize=None)
 def _ref_operators(n: int):
-    """Reference-domain ``P``, ``Q``, ``-P o dtau`` and nodes for size n.
+    """Reference-domain ``P``, ``Q``, ``-P o dtau``, nodes and barycentric
+    weights ``w`` for size n: ``w_j = (-1)^j``, halved at the two ends, the
+    one statement of the CGL family, which the interpolant reads too.
 
     ``P = iphi @ V^-1``: ``iphi`` holds the antiderivatives of ``T_k``
     at the nodes, and the CGL Vandermonde matrix ``V[j, k] = T_k(tau_j)``
-    has the explicit inverse ``V^-1[k, j] = 2 T_k(tau_j) / ((n-1) c_k c_j)``
-    (discrete orthogonality).  ``Q`` is the CGL differentiation matrix,
-    off-diagonal ``c_i (-1)^(i+j) / (c_j (tau_i - tau_j))`` (Trefethen,
-    *Spectral Methods in MATLAB*, ch. 6).  Here ``c = 2`` at the two
-    endpoints and 1 elsewhere.  The node differences are taken in the
-    trigonometric form ``2 sin(pi(i+j)/2m) sin(pi(i-j)/2m)``, ``m = n - 1``,
-    which avoids the cancellation of subtracting nearby nodes
-    (Baltensperger & Trummer, SIAM J. Sci. Comput. 2003).
+    has the explicit inverse ``V^-1[k, j] = 2 |w_k w_j| T_k(tau_j) / (n-1)``
+    (discrete orthogonality).  ``Q`` is the barycentric differentiation
+    matrix, off-diagonal ``(w_j / w_i) / (tau_i - tau_j)`` (Berrut &
+    Trefethen, SIAM Review 2004, sec. 9).  The node differences are taken
+    in the trigonometric form ``2 sin(pi(i+j)/2m) sin(pi(i-j)/2m)``,
+    ``m = n - 1``, which avoids the cancellation of subtracting nearby
+    nodes (Baltensperger & Trummer, SIAM J. Sci. Comput. 2003).
 
     Returned arrays are read-only and shared between callers.
     """
     tau = cgl_nodes(n)
     m = n - 1
-    c = np.ones(n)
-    c[0] = c[-1] = 2.0
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
 
     # T_0 .. T_n: one degree past the basis, for the antiderivative of T_{n-1}
     t_all = np.polynomial.chebyshev.chebvander(tau, n)
@@ -113,14 +114,14 @@ def _ref_operators(n: int):
     # The first row is an integral from the left endpoint to itself; pin it
     # to exact zero so downstream operators keep an exactly zero first row.
     iphi[0, :] = 0.0
-    v_inv = (2.0 / m) * t_all[:, :n].T / np.outer(c, c)
+    v_inv = (2.0 / m) * t_all[:, :n].T * np.abs(np.outer(w, w))
     p_ref = iphi @ v_inv
 
     i = np.arange(n)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
     dtau = 2.0 * np.sin(np.pi * (i + j) / (2 * m)) * np.sin(np.pi * (i - j) / (2 * m))
     np.fill_diagonal(dtau, 1.0)
-    q_ref = (c[:, np.newaxis] / c[np.newaxis, :]) * (-1.0) ** (i + j) / dtau
+    q_ref = (w / w[:, np.newaxis]) / dtau
     # negative-sum trick: each row of a differentiation matrix annihilates
     # constants, so pin the diagonal to make that hold to the last bit
     np.fill_diagonal(q_ref, 0.0)
@@ -128,9 +129,9 @@ def _ref_operators(n: int):
     np.fill_diagonal(dtau, 0.0)
     h_ref = -p_ref * dtau
 
-    for a in (p_ref, q_ref, h_ref):
+    for a in (p_ref, q_ref, h_ref, w):
         a.setflags(write=False)
-    return p_ref, q_ref, h_ref, tau
+    return p_ref, q_ref, h_ref, tau, w
 
 
 def build_operators(n_basis: int, dt: float) -> OperatorSet:
@@ -144,7 +145,7 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     """
     checked("n_basis", n_basis, 2, _MAX_N_BASIS, integer=True)
     checked("dt", dt, 0.0, strict=True)
-    p_ref, q_ref, h_ref, tau = _ref_operators(n_basis)
+    p_ref, q_ref, h_ref, tau, _ = _ref_operators(n_basis)
     half = 0.5 * dt
     p_mat = half * p_ref
     q_mat = q_ref / half

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cheb import OperatorSet, build_operators
+from .cheb import _MAX_N_BASIS, OperatorSet, _ref_operators, build_operators
 from .errors import ConvergenceError, DomainViolationError, checked
 
 __all__ = [
@@ -176,7 +176,7 @@ class SolverConfig:
     jacobian_mode: str = "full"
 
     def __post_init__(self):
-        checked("n_basis", self.n_basis, 2, integer=True)
+        checked("n_basis", self.n_basis, 2, _MAX_N_BASIS, integer=True)
         checked("dt", self.dt, 0.0, strict=True)
         checked("tol", self.tol, 0.0, strict=True)
         checked("max_iter", self.max_iter, 1, integer=True)
@@ -212,8 +212,8 @@ class Trajectory:
     def _between(self, query: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Values at times ``query`` off the nodes (none divides by zero),
         ``pos`` their ``searchsorted`` positions in ``times``, each on the
-        interpolant of its segment: the barycentric formula with weights
-        ``(-1)^j``, halved at the ends (Berrut & Trefethen, SIAM Review 2004),
+        interpolant of its segment: the barycentric formula with the CGL
+        weights of :mod:`lvim.cheb` (Berrut & Trefethen, SIAM Review 2004),
         on ``N = (len(times) - 1) / n_segments + 1`` nodes; segment ``k``
         owns nodes ``k*(N-1) .. k*(N-1) + N-1``, the end ones the span's slack."""
         n_seg = len(self.segment_iterations)
@@ -222,9 +222,7 @@ class Trajectory:
             raise ValueError(f"{self.times.size} samples do not split into {n_seg} segments")
         seg = np.minimum(np.maximum(pos - 1, 0) // per, n_seg - 1)
         rows = (seg * per)[:, np.newaxis] + np.arange(per + 1)
-        w = (-1.0) ** np.arange(per + 1)
-        w[[0, -1]] *= 0.5
-        c = w / (query[:, np.newaxis] - self.times[rows])
+        c = _ref_operators(per + 1)[-1] / (query[:, np.newaxis] - self.times[rows])
         return np.einsum("qj,qjd->qd", c, self.states[rows]) / c.sum(axis=1)[:, np.newaxis]
 
     def mirrored(self, signs) -> Trajectory:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -52,14 +53,21 @@ def _denorm_factor(n: int, m: int) -> float:
     return math.sqrt(k * math.factorial(n - m) / math.factorial(n + m))
 
 
-def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndarray:
+def _coeff(coeffs, n: int, m: int) -> Tuple[float, float]:
+    """The fully normalized ``(Cbar, Sbar)`` at ``(n, m)``: an absent
+    entry is zero, except the central ``(0, 0)`` term, ``(1, 0)``."""
+    return coeffs.get((n, m), (1.0, 0.0) if (n, m) == (0, 0) else (0.0, 0.0))
+
+
+def _accel_map(coeffs, size: int, scale: float) -> np.ndarray:
     """Linear map from the flat V/W values to the acceleration.
 
     The recursion kernel lists ``V_nm`` for ``0 <= m <= n < size`` column
     by column (m outer, n inner) and then ``W_nm`` in the same order; the
     product of that ``2L`` list with the returned ``2L x 3`` matrix is the
-    acceleration.  The unnormalized coefficients, the ``(n-m+1)(n-m+2)``
-    factors and ``scale`` are folded in here, once per model.
+    acceleration.  Each coefficient is denormalized as it is mapped, and
+    the ``(n-m+1)(n-m+2)`` factors and ``scale`` are folded in here, once
+    per model.
     """
     half = size * (size + 1) // 2
     g = np.zeros((2, half, 3))  # [V or W, flat (n, m) index, component]
@@ -69,7 +77,8 @@ def _accel_map(c: np.ndarray, s: np.ndarray, size: int, scale: float) -> np.ndar
 
     for n in range(size - 1):
         for m in range(n + 1):
-            cnm, snm = c[n, m], s[n, m]
+            f = _denorm_factor(n, m)
+            cnm, snm = (f * v for v in _coeff(coeffs, n, m))
             k = n - m + 1
             g[:, at(n + 1, m), 2] -= k * cnm, k * snm
             if m == 0:
@@ -136,15 +145,14 @@ class GravityModel:
     mu is the gravitational parameter in m^3/s^2, r_ref the reference
     radius in meters.  coeffs maps (degree, order) to a fully
     normalized (Cbar, Sbar) pair; absent entries are zero and the
-    central (0, 0) term defaults to 1.
+    central (0, 0) term defaults to 1.  A float copy is the model's one
+    coefficient table, read by the acceleration map and the potential.
     """
 
     mu: float
     r_ref: float
     degree: int
     coeffs: Dict[Tuple[int, int], Tuple[float, float]]
-    _cbar: np.ndarray = field(init=False, repr=False, compare=False)
-    _sbar: np.ndarray = field(init=False, repr=False, compare=False)
     _kernel: Callable = field(init=False, repr=False, compare=False)
     _g: np.ndarray = field(init=False, repr=False, compare=False)
     _pack: Callable = field(init=False, repr=False, compare=False)
@@ -153,29 +161,21 @@ class GravityModel:
         checked("mu", self.mu, 0.0, strict=True)
         checked("r_ref", self.r_ref, 0.0, strict=True)
         checked("degree", self.degree, 0, _MAX_DEGREE, integer=True)
-        nmax = self.degree
-        cbar, sbar, c, s = (np.zeros((nmax + 1, nmax + 1)) for _ in range(4))
-        # the central term's default; its denormalization factor is 1
-        cbar[0, 0] = c[0, 0] = 1.0
+        table = {}
         for (n, m), (cb, sb) in self.coeffs.items():
-            if not (0 <= m <= n <= nmax):
+            if not (0 <= m <= n <= self.degree):
                 raise ValueError(f"coefficient index ({n},{m}) out of range")
             if not (math.isfinite(cb) and math.isfinite(sb)):
                 raise ValueError(f"non-finite coefficient at ({n},{m})")
-            cbar[n, m], sbar[n, m] = cb, sb
-            f = _denorm_factor(n, m)
-            c[n, m], s[n, m] = cbar[n, m] * f, sbar[n, m] * f
-        if cbar[0, 0] != 1.0 or sbar[0, 0] != 0.0:
+            table[operator.index(n), operator.index(m)] = float(cb), float(sb)
+        object.__setattr__(self, "coeffs", table)
+        if _coeff(table, 0, 0) != (1.0, 0.0):
             raise ValueError("(0,0) coefficient must be (1, 0)")
-        for arr in (cbar, sbar):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_cbar", cbar)
-        object.__setattr__(self, "_sbar", sbar)
-        size = nmax + 2
+        size = self.degree + 2
         namespace = {"R": self.r_ref}
         exec(_kernel_code(size), namespace)
         object.__setattr__(self, "_kernel", namespace["kernel"])
-        object.__setattr__(self, "_g", _accel_map(c, s, size, self.mu / self.r_ref ** 2))
+        object.__setattr__(self, "_g", _accel_map(self.coeffs, size, self.mu / self.r_ref ** 2))
         object.__setattr__(self, "_pack", struct.Struct(f"{size * (size + 1)}d").pack)
 
     def truncate(self, degree: int) -> "GravityModel":
@@ -322,14 +322,14 @@ def gravity_potential(model: GravityModel, q) -> float:
             )
             P[n, m] = alpha * sphi * P[n - 1, m] - beta * P[n - 2, m]
 
-    Cb, Sb = model._cbar, model._sbar
     total = 0.0
     ratio = model.r_ref / r
     pw = 1.0
     for n in range(nmax + 1):
         inner = 0.0
         for m in range(n + 1):
-            inner += P[n, m] * (Cb[n, m] * math.cos(m * lam) + Sb[n, m] * math.sin(m * lam))
+            cb, sb = _coeff(model.coeffs, n, m)
+            inner += P[n, m] * (cb * math.cos(m * lam) + sb * math.sin(m * lam))
         total += pw * inner
         pw *= ratio
     # sign puts the field on the physics convention: accel = -grad U

@@ -134,6 +134,23 @@ def test_integration_matrix_equals_the_recurrence_loop(n):
     assert np.array_equal(cheb._ref_operators(n)[0], p_ref)
 
 
+def test_differentiation_matrix_equals_the_closed_form():
+    """Q from the barycentric weights, ``(w_j / w_i) / dtau``, against the
+    closed form it replaced, ``(c_i / c_j) (-1)^(i+j) / dtau`` with ``c = 2``
+    at the ends and the negative-sum diagonal: bit for bit.  The uncached
+    builder keeps one size in memory at a time."""
+    for n in [*range(2, 260), 300, 512, 777, 1024]:
+        c = np.ones(n)
+        c[0] = c[-1] = 2.0
+        i, j, m = np.arange(n)[:, np.newaxis], np.arange(n)[np.newaxis, :], n - 1
+        dtau = 2.0 * np.sin(np.pi * (i + j) / (2 * m)) * np.sin(np.pi * (i - j) / (2 * m))
+        np.fill_diagonal(dtau, 1.0)
+        q_ref = (c[:, np.newaxis] / c[np.newaxis, :]) * (-1.0) ** (i + j) / dtau
+        np.fill_diagonal(q_ref, 0.0)
+        np.fill_diagonal(q_ref, -q_ref.sum(axis=1))
+        assert np.array_equal(cheb._ref_operators.__wrapped__(n)[1], q_ref), n
+
+
 def test_n2_operators_are_two_point_rules():
     # with two nodes the interpolant is the chord, so differentiation is
     # the finite difference and integration the trapezoid

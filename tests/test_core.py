@@ -222,6 +222,7 @@ SCALARS = [
     ("n_basis", lambda v: build_operators(v, 0.1), 5, 1025),
     ("m", cgl_nodes, 5, 1),
     ("c_param", lambda v: problems.white_dwarf(c_param=v), 0.3, 1.5),
+    ("n_basis", lambda v: SolverConfig(v, 0.1, 1e-10), 5, 1025),
 ]
 
 

@@ -240,6 +240,25 @@ def test_truncation_prefix_is_bitwise(model8):
     assert 0 < np.max(np.abs(a8 - a2)) < 1e-3
 
 
+def test_int_values_and_list_pairs_read_as_floats():
+    """A model built from int values and list pairs is the float/tuple model
+    bit for bit, and keeps its own copy: a later edit of the given dict
+    changes neither its acceleration nor its potential."""
+    given = {(0, 0): [1, 0], (2, 0): [J2_BAR, 0], (2, 2): [2, -1]}
+    mixed = GravityModel(mu=MU, r_ref=R_REF, degree=2, coeffs=given)
+    floats = GravityModel(mu=MU, r_ref=R_REF, degree=2,
+                          coeffs={(0, 0): (1.0, 0.0), (2, 0): (J2_BAR, 0.0), (2, 2): (2.0, -1.0)})
+    given[2, 0] = [0, 0]
+    for q in _kernel_points():
+        assert np.array_equal(gravity_accel(mixed, q), gravity_accel(floats, q))
+        assert gravity_potential(mixed, q) == gravity_potential(floats, q)
+
+
+def test_a_float_coefficient_index_is_refused():
+    with pytest.raises(TypeError):
+        GravityModel(mu=MU, r_ref=R_REF, degree=2, coeffs={(2.0, 0): (J2_BAR, 0.0)})
+
+
 def _reference_accel(model, q):
     """The original double-loop evaluation of the V/W sums, with its own
     arithmetic, kept as a tolerance-level reference for the kernel."""
@@ -265,7 +284,8 @@ def _reference_accel(model, q):
     for n in range(nmax + 1):
         for m in range(n + 1):
             f = gravity._denorm_factor(n, m)
-            c, s = float(model._cbar[n, m] * f), float(model._sbar[n, m] * f)
+            cb, sb = model.coeffs.get((n, m), (1.0, 0.0) if n == 0 else (0.0, 0.0))
+            c, s = cb * f, sb * f
             if m == 0:
                 ax += -c * V[n + 1][1]
                 ay += -c * W[n + 1][1]

@@ -369,6 +369,47 @@ def test_kepler_orbit_is_a_reference():
             < bound * scale
 
 
+def pendulum_node_error(n, dt, mode):
+    """Max node error of a march of the pendulum from rest at 1 rad over
+    [0, 10] against ``pendulum_exact``."""
+    tr = march(problems.pendulum().system, 0.0, 10.0, np.array([1.0, 0.0]),
+               SolverConfig(n, dt, 1e-14, jacobian_mode=mode))
+    return np.max(np.abs(tr.states - pendulum_exact(1.0, tr.times)))
+
+
+def kepler_node_error(n, dt, mode):
+    """Max node error, over max|x0|, of a march of the point-mass orbit over
+    one ``orbital_period`` against ``kepler_states``."""
+    model = load_gravity_model(bundled_gravity_path("egm8.txt")).truncate(0)
+    spec = problems.leo(model)
+    tr = march(spec.system, spec.t0, spec.tf, spec.x0,
+               SolverConfig(n, dt, 1e-8, jacobian_mode=mode))
+    return np.max(np.abs(kepler_states(model.mu, spec.x0, tr.times) - tr.states)) \
+        / np.max(np.abs(spec.x0))
+
+
+@pytest.mark.parametrize("node_error, n, mode, dts", [
+    # measured orders in the comments; each ladder stays above the roundoff
+    # floor (Kepler N=7 at dt 60 reads order 1.66)
+    pytest.param(pendulum_node_error, 5, "full", (0.8, 0.4, 0.2), id="pendulum-N5"),  # 6.02, 5.99
+    pytest.param(pendulum_node_error, 7, "full", (0.8, 0.4, 0.2), id="pendulum-N7"),  # 7.88, 7.99
+    pytest.param(kepler_node_error, 5, "full", (480, 240, 120), id="kepler-N5-full"),  # 5.85, 5.98
+    pytest.param(kepler_node_error, 7, "full", (960, 480, 240), id="kepler-N7-full"),  # 7.79, 7.90
+    pytest.param(kepler_node_error, 5, "frozen", (480, 240, 120),
+                 id="kepler-N5-frozen"),  # 6.54, 5.95
+    pytest.param(kepler_node_error, 7, "frozen", (960, 480, 240),
+                 id="kepler-N7-frozen"),  # 7.90, 7.86
+])
+def test_observed_order_at_the_nodes(node_error, n, mode, dts):
+    """Code verification by observed order: each halving of dt divides the
+    max node error by at least 2^(N + 0.5); the nodes converge at about
+    order N + 1 on both references.  Unlike a bitwise pin, this holds
+    through any change of rounding, and it fails on a wrong Q."""
+    errors = [node_error(n, dt, mode) for dt in dts]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= n + 0.5, (errors, orders)
+
+
 @pytest.mark.parametrize("name, value", [("tf", math.inf), ("tf", math.nan),
                                          ("t0", -math.inf)])
 def test_spec_rejects_non_finite_span(name, value):
