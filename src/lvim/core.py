@@ -14,7 +14,9 @@ per segment at the incoming state ("frozen" mode).  The first rows of
 ``P`` and ``H`` are identically zero, so the first node never moves and
 the initial condition is preserved bit-for-bit.  The three operator
 products go through ``ndarray.dot``, which reaches the BLAS routine of the
-``@`` operator, with the same bits, at about half the per-call cost.
+``@`` operator, with the same bits, at about half the per-call cost.  The
+rhs sees each node as Python floats (the point contract of
+:class:`OdeSystem`), and its values come back as one ``M x D`` array.
 
 The first iterate is the incoming state at every node, unless the caller
 passes a guess: node states of a nearby solve on the same segment grid
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -51,8 +53,6 @@ __all__ = [
 ]
 
 _JACOBIAN_MODES = ("full", "frozen")
-# an rhs value of exactly this dtype (and type ndarray) needs no conversion
-_FLOAT = np.dtype(float)
 
 # Most segments one march takes.  The stock spans need at most 500; a span
 # that needs more than this is refused before the segment list is built.
@@ -95,31 +95,41 @@ def _checked_start(system: OdeSystem, t0: float, tf: float, x0) -> np.ndarray:
 class OdeSystem:
     """A first-order system ``dx/dt = rhs(t, x)`` with its Jacobian.
 
-    ``rhs(t, x)`` takes one point, a time and a ``(D,)`` state, and returns
-    a ``(D,)`` value.  ``jac`` takes all nodes of a sweep at once:
-    ``jac(t_nodes, X)`` with ``t_nodes`` of shape ``(M,)`` and ``X`` of
-    shape ``(M, D)`` returns the ``(M, D, D)`` stack of row Jacobians, row
-    ``i`` a function of ``(t_nodes[i], X[i])`` only.  The rhs stays per
-    point because every rhs evaluation is counted one by one
-    (``rhs_evals``, and the benchmark's span count).  Both must be pure;
-    the only state an instance mutates is its own evaluation counter,
-    which is why the engine funnels every rhs call through
-    :meth:`eval_rhs`.  The iteration needs the analytic ``jac`` and
-    refuses a system without one; :func:`lvim.rk45.rk45_integrate` never
-    reads it.
+    ``rhs(t, x)`` takes one point in Python floats, ``t`` and a list ``x``
+    of D, and returns a list of D floats, so no oracle stage or sweep node
+    builds an array for it; :meth:`eval_rhs` converts any other value (an
+    array, a list of ints) that numpy reads as a ``(D,)`` float array.
+    ``jac`` takes all nodes of a sweep at once: ``jac(t_nodes, X)`` with
+    ``t_nodes`` of shape ``(M,)`` and ``X`` of shape ``(M, D)`` returns the
+    ``(M, D, D)`` stack of row Jacobians, row ``i`` a function of
+    ``(t_nodes[i], X[i])`` only.  The rhs stays per point because every rhs
+    evaluation is counted one by one (``rhs_evals``, and the benchmark's
+    span count).  Both must be pure; the only state an instance mutates is
+    its own evaluation counter, which is why the engine funnels every rhs
+    call through :meth:`eval_rhs`.  The iteration needs the analytic
+    ``jac`` and refuses a system without one;
+    :func:`lvim.rk45.rk45_integrate` never reads it.
     """
 
     dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, List[float]], List[float]]
     jac: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     rhs_evals: int = field(default=0, compare=False)
 
-    def eval_rhs(self, t: float, x: np.ndarray) -> np.ndarray:
+    def eval_rhs(self, t: float, x: List[float]) -> List[float]:
         self.rhs_evals += 1
         try:
             g = self.rhs(t, x)
-            if type(g) is not np.ndarray or g.dtype is not _FLOAT:
-                g = np.asarray(g, dtype=float)
+            # any value but a list of D Python floats (a None stands in for
+            # a value of no such list) is read by numpy as a (D,) array
+            for v in g if type(g) is list and len(g) == self.dim else (None,):
+                if type(v) is not float:
+                    a = np.asarray(g, dtype=float)
+                    if a.shape != (self.dim,):
+                        raise ValueError(f"rhs returned shape {a.shape}, "
+                                         f"expected (D,) = ({self.dim},)")
+                    g = a.tolist()
+                    break
         except OverflowError as exc:
             raise _overflow("right-hand side", t, x) from exc
         except DomainViolationError as exc:
@@ -128,12 +138,9 @@ class OdeSystem:
             if exc.t is None:
                 exc.t, exc.state = t, np.array(x, dtype=float)
             raise
-        v = g.tolist()
-        if g.ndim != 1 or len(v) != self.dim:
-            raise ValueError(f"rhs returned shape {g.shape}, expected (D,) = ({self.dim},)")
         # a finite sum implies finite entries; only a sum that is not
         # finite (possibly by overflow) needs the element-wise test
-        if not math.isfinite(sum(v)) and not np.all(np.isfinite(g)):
+        if not math.isfinite(sum(g)) and not all(map(math.isfinite, g)):
             raise DomainViolationError(
                 f"right-hand side returned a non-finite value at t={float(t)!r}",
                 t=t, state=np.array(x, dtype=float))
@@ -240,13 +247,12 @@ def residual(ops: OperatorSet, system: OdeSystem, node_states: np.ndarray,
 
     Column ``d`` is the derivative of the interpolant of state component
     ``d`` minus the rhs component, both sampled at the nodes.  The rhs is
-    evaluated node-by-node in ascending time order, at ``t_nodes``.
+    evaluated node-by-node in ascending time order, at ``t_nodes``, on the
+    Python floats of each node (the point contract of :class:`OdeSystem`).
     """
     x = np.asarray(node_states, dtype=float)
-    g = np.empty_like(x)
-    for j in range(t_nodes.size):
-        g[j] = system.eval_rhs(t_nodes[j], x[j])
-    return ops.q_mat.dot(x) - g
+    g = [system.eval_rhs(t, x_j) for t, x_j in zip(t_nodes.tolist(), x.tolist())]
+    return ops.q_mat.dot(x) - np.array(g)
 
 
 def iterate_segment(ops: OperatorSet, system: OdeSystem, x0: np.ndarray,

@@ -7,12 +7,12 @@ compiled into one straight-line kernel once per degree, and each model
 precomputes the linear map from the V/W values to the acceleration, so a
 call is one kernel call and one small matrix product, through
 ``ndarray.dot``: the BLAS routine of ``@``, with the same bits, without
-the ufunc dispatch.  A float64 position, what the LEO rhs passes as a
-view into its state, is read with one ``tolist()``; any other position
-is converted to a float64 or complex128 array first.  The potential is
-evaluated through fully normalized associated Legendre functions; it
-exists so the acceleration can be cross-checked against a
-finite-difference gradient computed by an unrelated code path.
+the ufunc dispatch.  A list of three Python floats, what the LEO rhs
+passes, is read as it is; any other position is converted to a float64
+or complex128 array first.  The potential is evaluated through fully
+normalized associated Legendre functions; it exists so the acceleration
+can be cross-checked against a finite-difference gradient computed by an
+unrelated code path.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ __all__ = [
     "gravity_accel",
     "gravity_potential",
 ]
-
-# the dtype of a position array gravity_accel reads without converting it
-_FLOAT = np.dtype(float)
 
 # Largest degree a GravityModel accepts: its kernel source grows with d^2 (degree
 # 100 builds in 0.4 s on a 2-core Xeon host), so a header typo is refused up front.
@@ -248,11 +245,12 @@ def bundled_gravity_path(name: str = "egm_test.txt"):
     return p
 
 
-def _check_radius(model: GravityModel, r: float, q: np.ndarray) -> None:
+def _check_radius(model: GravityModel, r: float, q) -> None:
     """Refuse a position ``q`` of radius ``r`` not above ``0.9 * r_ref``."""
     if not r > 0.9 * model.r_ref:
         raise DomainViolationError(
-            f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m", state=q)
+            f"|q| = {r:.6g} m is not above 0.9 * r_ref = {0.9 * model.r_ref:.6g} m",
+            state=np.asarray(q))
 
 
 def gravity_accel(model: GravityModel, q) -> np.ndarray:
@@ -264,14 +262,15 @@ def gravity_accel(model: GravityModel, q) -> np.ndarray:
     (the guard uses the real part), which supports complex-step
     derivative checks.
     """
-    # a float64 array (the rhs passes a view into its state) is read as it
-    # is; anything else becomes a float64 or complex128 array first
-    if type(q) is not np.ndarray or q.dtype is not _FLOAT:
+    # a list of three Python floats (what the rhs passes) is read as it is;
+    # anything else becomes a float64 or complex128 array first
+    x, y, z = q if type(q) is list and len(q) == 3 else (None,) * 3
+    if not type(x) is type(y) is type(z) is float:
         q = np.asarray(q)
         q = q.astype(complex if np.iscomplexobj(q) else float, copy=False)
-    if q.shape != (3,):
-        raise ValueError("position must be a 3-vector")
-    x, y, z = q.tolist()
+        if q.shape != (3,):
+            raise ValueError("position must be a 3-vector")
+        x, y, z = q.tolist()
     r_real = math.sqrt(x.real * x.real + y.real * y.real + z.real * z.real)
     _check_radius(model, r_real, q)
     try:

@@ -110,8 +110,8 @@ def blasius() -> ProblemSpec:
     """
 
     def rhs(t, x):
-        f, f1, f2 = x.tolist()  # Python floats overflow to inf without a warning
-        return np.array([f1, f2, -0.5 * f * f2])
+        f, f1, f2 = x
+        return [f1, f2, -0.5 * f * f2]
 
     def jac(t, x):
         out = np.zeros((len(t), 3, 3))
@@ -146,8 +146,8 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
     checked("xi_start", xi_start, 0.0, strict=True)
 
     def rhs(t, x):
-        psi, dpsi = x.tolist()
-        return np.array([dpsi, math.exp(-psi) - 2.0 / t * dpsi])
+        psi, dpsi = x
+        return [dpsi, math.exp(-psi) - 2.0 / t * dpsi]
 
     def jac(t, x):
         return _jac2([-math.exp(-v) for v in x[:, 0].tolist()], -2.0 / t)
@@ -169,9 +169,9 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
 _ETA_START = 1e-3
 
 
-def _white_dwarf_field(t, x, rad: float) -> np.ndarray:
+def _white_dwarf_field(t, x, rad: float) -> list:
     """The white dwarf's rhs at radicand ``rad``, the caller's ``phi^2 - c``."""
-    return np.array([x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]])
+    return [x[1], -rad * math.sqrt(rad) - 2.0 / t * x[1]]
 
 
 def _white_dwarf_edge(c: float, x0: np.ndarray) -> float:
@@ -247,8 +247,8 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
     checked("epsilon", epsilon)
 
     def rhs(t, x):
-        x0, x1 = x.tolist()  # Python floats overflow to inf without a warning
-        return np.array([x1, -(delta - epsilon * math.cos(t)) * x0])
+        x0, x1 = x
+        return [x1, -(delta - epsilon * math.cos(t)) * x0]
 
     def jac(t, x):
         return _jac2([-(delta - epsilon * math.cos(s)) for s in t.tolist()])
@@ -268,8 +268,8 @@ def pendulum() -> ProblemSpec:
     """Rigid pendulum with unit g/l, released nearly inverted."""
 
     def rhs(t, x):
-        th, thd = x.tolist()
-        return np.array([thd, -math.sin(th)])
+        th, thd = x
+        return [thd, -math.sin(th)]
 
     def jac(t, x):
         return _jac2([-math.cos(v) for v in x[:, 0].tolist()])
@@ -341,8 +341,8 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
 
     if load_type == "dead":
         def rhs(t, x):
-            th, dth = x.tolist()
-            return np.array([dth, -P * math.sin(th)])
+            th, dth = x
+            return [dth, -P * math.sin(th)]
 
         def jac(t, x):
             return _jac2([-P * math.cos(v) for v in x[:, 0].tolist()])
@@ -351,8 +351,8 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
         f = math.cos if load_type == "perpendicular_follower" else math.sin
 
         def rhs(t, x):
-            th, dth = x.tolist()
-            return np.array([dth, -P * f(th - al) * math.sin(th)])
+            th, dth = x
+            return [dth, -P * f(th - al) * math.sin(th)]
 
         def jac(t, x):
             return _jac2([-P * f(2.0 * v - al) for v in x[:, 0].tolist()])
@@ -400,14 +400,13 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
 
     def rhs(t, x):
         # OdeSystem.eval_rhs names the node (t and state) of a guard that fires
-        t = float(t)  # Python float arithmetic: inf / inf is nan without a warning
         if abs(t) >= c:
             raise DomainViolationError(
                 f"|x| = {abs(t):.6g} reached the slope-field edge at c = {c:g}")
         rad = (c2 - t * t) * (2.0 * a2 - c2 + t * t)
         if rad <= 0.0:
             raise DomainViolationError(f"radicand {rad:.3e} not positive at x = {t:.6g}")
-        return np.array([(a2 - c2 + t * t) / math.sqrt(rad)])
+        return [(a2 - c2 + t * t) / math.sqrt(rad)]
 
     def jac(t, x):
         return np.zeros((len(t), 1, 1))
@@ -452,7 +451,7 @@ def leo(model: GravityModel) -> ProblemSpec:
     eye = np.eye(3)
 
     def rhs(t, x):
-        return np.concatenate((x[3:], gravity_accel(model, x[:3])))
+        return x[3:] + gravity_accel(model, x[:3]).tolist()
 
     def jac(t, x):
         q = x[:, :3]

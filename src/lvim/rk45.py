@@ -12,16 +12,13 @@ trajectory through the trajectory's own interpolant.
 
 The step loop is bitwise the textbook loop at a smaller numpy call count.
 The stage matrix, its seven row views and the five stage slices are made
-once per integration, and each stage is written through its row view.
-Every weighted stage sum stays a numpy product (``a_s.dot(k[:s])``, the
-fifth-order row ``_A[6].dot(k[:6])`` and ``_E.dot(k)``), so each is rounded
-as before.  The step size multiplies those sums as a 0-d array ``hv``, made
-once per attempt: numpy would convert a Python float in every product, and
-the multiply is the same IEEE operation either way; the stage times, the
-controller and ``step_h`` keep the float.  The error norm runs over Python
-floats: ``|x_new|`` comes from the ``x_new.tolist()`` that feeds the
-finiteness test, ``|x|`` carries over from the accepted step as a list, and
-each ratio is rounded as the element-wise numpy expression rounds it.
+once per integration.  Every weighted stage sum stays a numpy product
+(``a_s.dot(k[:s])``, the fifth-order row ``_A[6].dot(k[:6])`` and
+``_E.dot(k)``), so each is rounded as before.  The rest runs over Python
+floats, in the rhs's point contract (:class:`lvim.core.OdeSystem`): each
+stage state ``x + h * s``, the error ``h * e`` and the error norm are formed
+element by element, with the IEEE operations of numpy's element-wise
+expressions, and each rhs value goes straight into its stage row.
 """
 
 from __future__ import annotations
@@ -139,7 +136,7 @@ def _initial_step(system, t0, x0, f0, cfg, span):
     _check_probe("slope", d1, t0, x0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = system.eval_rhs(t0 + h0, x0 + h0 * f0)
+    f1 = system.eval_rhs(t0 + h0, (x0 + h0 * f0).tolist())
     with np.errstate(over="ignore"):
         d2 = _max_of(np.abs(f1 - f0) / sc) / h0
     _check_probe("slope change", d2, t0, x0)
@@ -190,12 +187,13 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     rhs = system.eval_rhs
     atol, rtol = cfg.abs_tol, cfg.rel_tol
 
-    t = t0
-    f_cur = rhs(t, x)
-    h = float(_initial_step(system, t0, x, f_cur, cfg, tf - t0))
+    t, tf = float(t0), float(tf)  # the rhs takes its time as a Python float
+    f_cur = rhs(t, x.tolist())
+    h = float(_initial_step(system, t, x, np.array(f_cur), cfg, tf - t))
 
-    times = [t0]
-    states = [x.copy()]
+    x = x.tolist()
+    times = [t]
+    states = [x]
     step_h = []
     stages = []
     n_rej = 0
@@ -204,7 +202,7 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     row = tuple(k)
     steps = tuple((c, a, k[:s], row[s]) for s, (c, a) in enumerate(_STAGES, 1))
     a6, k6 = _A[6], k[:6]
-    ax = [abs(v) for v in x.tolist()]
+    ax = [abs(v) for v in x]
 
     while t < tf:
         if len(step_h) + n_rej >= cfg.max_steps:
@@ -214,19 +212,17 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
         h = min(h, tf - t)
 
         row[0][...] = f_cur
-        hv = np.array(h)
         for c, a, prev, out in steps:
-            out[...] = rhs(t + c * h, x + hv * a.dot(prev))
-        x_new = x + hv * a6.dot(k6)
+            out[...] = rhs(t + c * h, [v + h * s for v, s in zip(x, a.dot(prev).tolist())])
+        x_new = [v + h * s for v, s in zip(x, a6.dot(k6).tolist())]
         row[6][...] = rhs(t + h, x_new)
-        xl = x_new.tolist()
-        if not math.isfinite(sum(xl)) and not np.all(np.isfinite(x_new)):
+        if not math.isfinite(sum(x_new)) and not all(map(math.isfinite, x_new)):
             raise DomainViolationError(
                 f"state became non-finite during the step at t={t!r}",
-                t=t, state=x_new)
+                t=t, state=np.array(x_new))
 
-        ax_new = [abs(v) for v in xl]
-        err = _err_norm((hv * _E.dot(k)).tolist(), ax, ax_new, atol, rtol)
+        ax_new = [abs(v) for v in x_new]
+        err = _err_norm([h * e for e in _E.dot(k).tolist()], ax, ax_new, atol, rtol)
 
         if err <= 1.0:
             step_h.append(h)

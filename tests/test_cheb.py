@@ -236,7 +236,7 @@ def test_sample_at_refuses_nodes_that_do_not_split_into_segments():
 
 def test_sample_at_reads_a_march():
     # march stores N nodes per segment, joins once: a cubic is reproduced
-    cubic = OdeSystem(dim=1, rhs=lambda t, x: np.array([3.0 * t * t]),
+    cubic = OdeSystem(dim=1, rhs=lambda t, x: [3.0 * t * t],
                       jac=lambda t, x: np.zeros((len(t), 1, 1)))
     traj = march(cubic, 0.0, 2.0, np.array([0.0]), SolverConfig(5, 0.5, 1e-14))
     assert traj.segment_iterations.size == 4

@@ -28,19 +28,19 @@ def constant_jac(a):
 def decay_system(rate=1.0):
     return OdeSystem(
         dim=1,
-        rhs=lambda t, x: np.array([-rate * x[0]]),
+        rhs=lambda t, x: [-rate * x[0]],
         jac=constant_jac([[-rate]]),
     )
 
 
 def rotation_system(w=1.0):
     a = np.array([[0.0, 1.0], [-w * w, 0.0]])
-    return OdeSystem(dim=2, rhs=lambda t, x: a @ x, jac=constant_jac(a))
+    return OdeSystem(dim=2, rhs=lambda t, x: (a @ x).tolist(), jac=constant_jac(a))
 
 
 MATHIEU = OdeSystem(
     dim=2,
-    rhs=lambda t, x: np.array([x[1], -(0.5 + 0.1 * math.cos(t)) * x[0]]),
+    rhs=lambda t, x: [x[1], -(0.5 + 0.1 * math.cos(t)) * x[0]],
     jac=lambda t, x: np.array([[[0.0, 1.0], [-(0.5 + 0.1 * math.cos(s)), 0.0]]
                                for s in t.tolist()]),
 )
@@ -245,7 +245,7 @@ def test_scalar_stock_value_is_accepted(name, build, stock):
 
 
 def test_march_refuses_system_without_jac():
-    sys_no_jac = OdeSystem(dim=1, rhs=lambda t, x: np.array([-x[0] ** 3]))
+    sys_no_jac = OdeSystem(dim=1, rhs=lambda t, x: [-x[0] ** 3])
     with pytest.raises(ValueError, match="jac"):
         march(sys_no_jac, 0.0, 1.0, np.array([0.5]), SolverConfig(5, 0.5, 1e-10))
     with pytest.raises(ValueError, match="jac"):
@@ -288,9 +288,14 @@ def test_non_finite_start_is_refused_before_any_rhs(x0):
 
 
 @pytest.mark.parametrize("rhs, shape", [
+    pytest.param(lambda t, x: [-x[0]], r"\(1,\)", id="short-list"),
+    pytest.param(lambda t, x: x + x, r"\(4,\)", id="long-list"),
     pytest.param(lambda t, x: np.array([-x[0]]), r"\(1,\)", id="short"),
     pytest.param(lambda t, x: -x[0], r"\(\)", id="bare-float"),
-    pytest.param(lambda t, x: np.array([[-x[0], x[1]]]), r"\(1, 2\)", id="row")])
+    pytest.param(lambda t, x: [[-x[0], x[1]]], r"\(1, 2\)", id="nested-list"),
+    pytest.param(lambda t, x: [[-x[0]], [x[1]]], r"\(2, 1\)", id="nested-rows"),
+    pytest.param(lambda t, x: np.array([[-x[0], x[1]]]), r"\(1, 2\)", id="row"),
+    pytest.param(lambda t, x: np.array([[-x[0]], [x[1]]]), r"\(2, 1\)", id="column")])
 def test_rhs_value_of_another_shape_is_refused(rhs, shape):
     """numpy would broadcast it into the state; both integrators refuse it
     at the first evaluation."""
@@ -302,31 +307,48 @@ def test_rhs_value_of_another_shape_is_refused(rhs, shape):
         assert system.rhs_evals == 1
 
 
+def test_ragged_rhs_value_is_refused_naming_its_shape():
+    system = OdeSystem(dim=2, rhs=lambda t, x: [[x[0]], x[1]])
+    with pytest.raises(ValueError, match=r"inhomogeneous shape .* detected shape was \(2,\)"):
+        system.eval_rhs(0.0, [1.0, 2.0])
+    assert system.rhs_evals == 1
+
+
 def test_eval_rhs_finiteness_check():
     """An overflowing sum of finite entries is not a domain exit; a NaN
     or an infinity in any entry is."""
     def constant(values):
-        return OdeSystem(dim=2, rhs=lambda t, x: np.array(values), jac=None)
+        return OdeSystem(dim=2, rhs=lambda t, x: list(values), jac=None)
 
-    g = constant([1e308, 1e308]).eval_rhs(0.0, np.zeros(2))
-    assert np.array_equal(g, [1e308, 1e308])
-    for bad in ([math.nan, 0.0], [math.inf, -math.inf]):
-        with pytest.raises(DomainViolationError):
-            constant(bad).eval_rhs(0.0, np.zeros(2))
+    g = constant([1e308, 1e308]).eval_rhs(0.0, [0.0, 0.0])
+    assert g == [1e308, 1e308]
+    for bad in ([math.nan, 0.0], [0.0, math.nan], [math.inf, -math.inf], [1.0, -math.inf]):
+        with pytest.raises(DomainViolationError, match="non-finite value at t=0.0"):
+            constant(bad).eval_rhs(0.0, [0.0, 0.0])
+
+
+def test_eval_rhs_returns_a_list_of_floats_as_it_is():
+    value = [3.0, -1.5]
+    system = OdeSystem(dim=2, rhs=lambda t, x: value, jac=None)
+    assert system.eval_rhs(0.0, [0.0, 0.0]) is value
 
 
 @pytest.mark.parametrize("value", [
+    pytest.param([3, -1], id="int-list"),
     pytest.param([3, -1.5], id="list"),
+    pytest.param([np.float64(3.0), -1.5], id="numpy-scalar-list"),
+    pytest.param((3.0, -1.5), id="tuple"),
+    pytest.param(np.array([3.0, -1.5]), id="float64-array"),
     pytest.param(np.array([3, -1]), id="int-array"),
     pytest.param(np.array([3.0, -1.5], dtype=np.float32), id="float32-array"),
     pytest.param(np.array([3.0, -1.5], dtype=">f8"), id="big-endian-float64")])
 def test_eval_rhs_converts_any_other_value_to_float64(value):
-    """Only a native float64 ndarray is kept as returned; any other value
-    comes back converted to one, with equal values, and counts once."""
+    """Only a list of D Python floats is kept as returned; any other value
+    comes back as one (float64 values), equal in value, and counts once."""
     system = OdeSystem(dim=2, rhs=lambda t, x: value, jac=None)
-    g = system.eval_rhs(0.0, np.zeros(2))
-    assert type(g) is np.ndarray and g.dtype == np.float64 and g.dtype.isnative
-    assert g.shape == (2,) and g.tolist() == np.asarray(value, dtype=float).tolist()
+    g = system.eval_rhs(0.0, [0.0, 0.0])
+    assert type(g) is list and [type(v) for v in g] == [float, float]
+    assert g == np.asarray(value, dtype=float).tolist()
     assert system.rhs_evals == 1
 
 
@@ -335,7 +357,7 @@ def test_nan_correction_never_converges():
     # at the zero state the residual is exactly zero, so inf * 0 puts NaN
     # in every second correction entry, behind finite zeros; a maximum
     # that skipped the NaN would call the sweep converged
-    sys_ = OdeSystem(dim=2, rhs=lambda t, x: np.zeros(2),
+    sys_ = OdeSystem(dim=2, rhs=lambda t, x: [0.0, 0.0],
                      jac=constant_jac([[0.0, 0.0], [0.0, np.inf]]))
     ops = build_operators(5, 0.5)
     with pytest.raises(ConvergenceError):
@@ -373,7 +395,7 @@ def test_eval_jac_refuses_a_per_point_result(mode):
     """A one-point (D, D) Jacobian is refused in both modes; in frozen
     mode (one node) it would otherwise be read as its first row."""
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sys_ = OdeSystem(dim=2, rhs=lambda t, x: a @ x, jac=lambda t, x: a)
+    sys_ = OdeSystem(dim=2, rhs=lambda t, x: (a @ x).tolist(), jac=lambda t, x: a)
     cfg = SolverConfig(5, 0.5, 1e-10, jacobian_mode=mode)
     with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(M, D, D\)"):
         march(sys_, 0.0, 1.0, np.array([1.0, 0.0]), cfg)
@@ -541,7 +563,7 @@ def test_sweep_products_are_matmul_bitwise(n):
 def _residual_ref(ops, system, x, t_nodes):
     g = np.empty_like(x)
     for j in range(t_nodes.size):
-        g[j] = system.eval_rhs(t_nodes[j], x[j])
+        g[j] = np.array(system.eval_rhs(float(t_nodes[j]), x[j].tolist()))
     return ops.q_mat @ x - g
 
 
@@ -574,7 +596,9 @@ def _march_ref(system, t0, tf, x0, config):
     separate schedule for a span shorter than one segment: the reference
     ``march`` must reproduce bit for bit.  It evaluates the Jacobian one
     node per call, so a match also shows that a factory's batched rows
-    equal its one-node rows inside a real march."""
+    equal its one-node rows inside a real march.  Its rhs calls alone
+    follow the point contract (Python floats in, the list wrapped in
+    ``np.array`` on the way out)."""
     x0 = np.asarray(x0, dtype=float)
     span = tf - t0
     n_full = int(np.floor(span / config.dt + 1e-12))
@@ -675,7 +699,7 @@ def test_linear_systems_match_matrix_exponential(data):
     a = a.reshape(d, d)
     x0 = np.array(data.draw(st.lists(entries, min_size=d, max_size=d)
                             .filter(lambda v: max(map(abs, v)) >= 0.1)))
-    system = OdeSystem(dim=d, rhs=lambda t, x: a @ x, jac=constant_jac(a))
+    system = OdeSystem(dim=d, rhs=lambda t, x: (a @ x).tolist(), jac=constant_jac(a))
     cfg = SolverConfig(13, 1.0, 1e-12)
     full = march(system, 0.0, 2.0, x0, cfg)
     frozen = march(system, 0.0, 2.0, x0, replace(cfg, jacobian_mode="frozen"))

@@ -484,9 +484,9 @@ def test_kernel_is_the_loop_bitwise(models, name):
 
 @pytest.mark.parametrize("name", ["egm8", "deg0", "deg2"])
 def test_float64_views_are_read_in_place_bitwise(models, name):
-    """The float route: a position slice of a 6-state (what the LEO rhs
-    passes), a strided view and a read-only array are read as they are;
-    a byte-swapped float64 array is converted first.  Each equals the loop."""
+    """The array route: a position slice of a 6-state, a strided view and a
+    read-only array are read without a copy; a byte-swapped float64 array
+    is converted first.  Each equals the loop."""
     model = models[name]
     for q in _kernel_points():
         state = np.concatenate((q, [-3.5794e3, 0.0, 6.1997e3]))
@@ -536,3 +536,43 @@ def test_kernel_is_the_loop_bitwise_anywhere(models, u, radius, name):
     q = np.array(u) / math.hypot(*u) * radius * R_REF
     for qq in _with_steps(q):
         _assert_bitwise(models[name], qq)
+
+
+@pytest.mark.parametrize("name", ["egm8", "deg0", "s_m_ge_1"])
+def test_a_list_of_three_floats_is_the_array_bit_for_bit(models, name):
+    """The LEO rhs passes its position as a list of three Python floats,
+    read as it is: at 1000 seeded positions it gives what the float64
+    array gives, byte for byte."""
+    model = models[name]
+    rng = np.random.default_rng(37)
+    dirs = rng.normal(size=(1000, 3))
+    radii = rng.uniform(0.95, 3.0, (1000, 1)) * R_REF
+    for q in dirs / np.linalg.norm(dirs, axis=1)[:, np.newaxis] * radii:
+        got, want = gravity_accel(model, q.tolist()), gravity_accel(model, q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), q
+
+
+def test_any_other_list_takes_the_array_route(model8):
+    """A list that is not three Python floats is converted as before: of
+    another length or nested it is refused as no 3-vector, with a complex
+    entry it runs complex, and with ints or numpy scalars it is the float
+    array's value."""
+    for bad in ([7e6, 0.0], [7e6, 0.0, 0.0, 0.0], [[7e6, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="^position must be a 3-vector$"):
+            gravity_accel(model8, bad)
+    q = TEST_POINT.tolist()
+    for qq in _with_steps(TEST_POINT):
+        listed = gravity_accel(model8, qq.tolist())
+        assert listed.tobytes() == gravity_accel(model8, qq).tobytes()
+    assert np.iscomplexobj(gravity_accel(model8, [q[0] + 1e-200j, q[1], q[2]]))
+    for mixed in ([5_200_000, -3_100_000, 2_400_000], [np.float64(q[0]), q[1], q[2]]):
+        want = gravity_accel(model8, np.array(mixed, dtype=float))
+        assert gravity_accel(model8, mixed).tobytes() == want.tobytes()
+
+
+def test_reference_sphere_guard_reads_a_list(model2):
+    q = [0.1 * R_REF, 0.0, 0.0]
+    with pytest.raises(DomainViolationError, match="is not above 0.9 \\* r_ref") as info:
+        gravity_accel(model2, q)
+    assert info.value.t is None
+    assert type(info.value.state) is np.ndarray and info.value.state.tolist() == q

@@ -1,7 +1,7 @@
 """Benchmark factories: Jacobians, series starts, oracle cross-checks."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
 from lvim import cli, problems
-from lvim.core import SolverConfig, march
+from lvim.core import OdeSystem, SolverConfig, march
 from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
 from lvim.rk45 import RkConfig, rk45_integrate, sample_at
@@ -22,7 +22,8 @@ def fd_jacobian(system, t, x, h=1e-7):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        jac[:, i] = (system.eval_rhs(t, xp) - system.eval_rhs(t, xm)) / (2 * h)
+        jac[:, i] = (np.array(system.eval_rhs(float(t), xp.tolist()))
+                     - np.array(system.eval_rhs(float(t), xm.tolist()))) / (2 * h)
     return jac
 
 
@@ -61,6 +62,44 @@ def _nodes(spec, name, m, seed):
     states = spec.x0 * (1.0 + 0.01 * rng.uniform(-1, 1, (m, d))) \
         + spread * rng.uniform(-1, 1, (m, d))
     return times, states
+
+
+def _floats(v, d):
+    return type(v) is list and len(v) == d and all(type(e) is float for e in v)
+
+
+@pytest.mark.parametrize("name", list(cli.PROBLEMS))
+def test_rhs_keeps_the_point_contract(monkeypatch, name):
+    """Every rhs a factory builds takes a Python float and a list of D
+    Python floats and returns a list of D Python floats, in a direct call
+    and under both integrators: the spec's, and the systems the factories
+    build for their own solves (Blasius's stage-one march and the white
+    dwarf's clamped edge field)."""
+    calls = []
+
+    @dataclass
+    class Checked(OdeSystem):
+        def __post_init__(self):
+            rhs, d = self.rhs, self.dim
+
+            def point(t, x):
+                g = rhs(t, x)
+                calls.append(type(t) is float and _floats(x, d) and _floats(g, d))
+                return g
+
+            self.rhs = point
+
+    monkeypatch.setattr(problems, "OdeSystem", Checked)
+    spec = cli.PROBLEMS[name].factory(**cli.PROBLEMS[name].arguments())
+    assert (len(calls) > 0) == (name in ("blasius", "white-dwarf"))
+    d = spec.system.dim
+    g = spec.system.rhs(spec.t0, spec.x0.tolist())
+    assert _floats(g, d)
+    cfg = spec.lvim_defaults
+    tf = min(spec.tf, spec.t0 + cfg.dt)
+    march(spec.system, spec.t0, tf, spec.x0, cfg)
+    rk45_integrate(spec.system, spec.t0, tf, spec.x0, spec.rk_defaults)
+    assert len(calls) > 3 and all(calls)
 
 
 def _one_point_jacobians(mu):
@@ -245,7 +284,7 @@ def test_white_dwarf_edge_is_pinned(c, tf):
 def test_white_dwarf_domain_guard():
     spec = problems.white_dwarf(0.3)
     with pytest.raises(DomainViolationError):
-        spec.system.eval_rhs(1.0, np.array([0.2, 0.0]))  # phi^2 < c
+        spec.system.eval_rhs(1.0, [0.2, 0.0])  # phi^2 < c
 
 
 def test_white_dwarf_jacobian_guard_names_the_row():
@@ -505,7 +544,7 @@ def _elastica_guard_context(spec, t, match):
     """Both guard routes, one rhs call and a march whose first node is
     ``t``, raise ``match`` naming that node's time and its (1,) state."""
     x = np.array([0.5])
-    for run in (lambda: spec.system.eval_rhs(t, x),
+    for run in (lambda: spec.system.eval_rhs(t, x.tolist()),
                 lambda: march(spec.system, t, t + 0.01, x, spec.lvim_defaults)):
         with pytest.raises(DomainViolationError, match=match) as info:
             run()
@@ -571,7 +610,7 @@ def test_leo_rhs_calls_gravity_through_the_module(monkeypatch):
     real = problems.gravity_accel
 
     def spy(model, q):
-        calls.append(None)
+        calls.append(_floats(q, 3))
         return real(model, q)
 
     monkeypatch.setattr(problems, "gravity_accel", spy)
@@ -584,6 +623,7 @@ def test_leo_rhs_calls_gravity_through_the_module(monkeypatch):
     rk45_integrate(system, spec.t0, spec.t0 + 2 * cfg.dt, spec.x0,
                    spec.rk_defaults)
     assert len(calls) == system.rhs_evals
+    assert all(calls)  # each position a list of three Python floats
 
 
 @pytest.mark.parametrize("integrate", ["march", "rk45"])

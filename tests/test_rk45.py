@@ -12,11 +12,11 @@ from lvim.gravity import bundled_gravity_path, load_gravity_model
 from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, _err_norm,
                        rk45_integrate, sample_at)
 
-DECAY = OdeSystem(dim=1, rhs=lambda t, x: -x, jac=None)
+DECAY = OdeSystem(dim=1, rhs=lambda t, x: [-x[0]], jac=None)
 
 OSC = OdeSystem(
     dim=2,
-    rhs=lambda t, x: np.array([x[1], -x[0]]),
+    rhs=lambda t, x: [x[1], -x[0]],
     jac=None,
 )
 
@@ -90,7 +90,7 @@ def test_sample_at_matches_per_query_loop():
                                     (0.0, math.nan)])
 def test_non_finite_span_raises(t0, tf):
     # an infinite tf would otherwise step until max_steps runs out
-    decay = OdeSystem(dim=1, rhs=lambda t, x: -x)
+    decay = OdeSystem(dim=1, rhs=lambda t, x: [-x[0]])
     with pytest.raises(ValueError, match="finite"):
         rk45_integrate(decay, t0, tf, np.array([1.0]), RkConfig())
     assert decay.rhs_evals == 0
@@ -110,7 +110,7 @@ def _both_kinds(system, t0, tf, x0):
             march(system, t0, tf, np.array(x0), SolverConfig(5, 0.5, 1e-12)))
 
 
-DECAY_JAC = OdeSystem(dim=1, rhs=lambda t, x: -x,
+DECAY_JAC = OdeSystem(dim=1, rhs=DECAY.rhs,
                       jac=lambda t, x: np.full((len(t), 1, 1), -1.0))
 
 OSC_JAC = OdeSystem(dim=2, rhs=OSC.rhs,
@@ -175,7 +175,7 @@ def test_max_steps_exhaustion():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_domain_violation_propagates():
-    blowup = OdeSystem(dim=1, rhs=lambda t, x: x * x, jac=None)
+    blowup = OdeSystem(dim=1, rhs=lambda t, x: [x[0] * x[0]], jac=None)
     with pytest.raises((DomainViolationError, ConvergenceError)):
         rk45_integrate(blowup, 0.0, 5.0, np.array([1.0]), RkConfig())
 
@@ -191,13 +191,13 @@ def test_trajectory_is_core_trajectory():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_state_overflow_raises_domain_violation():
     # the rhs stays finite while the state runs past the largest double
-    const = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308]), jac=None)
+    const = OdeSystem(dim=1, rhs=lambda t, x: [1e308], jac=None)
     with pytest.raises(DomainViolationError, match="state became non-finite"):
         rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
 
 
 # an rhs that jumps from +1e308 to -1e308 just after t = 0
-_JUMP = OdeSystem(dim=1, rhs=lambda t, x: np.array([1e308 if t == 0.0 else -1e308]))
+_JUMP = OdeSystem(dim=1, rhs=lambda t, x: [1e308 if t == 0.0 else -1e308])
 
 
 @pytest.mark.parametrize("system, x0, what", [
@@ -250,7 +250,9 @@ def test_tableau_rows():
 # The step loop as it was written before the stage-row form: every stage
 # through ``@``, the fifth-order solution through a separate 7-weight row,
 # ``np.max`` reductions and the dense output formed per accepted step.  The
-# production loop must reproduce it bit for bit.
+# production loop must reproduce it bit for bit.  Only its rhs calls follow
+# the point contract: a Python float and ``x.tolist()`` in, the list wrapped
+# in ``np.array`` on the way out.
 _B_REF = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 
 
@@ -260,7 +262,7 @@ def _initial_step_ref(system, t0, x0, f0, cfg, span):
     d1 = np.max(np.abs(f0) / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = system.eval_rhs(t0 + h0, x0 + h0 * f0)
+    f1 = np.array(system.eval_rhs(float(t0 + h0), (x0 + h0 * f0).tolist()))
     d2 = np.max(np.abs(f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -273,7 +275,7 @@ def _integrate_ref(system, t0, tf, x0, cfg):
     x = np.asarray(x0, dtype=float)
     evals_before = system.rhs_evals
     t = t0
-    f_cur = system.eval_rhs(t, x)
+    f_cur = np.array(system.eval_rhs(t, x.tolist()))
     h = _initial_step_ref(system, t0, x, f_cur, cfg, tf - t0)
     h = min(h, tf - t0)
     times, states, step_h, dense_q = [t0], [x.copy()], [], []
@@ -284,7 +286,7 @@ def _integrate_ref(system, t0, tf, x0, cfg):
         k[0] = f_cur
         for s in range(1, 7):
             xs = x + h * (_A[s] @ k[:s])
-            k[s] = system.eval_rhs(t + _C[s] * h, xs)
+            k[s] = np.array(system.eval_rhs(float(t + _C[s] * h), xs.tolist()))
         x_new = x + h * (_B_REF @ k)
         assert np.all(np.isfinite(x_new))
         e = h * (_E @ k)
@@ -300,7 +302,7 @@ def _integrate_ref(system, t0, tf, x0, cfg):
             t = t_new
             n_acc += 1
             if t < tf:
-                f_cur = system.eval_rhs(t, x)
+                f_cur = np.array(system.eval_rhs(float(t), x.tolist()))
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             n_rej += 1
@@ -325,6 +327,7 @@ _PINNED = {
     "leo-degree8": lambda: _spec_case(problems.leo(
         load_gravity_model(bundled_gravity_path("egm8.txt")))),
     "decay": lambda: (DECAY, 0.0, 5.0, np.array([1.0]), RkConfig()),
+    "blasius": lambda: _spec_case(problems.blasius()),
 }
 
 
