@@ -132,6 +132,15 @@ class OdeSystem:
                     break
         except OverflowError as exc:
             raise _overflow("right-hand side", t, x) from exc
+        except ValueError as exc:
+            # math.sin(inf) and friends raise where numpy would return NaN:
+            # at a state that overflowed that is leaving the domain, at a
+            # finite one (a shape refusal, a guard) the error stands
+            if all(map(math.isfinite, x)):
+                raise
+            raise DomainViolationError(
+                f"right-hand side is undefined at a non-finite state at t={float(t)!r}",
+                t=t, state=np.array(x, dtype=float)) from exc
         except DomainViolationError as exc:
             # a kernel the rhs calls (gravity's reference-sphere guard) sees
             # neither the time nor the whole state; this evaluation does

@@ -10,21 +10,26 @@ coefficients of its quartic interpolant, through which an
 ``_between`` and ``mirrored``).  :func:`sample_at` samples either kind of
 trajectory through the trajectory's own interpolant.
 
-The step loop is bitwise the textbook loop at a smaller numpy call count.
-The stage matrix, its seven row views and the five stage slices are made
-once per integration.  Every weighted stage sum stays a numpy product
-(``a_s.dot(k[:s])``, the fifth-order row ``_A[6].dot(k[:6])`` and
-``_E.dot(k)``), so each is rounded as before.  The rest runs over Python
-floats, in the rhs's point contract (:class:`lvim.core.OdeSystem`): each
-stage state ``x + h * s``, the error ``h * e`` and the error norm are formed
-element by element, with the IEEE operations of numpy's element-wise
-expressions, and each rhs value goes straight into its stage row.
+The step loop is bitwise the textbook loop at a smaller Python and numpy
+call count.  It is compiled once per state dimension D (:func:`_step_loop`)
+from one source template, the first time an integration of that D runs;
+the compile time grows linearly with D (a few ms up to D = 6, some 50 ms at
+D = 200).  Every weighted stage sum stays
+a numpy product (``a_s.dot(k[:s])``, the fifth-order row ``_A[6].dot(k[:6])``
+and ``_E.dot(k)``), so each is rounded as before.  The rest runs over Python
+floats, in the rhs's point contract (:class:`lvim.core.OdeSystem`), written
+out per component: each stage state ``x_i + h * s_i``, the fifth-order state,
+``|x_new_i|``, the error ``h * e_i`` and each ratio of the error norm, with
+the IEEE operations of numpy's element-wise expressions.  Each rhs value
+goes straight into its row of the stage matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -71,9 +76,6 @@ _P = np.array([
 # about the step's other end: _REEXPAND[k-1, m-1] = (-1)^m C(k, m)
 _REEXPAND = np.array([[(-1.0) ** m * math.comb(k, m) for m in range(1, 5)]
                       for k in range(1, 5)])
-
-# stages 1-5 as (c_s, a_s); a Python-float c_s keeps t + c_s * h off numpy
-_STAGES = tuple((float(_C[s]), _A[s]) for s in range(1, 6))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -154,18 +156,103 @@ def _check_probe(what, d, t0, x0):
             "over the tolerance scale overflows", t=t0, state=np.array(x0, dtype=float))
 
 
-def _err_norm(e, ax, ax_new, atol, rtol):
-    """``max_i |e_i| / (atol + rtol * max(ax_i, ax_new_i))`` over Python
-    floats, each ratio rounded as the element-wise numpy expression
-    rounds it; a NaN in any component gives NaN, which rejects the step."""
-    m = 0.0
-    for ei, a, b in zip(e, ax, ax_new):
-        q = abs(ei) / (atol + rtol * (a if a >= b else b))
-        if q > m:
-            m = q
-        elif q != q:
-            return q
-    return m
+def _exhausted(max_steps, t, accepted, rejected):
+    return ConvergenceError(f"step budget of {max_steps} exhausted at t={t:g} "
+                            f"(accepted {accepted}, rejected {rejected})")
+
+
+def _non_finite(t, x_new):
+    return DomainViolationError(f"state became non-finite during the step at t={t!r}",
+                                t=t, state=np.array(x_new))
+
+
+def _norm_lines(dim: int) -> list:
+    """The error norm ``err = max_i |h * e_i| / (atol + rtol * max(a_i,
+    b_i))`` written out over the names ``e{i}`` (the error sums), ``a{i}``
+    (``|x_i|``) and ``b{i}`` (``|x_new_i|``), each ratio rounded as the
+    element-wise numpy expression rounds it.  The first NaN ratio makes
+    ``err`` NaN and no later ratio replaces it, so a NaN anywhere rejects
+    the step."""
+    ratio = "abs(h * e{i}) / (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"
+    lines = ["err = " + ratio.format(i=0)]
+    for i in range(1, dim):
+        lines += ["q = " + ratio.format(i=i), "if q > err or q != q:", "    err = q"]
+    return lines
+
+
+def _loop_source(dim: int) -> str:
+    """The source of the step loop over ``dim`` components: ``loop(rhs, t,
+    tf, h, x, f, k, atol, rtol, max_steps)`` runs the integration from the
+    state list ``x`` with first stage ``f`` into the stage matrix ``k`` and
+    returns the accepted times, states, step sizes and stage matrices and
+    the rejection count.
+
+    Each element-wise expression is written out per component: the stage
+    states ``x{i} + h * s{i}``, the fifth-order state ``n{i}``, ``|n{i}|``
+    and the error norm (:func:`_norm_lines`).  Every weighted stage sum is
+    a numpy product (``A{s}.dot(k{s})``, ``E.dot(k)``) read back with
+    ``tolist()``; the stage times are float literals (``repr`` of a float
+    reads back to the same value).  No expression nests deeper with
+    ``dim``, so any dimension compiles.
+    """
+    def each(form, sep=", "):
+        return sep.join(form.format(i=i) for i in range(dim))
+
+    def per(form, indent):
+        return [indent + form.format(i=i) for i in range(dim)]
+
+    xs, ss = each("x{i}") + ",", each("s{i}") + ","
+    lines = ["def loop(rhs, t, tf, h, x, f, k, atol, rtol, max_steps):",
+             "    row0, row1, row2, row3, row4, row5, row6 = k",
+             "    k1, k2, k3, k4, k5, k6 = k[:1], k[:2], k[:3], k[:4], k[:5], k[:6]",
+             f"    {xs} = x",
+             *per("a{i} = abs(x{i})", "    "),
+             "    times, states, step_h, stages = [t], [x], [], []",
+             "    n_rej = 0",
+             "    while t < tf:",
+             "        if len(step_h) + n_rej >= max_steps:",
+             "            raise _exhausted(max_steps, t, len(step_h), n_rej)",
+             "        h = min(h, tf - t)",
+             "        row0[...] = f"]
+    for s in range(1, 6):
+        lines += [f"        {ss} = A{s}.dot(k{s}).tolist()",
+                  f"        row{s}[...] = rhs(t + {float(_C[s])!r} * h, "
+                  f"[{each('x{i} + h * s{i}')}])"]
+    lines += [f"        {ss} = A6.dot(k6).tolist()",
+              *per("n{i} = x{i} + h * s{i}", "        "),
+              f"        x_new = [{each('n{i}')}]",
+              "        row6[...] = rhs(t + h, x_new)",
+              "        if not isfinite(sum(x_new)) and not all(map(isfinite, x_new)):",
+              "            raise _non_finite(t, x_new)",
+              *per("b{i} = abs(n{i})", "        "),
+              f"        {each('e{i}')}, = E.dot(k).tolist()",
+              *("        " + line for line in _norm_lines(dim)),
+              "        if err <= 1.0:",
+              "            step_h.append(h)",
+              "            stages.append(k.copy())",
+              "            t = tf if h == tf - t else t + h",
+              "            times.append(t)",
+              "            states.append(x_new)",
+              *per("x{i}, a{i} = n{i}, b{i}", "            "),
+              "            if t < tf:",
+              "                f = rhs(t, x_new)",
+              "        else:",
+              "            n_rej += 1",
+              f"        h *= {_MAX_FACTOR!r} if err == 0.0 else "
+              f"min({_MAX_FACTOR!r}, max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** -0.2))",
+              "    return times, states, step_h, stages, n_rej"]
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_loop(dim: int) -> Callable:
+    """The step loop of :func:`_loop_source`, compiled once per dimension."""
+    namespace = {f"A{s}": _A[s] for s in range(1, 7)}
+    namespace.update(E=_E, isfinite=math.isfinite, _exhausted=_exhausted,
+                     _non_finite=_non_finite)
+    exec(compile(_loop_source(dim), f"<Dormand-Prince step loop, dim {dim}>", "exec"),
+         namespace)
+    return namespace["loop"]
 
 
 def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
@@ -185,57 +272,12 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
 
     evals_before = system.rhs_evals
     rhs = system.eval_rhs
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-
     t, tf = float(t0), float(tf)  # the rhs takes its time as a Python float
-    f_cur = rhs(t, x.tolist())
-    h = float(_initial_step(system, t, x, np.array(f_cur), cfg, tf - t))
-
-    x = x.tolist()
-    times = [t]
-    states = [x]
-    step_h = []
-    stages = []
-    n_rej = 0
-    # views made once: on small states a slice costs as much as the product
-    k = np.empty((7, system.dim))
-    row = tuple(k)
-    steps = tuple((c, a, k[:s], row[s]) for s, (c, a) in enumerate(_STAGES, 1))
-    a6, k6 = _A[6], k[:6]
-    ax = [abs(v) for v in x]
-
-    while t < tf:
-        if len(step_h) + n_rej >= cfg.max_steps:
-            raise ConvergenceError(
-                f"step budget of {cfg.max_steps} exhausted at t={t:g} "
-                f"(accepted {len(step_h)}, rejected {n_rej})")
-        h = min(h, tf - t)
-
-        row[0][...] = f_cur
-        for c, a, prev, out in steps:
-            out[...] = rhs(t + c * h, [v + h * s for v, s in zip(x, a.dot(prev).tolist())])
-        x_new = [v + h * s for v, s in zip(x, a6.dot(k6).tolist())]
-        row[6][...] = rhs(t + h, x_new)
-        if not math.isfinite(sum(x_new)) and not all(map(math.isfinite, x_new)):
-            raise DomainViolationError(
-                f"state became non-finite during the step at t={t!r}",
-                t=t, state=np.array(x_new))
-
-        ax_new = [abs(v) for v in x_new]
-        err = _err_norm([h * e for e in _E.dot(k).tolist()], ax, ax_new, atol, rtol)
-
-        if err <= 1.0:
-            step_h.append(h)
-            stages.append(k.copy())
-            t = tf if h == tf - t else t + h
-            times.append(t)
-            states.append(x_new)
-            x, ax = x_new, ax_new
-            if t < tf:
-                f_cur = rhs(t, x)
-        else:
-            n_rej += 1
-        h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+    f = rhs(t, x.tolist())
+    h = float(_initial_step(system, t, x, np.array(f), cfg, tf - t))
+    times, states, step_h, stages, n_rej = _step_loop(system.dim)(
+        rhs, t, tf, h, x.tolist(), f, np.empty((7, system.dim)),
+        cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
 
     # dense output of all accepted steps at once: step i's k.T @ _P
     dense_q = np.matmul(np.array(stages).transpose(0, 2, 1), _P)

@@ -375,6 +375,28 @@ def test_rhs_overflow_is_domain_violation():
     assert info.value.t is not None and info.value.state.shape == (2,)
 
 
+def test_rhs_value_error_at_a_non_finite_state_is_a_domain_violation():
+    """math.sin(inf) raises ValueError where numpy would give NaN: at a
+    state with an infinity (or a NaN) that is a domain exit carrying the
+    time and the state; at a finite state the rhs's own error stands."""
+    system = OdeSystem(dim=2, rhs=lambda t, x: [math.sin(v) for v in x])
+    for x in ([math.inf, 0.0], [0.0, -math.inf], [math.inf, math.nan]):
+        with pytest.raises(DomainViolationError,
+                           match=r"^right-hand side is undefined at a non-finite "
+                                 r"state at t=2\.5$") as info:
+            system.eval_rhs(2.5, x)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert info.value.t == 2.5
+        assert np.array_equal(info.value.state, x, equal_nan=True)
+
+    def guard(t, x):
+        raise ValueError("guard tripped")
+
+    with pytest.raises(ValueError, match="^guard tripped$"):
+        OdeSystem(dim=2, rhs=guard).eval_rhs(0.0, [1e308, -1e308])
+    assert system.rhs_evals == 3
+
+
 def test_jacobian_overflow_is_domain_violation():
     """An overflow anywhere in a batch is traced back row by row: the error
     names the first node that overflows on its own."""

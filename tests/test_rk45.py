@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from lvim import problems
+from lvim import problems, rk45
 from lvim.core import OdeSystem, SolverConfig, march
 from lvim.errors import ConvergenceError, DomainViolationError
 from lvim.gravity import bundled_gravity_path, load_gravity_model
-from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, _err_norm,
-                       rk45_integrate, sample_at)
+from lvim.rk45 import (_A, _C, _E, _P, RkConfig, RkTrajectory, rk45_integrate,
+                       sample_at)
 
 DECAY = OdeSystem(dim=1, rhs=lambda t, x: [-x[0]], jac=None)
 
@@ -168,9 +168,19 @@ def test_tolerance_controls_error():
 
 
 def test_max_steps_exhaustion():
-    with pytest.raises(ConvergenceError):
-        rk45_integrate(OSC, 0.0, 1000.0, np.array([1.0, 0.0]),
-                       RkConfig(max_steps=10))
+    # the message and the evaluations spent, pinned at the values of the
+    # loop before it was compiled per dimension; the second budget runs out
+    # with rejected attempts among its steps
+    for cfg, message, evals in [
+            (RkConfig(max_steps=10),
+             "step budget of 10 exhausted at t=0.056853 (accepted 10, rejected 0)", 72),
+            (RkConfig(rel_tol=1e-6, abs_tol=1e-9, max_steps=20),
+             "step budget of 20 exhausted at t=2.70549 (accepted 17, rejected 3)", 139)]:
+        osc = OdeSystem(dim=2, rhs=OSC.rhs)
+        with pytest.raises(ConvergenceError) as info:
+            rk45_integrate(osc, 0.0, 1000.0, np.array([1.0, 0.0]), cfg)
+        assert str(info.value) == message
+        assert osc.rhs_evals == evals
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -192,8 +202,25 @@ def test_trajectory_is_core_trajectory():
 def test_state_overflow_raises_domain_violation():
     # the rhs stays finite while the state runs past the largest double
     const = OdeSystem(dim=1, rhs=lambda t, x: [1e308], jac=None)
-    with pytest.raises(DomainViolationError, match="state became non-finite"):
+    with pytest.raises(DomainViolationError, match="state became non-finite") as info:
         rk45_integrate(const, 0.0, 5.0, np.array([1e308]), RkConfig())
+    assert info.value.t == 0.24724333802393367
+    assert info.value.state.dtype == float and info.value.state.tolist() == [math.inf]
+    assert const.rhs_evals == 36
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_rhs_undefined_at_an_overflowed_stage_state_is_a_domain_violation():
+    # a stage state overflows to inf and the pendulum's math.sin(inf)
+    # raises ValueError; the oracle reports it as leaving the domain
+    system = problems.pendulum().system
+    with pytest.raises(DomainViolationError,
+                       match=r"^right-hand side is undefined at a non-finite state at t=") as info:
+        rk45_integrate(system, 0.0, 100.0, np.array([1e307, 1e307]), RkConfig())
+    assert isinstance(info.value.__cause__, ValueError)
+    assert info.value.t == 26.001757715517023
+    assert info.value.state.tolist() == [math.inf, 1e307]
+    assert system.rhs_evals == 47
 
 
 # an rhs that jumps from +1e308 to -1e308 just after t = 0
@@ -213,6 +240,26 @@ def test_overflowing_start_probe_is_a_domain_violation(system, x0, what):
         rk45_integrate(system, 0.0, 10.0, np.array(x0), RkConfig())
     assert info.value.t == 0.0
     assert np.array_equal(info.value.state, x0)
+
+
+def _err_norm(e, ax, ax_new, atol, rtol):
+    """The error-norm lines of the compiled step loop, run on their own at
+    ``h = 1.0`` (``1.0 * e`` is ``e``, bit for bit)."""
+    dim = len(e)
+    lines = ["def norm(e, ax, ax_new, atol, rtol):", "    h = 1.0",
+             *(f"    e{i}, a{i}, b{i} = e[{i}], ax[{i}], ax_new[{i}]" for i in range(dim)),
+             *("    " + line for line in rk45._norm_lines(dim)), "    return err"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["norm"](e, ax, ax_new, atol, rtol)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_error_norm_lines_are_the_loops(dim):
+    """The lines :func:`_err_norm` runs stand in the loop's source as one
+    block, at the loop body's indent."""
+    block = "\n".join("        " + line for line in rk45._norm_lines(dim))
+    assert rk45._loop_source(dim).count(block + "\n") == 1
 
 
 def test_error_norm_matches_numpy_bitwise():
@@ -319,6 +366,14 @@ def _spec_case(spec, tf=None):
         spec.rk_defaults
 
 
+def _linear_case(dim):
+    """``x' = A x`` with a seeded ``A`` and ``x0``, over ``[0, 10]``."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) / math.sqrt(dim) - 0.2 * np.eye(dim)
+    x0 = rng.standard_normal(dim)
+    return OdeSystem(dim=dim, rhs=lambda t, x: (a @ x).tolist()), 0.0, 10.0, x0, RkConfig()
+
+
 _PINNED = {
     "pendulum": lambda: _spec_case(problems.pendulum()),
     "mathieu": lambda: _spec_case(problems.mathieu(0.3, 0.5), tf=20.0),
@@ -328,6 +383,7 @@ _PINNED = {
         load_gravity_model(bundled_gravity_path("egm8.txt")))),
     "decay": lambda: (DECAY, 0.0, 5.0, np.array([1.0]), RkConfig()),
     "blasius": lambda: _spec_case(problems.blasius()),
+    **{f"linear-{d}": lambda d=d: _linear_case(d) for d in (4, 5, 7, 8)},
 }
 
 
@@ -343,5 +399,16 @@ def test_step_loop_matches_reference_bitwise(name):
     for key in ("steps_accepted", "steps_rejected", "total_rhs_evals"):
         assert getattr(tr, key) == ref[key], key
     assert tr.times[-1] == tf  # the last step lands on tf exactly
-    if name == "mathieu":
+    if name in ("mathieu", "linear-4", "linear-7", "linear-8"):
         assert tr.steps_rejected > 0
+
+
+def test_second_integration_of_a_dimension_compiles_nothing():
+    """The step loop depends on the dimension alone: a further integration
+    at a dimension already run reuses its code, at any tolerances."""
+    system = _linear_case(5)[0]
+    rk45_integrate(system, 0.0, 1.0, np.ones(5), RkConfig())
+    misses = rk45._step_loop.cache_info().misses
+    rk45_integrate(system, 0.0, 2.0, np.zeros(5), RkConfig(rel_tol=1e-6))
+    rk45_integrate(_linear_case(5)[0], 0.0, 1.0, np.ones(5), RkConfig())
+    assert rk45._step_loop.cache_info().misses == misses
