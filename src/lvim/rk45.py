@@ -10,18 +10,17 @@ coefficients of its quartic interpolant, through which an
 ``_between`` and ``mirrored``).  :func:`sample_at` samples either kind of
 trajectory through the trajectory's own interpolant.
 
-The step loop is bitwise the textbook loop at a smaller Python and numpy
-call count.  It is compiled once per state dimension D (:func:`_step_loop`)
-from one source template, the first time an integration of that D runs;
-the compile time grows linearly with D (a few ms up to D = 6, some 50 ms at
-D = 200).  Every weighted stage sum stays
-a numpy product (``a_s.dot(k[:s])``, the fifth-order row ``_A[6].dot(k[:6])``
-and ``_E.dot(k)``), so each is rounded as before.  The rest runs over Python
-floats, in the rhs's point contract (:class:`lvim.core.OdeSystem`), written
-out per component: each stage state ``x_i + h * s_i``, the fifth-order state,
-``|x_new_i|``, the error ``h * e_i`` and each ratio of the error norm, with
-the IEEE operations of numpy's element-wise expressions.  Each rhs value
-goes straight into its row of the stage matrix.
+The step loop is the textbook loop over Python floats, compiled once per
+state dimension D (:func:`_step_loop`) from one source template, the first
+time an integration of that D runs.  It is written out per component, in
+the rhs's point contract (:class:`lvim.core.OdeSystem`): each weighted stage
+sum, left to right over the tableau's nonzero weights, each stage state,
+the fifth-order state, ``|x_new_i|`` and each ratio of the error norm.  So
+no value depends on which BLAS kernel a numpy product dispatches; numpy
+only forms the dense output, in one product after the loop.  Per step this
+is cheaper than numpy's small products below D of about 10 and dearer
+above; the compile time grows linearly with D (about 1 ms at D = 6, 44 ms
+at D = 200).
 """
 
 from __future__ import annotations
@@ -182,60 +181,64 @@ def _norm_lines(dim: int) -> list:
 
 def _loop_source(dim: int) -> str:
     """The source of the step loop over ``dim`` components: ``loop(rhs, t,
-    tf, h, x, f, k, atol, rtol, max_steps)`` runs the integration from the
-    state list ``x`` with first stage ``f`` into the stage matrix ``k`` and
-    returns the accepted times, states, step sizes and stage matrices and
-    the rejection count.
+    tf, h, x, f, atol, rtol, max_steps)`` runs the integration from the
+    state list ``x`` with first stage ``f`` and returns the accepted times,
+    states and step sizes, the stage values of the accepted steps in one
+    flat list (step, stage, component) and the rejection count.
 
-    Each element-wise expression is written out per component: the stage
-    states ``x{i} + h * s{i}``, the fifth-order state ``n{i}``, ``|n{i}|``
-    and the error norm (:func:`_norm_lines`).  Every weighted stage sum is
-    a numpy product (``A{s}.dot(k{s})``, ``E.dot(k)``) read back with
-    ``tolist()``; the stage times are float literals (``repr`` of a float
-    reads back to the same value).  No expression nests deeper with
-    ``dim``, so any dimension compiles.
+    Everything runs over Python floats, written out per component: stage
+    ``s``'s values ``k{s}_{i}``, unpacked from its rhs list; each weighted
+    stage sum, left to right with the zero weights left out (a stage value
+    is finite, so a ``0 * k`` term only ever added a zero); the stage states
+    ``x{i} + h * (...)``, the fifth-order state ``n{i}``, ``|n{i}|``, the
+    error sums ``e{i}`` and the error norm (:func:`_norm_lines`).  Weights
+    and stage times are float literals (``repr`` of a float reads back to
+    the same value).  No expression nests deeper with ``dim``, so any
+    dimension compiles.
     """
     def each(form, sep=", "):
         return sep.join(form.format(i=i) for i in range(dim))
 
+    def weighted(row):  # the sum of tableau row ``row`` at component {i}
+        return " + ".join(f"{float(w)!r} * k{j}_{{i}}" for j, w in enumerate(row) if w != 0.0)
+
     def per(form, indent):
         return [indent + form.format(i=i) for i in range(dim)]
 
-    xs, ss = each("x{i}") + ",", each("s{i}") + ","
-    lines = ["def loop(rhs, t, tf, h, x, f, k, atol, rtol, max_steps):",
-             "    row0, row1, row2, row3, row4, row5, row6 = k",
-             "    k1, k2, k3, k4, k5, k6 = k[:1], k[:2], k[:3], k[:4], k[:5], k[:6]",
+    def stage(s):
+        return each(f"k{s}_{{i}}") + ","
+
+    xs = each("x{i}") + ","
+    lines = ["def loop(rhs, t, tf, h, x, f, atol, rtol, max_steps):",
              f"    {xs} = x",
+             f"    {stage(0)} = f",
              *per("a{i} = abs(x{i})", "    "),
              "    times, states, step_h, stages = [t], [x], [], []",
              "    n_rej = 0",
              "    while t < tf:",
              "        if len(step_h) + n_rej >= max_steps:",
              "            raise _exhausted(max_steps, t, len(step_h), n_rej)",
-             "        h = min(h, tf - t)",
-             "        row0[...] = f"]
+             "        h = min(h, tf - t)"]
     for s in range(1, 6):
-        lines += [f"        {ss} = A{s}.dot(k{s}).tolist()",
-                  f"        row{s}[...] = rhs(t + {float(_C[s])!r} * h, "
-                  f"[{each('x{i} + h * s{i}')}])"]
-    lines += [f"        {ss} = A6.dot(k6).tolist()",
-              *per("n{i} = x{i} + h * s{i}", "        "),
+        states = each("x{i} + h * (" + weighted(_A[s]) + ")")
+        lines.append(f"        {stage(s)} = rhs(t + {float(_C[s])!r} * h, [{states}])")
+    lines += [*per("n{i} = x{i} + h * (" + weighted(_A[6]) + ")", "        "),
               f"        x_new = [{each('n{i}')}]",
-              "        row6[...] = rhs(t + h, x_new)",
+              f"        {stage(6)} = rhs(t + h, x_new)",
               "        if not isfinite(sum(x_new)) and not all(map(isfinite, x_new)):",
               "            raise _non_finite(t, x_new)",
               *per("b{i} = abs(n{i})", "        "),
-              f"        {each('e{i}')}, = E.dot(k).tolist()",
+              *per("e{i} = " + weighted(_E), "        "),
               *("        " + line for line in _norm_lines(dim)),
               "        if err <= 1.0:",
               "            step_h.append(h)",
-              "            stages.append(k.copy())",
+              f"            stages += {' '.join(stage(s) for s in range(7))}",
               "            t = tf if h == tf - t else t + h",
               "            times.append(t)",
               "            states.append(x_new)",
               *per("x{i}, a{i} = n{i}, b{i}", "            "),
               "            if t < tf:",
-              "                f = rhs(t, x_new)",
+              f"                {stage(0)} = rhs(t, x_new)",
               "        else:",
               "            n_rej += 1",
               f"        h *= {_MAX_FACTOR!r} if err == 0.0 else "
@@ -247,9 +250,7 @@ def _loop_source(dim: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _step_loop(dim: int) -> Callable:
     """The step loop of :func:`_loop_source`, compiled once per dimension."""
-    namespace = {f"A{s}": _A[s] for s in range(1, 7)}
-    namespace.update(E=_E, isfinite=math.isfinite, _exhausted=_exhausted,
-                     _non_finite=_non_finite)
+    namespace = dict(isfinite=math.isfinite, _exhausted=_exhausted, _non_finite=_non_finite)
     exec(compile(_loop_source(dim), f"<Dormand-Prince step loop, dim {dim}>", "exec"),
          namespace)
     return namespace["loop"]
@@ -276,11 +277,10 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     f = rhs(t, x.tolist())
     h = float(_initial_step(system, t, x, np.array(f), cfg, tf - t))
     times, states, step_h, stages, n_rej = _step_loop(system.dim)(
-        rhs, t, tf, h, x.tolist(), f, np.empty((7, system.dim)),
-        cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
+        rhs, t, tf, h, x.tolist(), f, cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
 
     # dense output of all accepted steps at once: step i's k.T @ _P
-    dense_q = np.matmul(np.array(stages).transpose(0, 2, 1), _P)
+    dense_q = np.array(stages).reshape(-1, 7, system.dim).transpose(0, 2, 1) @ _P
     return RkTrajectory(times=np.array(times), states=np.array(states),
                         segment_iterations=np.empty(0, dtype=int),
                         total_rhs_evals=system.rhs_evals - evals_before,

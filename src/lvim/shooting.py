@@ -3,10 +3,11 @@
 The bar equation is integrated as an initial-value problem from a guessed
 root slope, and the guess is corrected until the far-end slope vanishes
 (clamped at s = 0, moment-free at s = 1).  A follower's load angle is its
-unknown tip angle: a loose clamp-end search only seeds it, and the bar is
-shot from the free end on it and read from the clamp (``mirrored``).  A full
-root search runs loose, then stock from the last loose value and slope; each
-lvim shot starts from its search's earlier shots (:func:`_shot_guess`).
+unknown tip angle: a loose clamp-end search only seeds it (with its best
+shot, should it end without a root), and the bar is shot from the free end
+on it and read from the clamp (``mirrored``).  A full root search runs
+loose, then stock from the last loose value and slope; each lvim shot
+starts from its search's earlier shots (:func:`_shot_guess`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .rk45 import rk45_integrate
 
 __all__ = ["ShotResult", "shoot_scalar", "solve_buckled_bar"]
 
-# Not only a guard: the oracle's (lvim's) loose clamp-end stage for the tangent
-# follower at P=80 from (12.9, 13.1) meets its tolerance on the 60th (29th) shot.
+# A guard: the oracle's loose clamp-end stage for the tangent follower at P=80
+# from (12.9, 13.1) runs out of it, some ten shots short of its bound, and hands
+# on its best shot as a seed; the lvim one meets its bound on the 29th shot.
 _DEFAULT_MAX_SHOTS = 60
 
 # the bar's far-end slope residual, and a follower's clamp angle when shot
@@ -176,11 +178,13 @@ def solve_buckled_bar(
     distinct pairs can converge to distinct equilibria of the same load.
     That search solves a dead load.  A follower's load angle is its tip
     angle alpha, so its clamp-end search runs only its first stage, and its
-    tip seeds a search from the free end, from ``(alpha, 0)`` over ``sigma
-    = 1 - s`` (the equation is autonomous and has no theta' term), on the
-    alpha whose clamp angle vanishes; read from the clamp, that is the
-    answer.  A zero tip is the straight bar, which solves every load, and
-    whose loose run is its stock run bit for bit: it ends the solve.  A
+    tip (that of its shot of the smallest ``|theta'(1)|`` should the stage
+    run out of shots or meet a flat residual) seeds a search from the free
+    end, from ``(alpha, 0)`` over ``sigma = 1 - s`` (the equation is
+    autonomous and has no theta' term), on the alpha whose clamp angle
+    vanishes; read from the clamp, that is the answer.  A zero tip is the
+    straight bar, which solves every load, and whose loose run is its stock
+    run bit for bit: it ends the solve.  A
     full search walks its integrator's ``_STAGES``, one ``shoot_scalar``
     call each: a loose stage (the oracle at 1e-8, a march at ``tol`` 1e-5)
     hands its last value and secant slope to a stock one (``RkConfig()``,
@@ -205,11 +209,13 @@ def solve_buckled_bar(
     stages = [(replace(base, **overrides), tol) for overrides, tol in _STAGES[integrator][first:]]
     outer = inner = 0  # the stages and shots run
 
-    def search(guesses, row, shot_from, stages):
+    def search(guesses, row, shot_from, stages, seed=False):
         """The accepted trajectory of a search through ``stages`` on end-state
-        component ``row`` of the shots ``shot_from(v) -> (spec, x0)``."""
+        component ``row`` of the shots ``shot_from(v) -> (spec, x0)``; a
+        ``seed`` search that ends without a root, out of shots or on a flat
+        residual, returns its shot of the smallest ``|row|`` instead."""
         nonlocal outer, inner
-        log, slope = [], None
+        log, slope, best = [], None, None
         for stage, tol in stages:
             if len(log) > 1:  # the stock stage, after two loose shots: their last value and slope
                 (u, a), (v, b) = log[-2:]
@@ -224,13 +230,19 @@ def solve_buckled_bar(
                 log.append((v, tr))
                 return float(tr.states[-1, row])
 
-            shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
+            try:
+                shoot_scalar(residual, *guesses, shoot_tol=tol, slope=slope)
+            except ConvergenceError as exc:
+                if not seed or hasattr(exc, "slope_guess"):  # a shot that raised
+                    raise
+                best = min(log, key=lambda shot: abs(float(shot[1].states[-1, row])))
         outer += len(stages)
         inner += len(log)
-        return log[-1][1]
+        return (best or log[-1])[1]
 
     follower = load_type != "dead"  # whose clamp-end search only seeds the tip angle
-    tr = search(slope_guesses, 1, lambda v: (spec, [0.0, v]), stages[:1] if follower else stages)
+    tr = search(slope_guesses, 1, lambda v: (spec, [0.0, v]),
+                stages[:1] if follower else stages, seed=follower)
     tip = float(tr.states[-1, 0])
     if follower and tip != 0.0:  # a zero tip would seed the secant with equal guesses
         tr = search((tip, 0.9 * tip), 0, lambda a: (

@@ -274,7 +274,7 @@ def test_tangent_p80_loose_stage_keeps_its_shot_margin(grid):
 GRID_SHOTS = 1730
 GRID_SHA256 = "cff61d9d1ba2746c37336277806d40c8c7653264f274239eca90e43fb3d5f819"
 ORACLE_SHOTS = 155
-ORACLE_SHA256 = "0372fac6ab88bd896473dd009f5e93c944f5d6c0145db58f5e605a554a819979"
+ORACLE_SHA256 = "59adf028bf88e7a76c13944e651a22f0cfd08a1aa021e454e494cfb8b62862e1"
 
 
 def test_grid_results_match_their_pin(grid):

@@ -7,9 +7,13 @@ of its three load types, ``run --print-defaults`` and the three sweeps.  A
 ``wall_time_s``: the same samples as its CSV (which is the ``run`` CSV) at
 full precision, plus the oracle's counts and ``max_discrepancy``, which
 reads the oracle through ``sample_at``.  The pins are bitwise on numpy
-2.4.6, as ``STOCK_SHOTS`` in ``test_shooting.py`` is; another numpy or BLAS
-may round a last bit differently.  A change that moves results by design
-re-pins the rows it moves and lists each old -> new pin in CHANGES.md.
+2.4.6, as ``STOCK_SHOTS`` in ``test_shooting.py`` is.  The oracle's steps
+(times, states, step sizes and counts) are Python-float arithmetic and
+round the same on any BLAS; its dense output (one product with ``_P``) and
+every march still go through numpy products, which another numpy or BLAS
+may round differently in a last bit.  A change that moves results by
+design re-pins the rows it moves and lists each old -> new pin in
+CHANGES.md.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ PINS = {
     "run emden":
         "3ab0382bf1325d02567f043e06af316af11b57b75ae9543fbfe78af93ec66750",
     "run white-dwarf":
-        "cdee3568cfcc2fd9556a0acff700f1b5bcf0497afc8d0b9697e53ed40c94ff95",
+        "5f7765c6637a3e4d11bcee471921cfdc2137b04b278ac3476d7cbcf5d4658500",
     "run mathieu":
         "051e0398bc40f548266fd7cac80a3ee3315f6d71c25eef8619a776f9ecf11713",
     "run pendulum":
@@ -46,27 +50,27 @@ PINS = {
     "run leo":
         "dccdbce2028cb9424fce3771bcbd016bffdd6a4287fb0a3c3e8ffe21e3677608",
     "compare blasius":
-        "18b72f6ca7e5ab03d221e66a2eaa71dea3a10e5e548c78e9494de00f8d9e3737",
+        "0f1cef54a852bce58b2c8b7aaeed7eb5f8265a3e514b370faa881d8d48a59ee5",
     "compare emden":
-        "cef4eb1ea0a3a4191089e93e2006af7a24845d65073f628cba79d657ca007ba2",
+        "1c5dc33cecb13c547d65a8518f34b4150468178eb6592ab1b0057c2c110e1604",
     "compare white-dwarf":
-        "b1dc31b497c2bd3bb5adce66f15c33977beb25bde7ffdbebbc488cffa6dd2c53",
+        "c8065937304883db5c40db886c0f32364af0e31b112cb587df7941bf5587cc41",
     "compare mathieu":
-        "d9e26e2c39f946e5baf519451c208c67ccc91dc00411c0b45487aba54bd99272",
+        "548f4d0f4205d70af377e34e385a950d3ae9f0343ebaf00a36a2ee91406e88fd",
     "compare pendulum":
-        "edb734207fb8c3b77b3fde651b59dedfd768c8431202ee84b6a862af3dcd8138",
+        "05c2abc92bb2d073ae5e630265ddd0cdf0c3f0ed73a873209c8ffc9528c47bb5",
     "compare buckled-bar --load-type dead":
-        "71f087a56d95710ee8c4ec70b8dd69c3a7202da1f8b0e8f37ead24db1cb64d59",
+        "e1711ed7272011c8cdd77fa6e3cdf8e2f5159e2a3cc51c32eb99e438f4e9e7f8",
     "compare buckled-bar --load-type perpendicular_follower":
-        "4330b1248492be15d2ba47f57b69788fe7067d4e677cab60887cc1109e1a8e53",
+        "fd3d66b7453784b8ace3e9ed0f2dc4fde2dfc910b6a0e289f9c9ad3139d38003",
     "compare buckled-bar --load-type tangent_follower":
         "d3d956dfb2b96bb1c6394897635143c1c2e5b1d4289b26dcb2415e6e6bbf8251",
     "compare elastica":
-        "45c06401f201da6d9fc995d19c447d240f546c62472b74b855c906a734455fd4",
+        "9d4fa51c04747ed4098c67b3897c9af04ba21454af65cf357039908f1ed949a1",
     "compare leo":
-        "75c17f3b8174f5d9e01b3b70a58ebcfdad9bf45ccdd44e6939f68f231e950052",
+        "5aa60ddf9dc6c312b15068fb525c726f5b027875e10c5ca2b3a795d7f7e6632f",
     "run --print-defaults":
-        "aaad8a419e1691c182791caacd1425ed0619967a37f6fed3e736f6a6c65e87d2",
+        "39e355f7ad6b06de144ded6fd6c1de6bae7b30f82c3133e5e0c22464937e359b",
     "sweep pendulum-frequency":
         "c1eba4accf3d9171041176020bd16d8b47b8f1700bda0798765c7018b77dc369",
     "sweep elastica-regimes":
@@ -84,35 +88,35 @@ FIELDS = ("total_iterations", "total_rhs_evals", "oracle_steps_accepted",
 COMPARE_FIELDS = {
     "compare blasius": (
         120, 600, 771, 0, 5398,
-        "[3.4113872504626386e-08, 6.186744860858795e-08, 5.4850956349855595e-08]"),
+        "[3.411387261564869e-08, 6.186744805347644e-08, 5.485095634638615e-08]"),
     "compare emden": (
         117, 1521, 309, 0, 2164,
-        "[9.682872559313438e-12, 3.9760441467029395e-11]"),
+        "[9.68289337599515e-12, 3.9760441467029395e-11]"),
     "compare white-dwarf": (
         180, 900, 292, 4, 2069,
-        "[1.3132483989153343e-10, 1.293242540834072e-09]"),
+        "[1.3132483989153343e-10, 1.293242544303519e-09]"),
     "compare mathieu": (
         1077, 5385, 6059, 53, 42732,
-        "[4.6772580541976083e-07, 2.767672917514119e-07]"),
+        "[4.6772584649801274e-07, 2.767673239478796e-07]"),
     "compare pendulum": (
         2000, 10000, 3463, 6, 24278,
-        "[1.0365361967482056e-05, 5.182821617655264e-06]"),
+        "[1.0366008257649273e-05, 5.1831447553940535e-06]"),
     "compare buckled-bar --load-type dead": (
         10, 70, 500, 4, 3525,
-        "[5.189784678671927e-07, 1.5549394110081494e-06]"),
+        "[5.189784672010589e-07, 1.5549393630465147e-06]"),
     "compare buckled-bar --load-type perpendicular_follower": (
         10, 70, 4, 0, 29,
-        "[4.20046580173258e-12, 2.926827128745862e-11]"),
+        "[4.200465801758232e-12, 2.9268271287577414e-11]"),
     "compare buckled-bar --load-type tangent_follower": (
         10, 70, 10, 0, 71,
         "[2.0816681711721685e-17, 8.210733189403225e-47]"),
     "compare elastica": (
         20, 140, 296, 3, 2091,
-        "[0.00861510290118489]"),
+        "[0.008615102901184085]"),
     "compare leo": (
         110, 2860, 553, 9, 3926,
-        "[1.7002341337502003e-05, 1.0938849300146103e-05, 2.9465649276971817e-05, "
-        "1.0718849807744846e-08, 3.003248849609008e-08, 1.856733433669433e-08]"),
+        "[1.700193388387561e-05, 1.091882586479187e-05, 2.945982851088047e-05, "
+        "1.072612576535903e-08, 3.003960102887504e-08, 1.8571881810203195e-08]"),
 }
 
 
@@ -140,11 +144,11 @@ SAMPLE_PINS = {
     "pendulum march":
         "b42b96874652a4778e4d9d8c7532686fcb051c694786a48ab6eb7da2e96f7438",
     "pendulum oracle":
-        "41bd7a77e60e0c98b10e770854aa20e4d100487d70de9cbb91b56fa5f2644a84",
+        "f291ad8c89cb9fafe2b23d566097f664316f93540bac325229f2da5bb6dd67d2",
     "mirrored follower march":
         "6905fa5787b62e37346bffcdb93058db22027852e7ea2f62ddeeddfaacf8b9f7",
     "mirrored follower oracle":
-        "f222c17ffd35befb6db9afaa1fc25a25566a92e0776a5e2f6bf54f4fec70cfde",
+        "66770c2aaafa17b0a1779a6463fa796b411ce4ffed3180b242c7828cdef53f89",
 }
 
 

@@ -408,6 +408,32 @@ def test_kepler_orbit_is_a_reference():
             < bound * scale
 
 
+@pytest.mark.parametrize("case, bound", [
+    ("pendulum-1rad", 3e-12),     # 1.31e-12 measured: margin 2.3x
+    ("pendulum-stock", 4e-7),     # 1.75e-7: 2.3x
+    ("kepler", 1e-11)])           # 3.66e-12 of max|x0|: 2.7x
+def test_stock_oracle_stays_on_the_closed_forms(case, bound):
+    """The oracle at its stock tolerances against the closed forms: the
+    pendulum from rest at 1 rad over [0, 10] and from the stock start over
+    the stock span (``pendulum_exact``), and the point-mass orbit over one
+    ``orbital_period`` relative to max|x0| (``kepler_states``).  Unlike the
+    bitwise pins, this holds through any change of rounding in the step
+    loop."""
+    if case == "kepler":
+        model = load_gravity_model(bundled_gravity_path("egm8.txt")).truncate(0)
+        spec = problems.leo(model)
+        exact = lambda t: kepler_states(model.mu, spec.x0, t)
+        scale = np.max(np.abs(spec.x0))
+    else:
+        spec = problems.pendulum()
+        if case == "pendulum-1rad":
+            spec = replace(spec, tf=10.0, x0=np.array([1.0, 0.0]))
+        exact = lambda t: pendulum_exact(spec.x0[0], t)
+        scale = 1.0
+    tr = rk45_integrate(spec.system, spec.t0, spec.tf, spec.x0, spec.rk_defaults)
+    assert np.max(np.abs(tr.states - exact(tr.times))) < bound * scale
+
+
 def pendulum_node_error(n, dt, mode):
     """Max node error of a march of the pendulum from rest at 1 rad over
     [0, 10] against ``pendulum_exact``."""

@@ -168,12 +168,11 @@ def test_tolerance_controls_error():
 
 
 def test_max_steps_exhaustion():
-    # the message and the evaluations spent, pinned at the values of the
-    # loop before it was compiled per dimension; the second budget runs out
-    # with rejected attempts among its steps
+    # the message and the evaluations spent; the second budget runs out with
+    # rejected attempts among its steps
     for cfg, message, evals in [
             (RkConfig(max_steps=10),
-             "step budget of 10 exhausted at t=0.056853 (accepted 10, rejected 0)", 72),
+             "step budget of 10 exhausted at t=0.0568522 (accepted 10, rejected 0)", 72),
             (RkConfig(rel_tol=1e-6, abs_tol=1e-9, max_steps=20),
              "step budget of 20 exhausted at t=2.70549 (accepted 17, rejected 3)", 139)]:
         osc = OdeSystem(dim=2, rhs=OSC.rhs)
@@ -294,13 +293,13 @@ def test_tableau_rows():
 
 
 # ------------------------------------------------------- pinned step loop
-# The step loop as it was written before the stage-row form: every stage
-# through ``@``, the fifth-order solution through a separate 7-weight row,
-# ``np.max`` reductions and the dense output formed per accepted step.  The
-# production loop must reproduce it bit for bit.  Only its rhs calls follow
-# the point contract: a Python float and ``x.tolist()`` in, the list wrapped
-# in ``np.array`` on the way out.
-_B_REF = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# The textbook step loop over Python floats, one stage list at a time: each
+# weighted stage sum runs left to right over the tableau row's nonzero
+# weights, the fifth-order solution through a separate 7-weight row, the
+# error norm as a plain maximum, and the dense output formed per accepted
+# step (``k.T @ _P``, the one numpy product the integrator keeps).  The
+# production loop must reproduce it bit for bit.
+_B_REF = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
 
 
 def _initial_step_ref(system, t0, x0, f0, cfg, span):
@@ -318,30 +317,40 @@ def _initial_step_ref(system, t0, x0, f0, cfg, span):
     return min(100.0 * h0, h1, span)
 
 
+def _weighted_sum(weights, k, i):
+    """``sum_j weights[j] * k[j][i]``, left to right, zero weights left out."""
+    total = None
+    for w, stage in zip(weights, k):
+        if w != 0.0:
+            term = float(w) * stage[i]
+            total = term if total is None else total + term
+    return total
+
+
 def _integrate_ref(system, t0, tf, x0, cfg):
-    x = np.asarray(x0, dtype=float)
+    x = [float(v) for v in x0]
+    dim = len(x)
     evals_before = system.rhs_evals
-    t = t0
-    f_cur = np.array(system.eval_rhs(t, x.tolist()))
-    h = _initial_step_ref(system, t0, x, f_cur, cfg, tf - t0)
+    t = float(t0)
+    f_cur = system.eval_rhs(t, x)
+    h = _initial_step_ref(system, t0, np.array(x), np.array(f_cur), cfg, tf - t0)
     h = min(h, tf - t0)
-    times, states, step_h, dense_q = [t0], [x.copy()], [], []
+    times, states, step_h, dense_q = [t], [x], [], []
     n_acc = n_rej = 0
-    k = np.empty((7, system.dim))
     while t < tf:
         h = min(h, tf - t)
-        k[0] = f_cur
+        k = [f_cur]
         for s in range(1, 7):
-            xs = x + h * (_A[s] @ k[:s])
-            k[s] = np.array(system.eval_rhs(float(t + _C[s] * h), xs.tolist()))
-        x_new = x + h * (_B_REF @ k)
-        assert np.all(np.isfinite(x_new))
-        e = h * (_E @ k)
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err = float(np.max(np.abs(e) / sc))
+            xs = [x[i] + h * _weighted_sum(_A[s], k, i) for i in range(dim)]
+            k.append(system.eval_rhs(t + float(_C[s]) * h, xs))
+        x_new = [x[i] + h * _weighted_sum(_B_REF, k, i) for i in range(dim)]
+        assert all(map(math.isfinite, x_new))
+        err = max(abs(h * _weighted_sum(_E, k, i))
+                  / (cfg.abs_tol + cfg.rel_tol * max(abs(x[i]), abs(x_new[i])))
+                  for i in range(dim))
         if err <= 1.0:
             step_h.append(h)
-            dense_q.append(k.T @ _P)
+            dense_q.append(np.array(k).T @ _P)
             t_new = tf if h == tf - t else t + h
             times.append(t_new)
             states.append(x_new)
@@ -349,7 +358,7 @@ def _integrate_ref(system, t0, tf, x0, cfg):
             t = t_new
             n_acc += 1
             if t < tf:
-                f_cur = np.array(system.eval_rhs(float(t), x.tolist()))
+                f_cur = system.eval_rhs(t, x)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             n_rej += 1
@@ -412,3 +421,14 @@ def test_second_integration_of_a_dimension_compiles_nothing():
     rk45_integrate(system, 0.0, 2.0, np.zeros(5), RkConfig(rel_tol=1e-6))
     rk45_integrate(_linear_case(5)[0], 0.0, 1.0, np.ones(5), RkConfig())
     assert rk45._step_loop.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 13])
+def test_step_loop_runs_on_python_floats_alone(dim):
+    """No numpy in the compiled loop: its namespace holds no numpy object
+    and its source takes no numpy product."""
+    loop = rk45._step_loop(dim)
+    assert not {"dot", "tolist", "np", "numpy"} & set(loop.__code__.co_names)
+    assert ".dot(" not in rk45._loop_source(dim)
+    for name, value in loop.__globals__.items():
+        assert value is not np and not type(value).__module__.startswith("numpy"), name

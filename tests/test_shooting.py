@@ -473,19 +473,19 @@ STOCK_SHOTS = {
     ("dead", 50.0, (12.9, 13.1), "lvim"):
         (12.955453669588167, -2.316430465902664, 4.446620222085802e-12, 8, 2),
     ("dead", 50.0, (12.9, 13.1), "rk45"):
-        (12.955453779315285, -2.3164304715991313, 7.526392703516294e-13, 7, 2),
+        (12.955453779315295, -2.316430471599129, 6.781571831870892e-13, 7, 2),
     ("dead", 50.0, (14.05, 14.12), "lvim"):
         (14.142053829265562, 3.134797915848217, 3.258818498699532e-11, 9, 2),
     ("dead", 50.0, (14.05, 14.12), "rk45"):
-        (14.142054008730913, 3.1347979158507466, 1.2713347627250904e-12, 9, 2),
+        (14.142054008730916, 3.13479791585067, 7.174129996664891e-13, 9, 2),
     ("dead", 25.0, (4.5, 4.75), "lvim"):
         (4.624224460055165, -0.9614507231321563, 1.6629694013035968e-13, 8, 2),
     ("dead", 25.0, (4.5, 4.75), "rk45"):
-        (4.6242244599103906, -0.9614507230460434, 1.576811771430986e-11, 7, 2),
+        (4.624224459910363, -0.9614507230460365, 1.578558464498947e-11, 7, 2),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "lvim"):
         (1.4218073415936006, -0.2863160806906484, 3.1166274372456993e-13, 16, 3),
     ("perpendicular_follower", 25.0, (2.0, 2.5), "rk45"):
-        (1.421807341603925, -0.28631608070070913, 2.6521406598645214e-13, 17, 3),
+        (1.4218073416039205, -0.2863160807007083, 2.63652814858073e-13, 17, 3),
     ("tangent_follower", 25.0, (0.05, 0.08), "lvim"):
         (9.183549615799121e-41, -1.1434944787933055e-20, 1.1434944787933027e-20, 17, 3),
     ("tangent_follower", 25.0, (0.05, 0.08), "rk45"):
@@ -849,13 +849,83 @@ def test_the_stock_config_passed_is_no_config(monkeypatch):
 def test_tangent_follower_at_p80_finds_the_straight_bar(integrator):
     """From (12.9, 13.1) at P = 80 the oracle searching at stock tolerance
     alone ran out of shots; both routes now find the straight bar.  The
-    oracle's loose clamp-end stage meets 1e-6 only on the 60th and last
-    shot of its budget, the lvim one its bound on the 29th."""
+    oracle's loose clamp-end stage runs out of its 60 shots short of 1e-6
+    and hands on its best shot as the free-end seed, from which 4 more
+    shots reach the straight bar; the lvim one meets its bound on the 29th."""
     res = solve_buckled_bar("tangent_follower", 80.0, (12.9, 13.1), integrator=integrator)
     assert res.residual < 1e-10
     assert abs(res.theta_prime_0) < 1e-10
     assert abs(res.alpha) < 1e-10
     assert np.max(np.abs(res.trajectory.states)) < 1e-10
+
+
+def _capped_first_search(monkeypatch, max_shots):
+    """Run the first ``shoot_scalar`` call of a solve on ``max_shots``, log
+    each oracle shot as ``(x0, trajectory)`` and each search's outcome."""
+    shots, outcomes = [], []
+
+    def capped(residual_fn, *args, **kwargs):
+        if not outcomes:
+            kwargs["max_shots"] = max_shots
+        try:
+            root = shoot_scalar(residual_fn, *args, **kwargs)
+        except ConvergenceError as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(root)
+        return root
+
+    def spy(system, t0, tf, x0, config):
+        shots.append((list(x0), rk45_integrate(system, t0, tf, x0, config)))
+        return shots[-1][1]
+
+    monkeypatch.setattr(shooting, "shoot_scalar", capped)
+    monkeypatch.setattr(shooting, "rk45_integrate", spy)
+    return shots, outcomes
+
+
+def test_follower_seed_search_out_of_shots_hands_on_its_best_shot(monkeypatch):
+    """A follower's clamp-end search only seeds the tip angle: run out of
+    shots, it hands on the tip of its shot of the smallest ``|theta'(1)|``.
+    At P = 80 from (12.9, 13.1) nine shots end on a worse one (2.58 against
+    the sixth's 0.370), and the free-end search from the sixth's tip still
+    reaches the straight bar."""
+    shots, outcomes = _capped_first_search(monkeypatch, 9)
+    res = solve_buckled_bar("tangent_follower", 80.0, (12.9, 13.1), integrator="rk45")
+    assert isinstance(outcomes[0], ConvergenceError)
+    assert "no root after 9 shots" in str(outcomes[0])
+    clamp_end = [tr for x0, tr in shots[:9]]
+    assert all(x0[0] == 0.0 for x0, _ in shots[:9])
+    residuals = [abs(tr.states[-1, 1]) for tr in clamp_end]
+    best = clamp_end[residuals.index(min(residuals))]
+    assert best is clamp_end[5] and residuals[5] < 0.5 < residuals[-1]
+    assert shots[9][0] == [best.states[-1, 0], 0.0]
+    assert (res.outer_iters, res.inner_iters) == (3, len(shots))
+    assert res.residual < 1e-10 and abs(res.alpha) < 1e-10
+
+
+def test_dead_load_search_out_of_shots_still_raises(monkeypatch):
+    """A dead load's clamp-end search is the answer, not a seed."""
+    _capped_first_search(monkeypatch, 3)
+    with pytest.raises(ConvergenceError, match="no root after 3 shots"):
+        solve_buckled_bar("dead", 50.0, (12.9, 13.1), integrator="rk45")
+
+
+def test_follower_seed_shot_that_raises_still_propagates(monkeypatch):
+    """Only the search's own end is forgiven: a clamp-end shot that raises
+    propagates with the slope it tried."""
+    starts = []
+
+    def failing(system, t0, tf, x0, config):
+        starts.append(list(x0))
+        if len(starts) == 2:
+            raise ConvergenceError("stalled")
+        return rk45_integrate(system, t0, tf, x0, config)
+
+    monkeypatch.setattr(shooting, "rk45_integrate", failing)
+    with pytest.raises(ConvergenceError, match="stalled") as info:
+        solve_buckled_bar("perpendicular_follower", 25.0, (2.0, 2.5), integrator="rk45")
+    assert info.value.slope_guess == starts[-1][1] == 2.5
 
 
 # -------------------------------------------- free-end shots read from the clamp
