@@ -25,7 +25,7 @@ starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +42,11 @@ __all__ = [
 # O(N^2) memory and O(N^3) time (N = 1024: about 0.4 s and 70 MB; the stock
 # problems use at most 26), so a larger N is refused before any allocation.
 _MAX_N_BASIS = 1024
+
+# Largest node count whose operator sets build_operators keeps: a set holds
+# 3 N^2 floats (24 kB at N = 32), and larger grids spend far longer in their
+# sweeps than in a rebuild.
+_MAX_CACHED_N = 32
 
 
 def cgl_nodes(m: int) -> np.ndarray:
@@ -67,13 +72,16 @@ class OperatorSet:
     ``offsets`` are the node times relative to the segment start,
     ``dt/2 * (tau + 1)``.  The first rows of ``p_mat`` and ``h_mat`` are
     exactly zero, which is what pins the initial condition during the
-    iteration.
+    iteration.  ``kernels`` holds the compiled sweep functions
+    :mod:`lvim.core` binds to these matrices on first use, so each is
+    bound once per operator set.
     """
 
     p_mat: np.ndarray
     q_mat: np.ndarray
     h_mat: np.ndarray
     offsets: np.ndarray
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -141,10 +149,19 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     The reference-domain matrices are cached per node count; this call
     only rescales them: ``P = dt/2 P_ref``, ``Q = Q_ref / (dt/2)`` and
     ``H = (dt/2)^2 (-P_ref o dtau)``, which equals ``P T - T P`` for the
-    node times of any segment of this length.
+    node times of any segment of this length.  Sets of up to
+    ``_MAX_CACHED_N`` nodes are cached too, the 64 most recent ``(N,
+    dt)``: the matrices are read-only, so marches on one grid (the shots
+    of a shooting search) share one set and the sweep kernels bound to it.
     """
     checked("n_basis", n_basis, 2, _MAX_N_BASIS, integer=True)
     checked("dt", dt, 0.0, strict=True)
+    if n_basis <= _MAX_CACHED_N:
+        return _cached_operator_set(n_basis, dt)
+    return _operator_set(n_basis, dt)
+
+
+def _operator_set(n_basis: int, dt: float) -> OperatorSet:
     p_ref, q_ref, h_ref, tau, _ = _ref_operators(n_basis)
     half = 0.5 * dt
     p_mat = half * p_ref
@@ -154,3 +171,6 @@ def build_operators(n_basis: int, dt: float) -> OperatorSet:
     for a in (p_mat, q_mat, h_mat, offsets):
         a.setflags(write=False)
     return OperatorSet(p_mat=p_mat, q_mat=q_mat, h_mat=h_mat, offsets=offsets)
+
+
+_cached_operator_set = lru_cache(maxsize=64)(_operator_set)

@@ -3,12 +3,11 @@
 Each factory returns a ProblemSpec bundling the ODE system, its
 initial state, the default span, and the default solver settings the
 benchmark is normally run with.  Systems carry analytic Jacobians in the
-node-batched form ``jac(t_nodes, X) -> (M, D, D)``.  Each row is computed
-with the floating-point operations of a one-point Jacobian:
-transcendental functions and powers go through ``math`` and Python
-floats element by element, because numpy's vectorized ``exp`` and
-``power`` round differently on some inputs, and only correctly rounded
-operations (``+ - * /``, ``sqrt``) run on whole arrays.
+node-batched form of :class:`lvim.core.OdeSystem`: ``jac(t_nodes, X)``
+takes a list of M floats and M lists of D floats and returns the M x D x D
+nested list.  Each row is computed with the floating-point operations of
+a one-point Jacobian, in Python floats through ``math``; only LEO's rows
+go through numpy, as its one-point formula did.
 """
 
 from __future__ import annotations
@@ -57,17 +56,6 @@ def _first_root(traj, flips, col: int, level: float = 0.0) -> Optional[float]:
                         traj.times[i], traj.times[i + 1], shoot_tol=_ROOT_TOL)
 
 
-def _jac2(j10, j11=None) -> np.ndarray:
-    """The (M, 2, 2) stack of second-order rows ``[[0, 1], [j10, j11]]``
-    (``j11`` zero when not given)."""
-    out = np.zeros((len(j10), 2, 2))
-    out[:, 0, 1] = 1.0
-    out[:, 1, 0] = j10
-    if j11 is not None:
-        out[:, 1, 1] = j11
-    return out
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """A benchmark instance: system, initial data, span, default configs.
@@ -114,11 +102,8 @@ def blasius() -> ProblemSpec:
         return [f1, f2, -0.5 * f * f2]
 
     def jac(t, x):
-        out = np.zeros((len(t), 3, 3))
-        out[:, 0, 1] = out[:, 1, 2] = 1.0
-        out[:, 2, 0] = -0.5 * x[:, 2]
-        out[:, 2, 2] = -0.5 * x[:, 0]
-        return out
+        return [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-0.5 * f2, 0.0, -0.5 * f]]
+                for f, _, f2 in x]
 
     cfg = SolverConfig(n_basis=5, dt=0.5, tol=1e-10)
     traj = march(OdeSystem(dim=3, rhs=rhs, jac=jac), 0.0, _BLASIUS_STAGE_ONE_SPAN,
@@ -150,7 +135,7 @@ def emden_chandrasekhar(xi_start: float = 1e-3) -> ProblemSpec:
         return [dpsi, math.exp(-psi) - 2.0 / t * dpsi]
 
     def jac(t, x):
-        return _jac2([-math.exp(-v) for v in x[:, 0].tolist()], -2.0 / t)
+        return [[[0.0, 1.0], [-math.exp(-v), -2.0 / s]] for s, (v, _) in zip(t, x)]
 
     psi0 = xi_start**2 / 6.0 - xi_start**4 / 120.0
     dpsi0 = xi_start / 3.0 - xi_start**3 / 30.0
@@ -223,8 +208,8 @@ def white_dwarf(c_param: float = 0.3) -> ProblemSpec:
         return _white_dwarf_field(t, x, radicand(t, x))
 
     def jac(t, x):
-        rad = np.array([radicand(ti, xi) for ti, xi in zip(t, x)])
-        return _jac2(-3.0 * x[:, 0] * np.sqrt(rad), -2.0 / t)
+        return [[[0.0, 1.0], [-3.0 * xi[0] * math.sqrt(radicand(ti, xi)), -2.0 / ti]]
+                for ti, xi in zip(t, x)]
 
     lead = (1.0 - c) ** 1.5
     phi0 = 1.0 - lead * _ETA_START**2 / 6.0
@@ -251,7 +236,7 @@ def mathieu(delta: float = 0.5, epsilon: float = 0.1) -> ProblemSpec:
         return [x1, -(delta - epsilon * math.cos(t)) * x0]
 
     def jac(t, x):
-        return _jac2([-(delta - epsilon * math.cos(s)) for s in t.tolist()])
+        return [[[0.0, 1.0], [-(delta - epsilon * math.cos(s)), 0.0]] for s in t]
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -272,7 +257,7 @@ def pendulum() -> ProblemSpec:
         return [thd, -math.sin(th)]
 
     def jac(t, x):
-        return _jac2([-math.cos(v) for v in x[:, 0].tolist()])
+        return [[[0.0, 1.0], [-math.cos(v), 0.0]] for v, _ in x]
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -345,7 +330,7 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
             return [dth, -P * math.sin(th)]
 
         def jac(t, x):
-            return _jac2([-P * math.cos(v) for v in x[:, 0].tolist()])
+            return [[[0.0, 1.0], [-P * math.cos(v), 0.0]] for v, _ in x]
     else:
         # d/dtheta [f(theta - alpha) sin(theta)] = f(2 theta - alpha), f = cos or sin
         f = math.cos if load_type == "perpendicular_follower" else math.sin
@@ -355,7 +340,7 @@ def buckled_bar(load_type: str = "dead", load: float = 50.0,
             return [dth, -P * f(th - al) * math.sin(th)]
 
         def jac(t, x):
-            return _jac2([-P * f(2.0 * v - al) for v in x[:, 0].tolist()])
+            return [[[0.0, 1.0], [-P * f(2.0 * v - al), 0.0]] for v, _ in x]
 
     return ProblemSpec(
         system=OdeSystem(dim=2, rhs=rhs, jac=jac),
@@ -409,7 +394,7 @@ def elastica(a: float = 1.0, c: float = 1.2) -> ProblemSpec:
         return [(a2 - c2 + t * t) / math.sqrt(rad)]
 
     def jac(t, x):
-        return np.zeros((len(t), 1, 1))
+        return [[[0.0]] for _ in t]
 
     try:
         notes = f"curve family {elastica_regime(a, c)}, a = {a:g}, c = {c:g}"
@@ -454,7 +439,7 @@ def leo(model: GravityModel) -> ProblemSpec:
         return x[3:] + gravity_accel(model, x[:3]).tolist()
 
     def jac(t, x):
-        q = x[:, :3]
+        q = np.array(x)[:, :3]
         # |q|^2 row by row as a one-point dot product rounds it; r**3 as a
         # Python float power, which numpy's vectorized power need not match
         r = [math.sqrt(float(v @ v)) for v in q]
@@ -464,7 +449,7 @@ def leo(model: GravityModel) -> ProblemSpec:
         out[:, :3, 3:] = eye
         out[:, 3:, :3] = model.mu * (3.0 * (qh[:, :, np.newaxis] * qh[:, np.newaxis, :])
                                      - eye) / r3
-        return out
+        return out.tolist()
 
     def energy(states):
         potential = np.array([gravity_potential(model, q) for q in states[:, :3]])

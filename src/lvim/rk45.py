@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OdeSystem, Trajectory, _checked_start, _max_of
+from .core import OdeSystem, Trajectory, _checked_start, _max_lines, _max_of
 from .errors import ConvergenceError, DomainViolationError, checked
 
 __all__ = ["RkConfig", "RkTrajectory", "rk45_integrate", "sample_at"]
@@ -79,6 +79,11 @@ _REEXPAND = np.array([[(-1.0) ** m * math.comb(k, m) for m in range(1, 5)]
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+
+# The smallest step is this multiple of |t| (16 eps, as MATLAB's ode45;
+# Shampine & Reichelt, SIAM J. Sci. Comput. 1997): a step below it barely
+# moves t, so an attempt that needs one stops instead of crawling on.
+_MIN_STEP_PER_T = 16.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,12 @@ def _exhausted(max_steps, t, accepted, rejected):
                             f"(accepted {accepted}, rejected {rejected})")
 
 
+def _too_small(t, h, x):
+    return DomainViolationError(
+        f"the step fell to h={h!r} at t={t!r}, below the smallest step "
+        f"16 eps |t| = {_MIN_STEP_PER_T * abs(t)!r}", t=t, state=np.array(x))
+
+
 def _non_finite(t, x_new):
     return DomainViolationError(f"state became non-finite during the step at t={t!r}",
                                 t=t, state=np.array(x_new))
@@ -173,10 +184,7 @@ def _norm_lines(dim: int) -> list:
     ``err`` NaN and no later ratio replaces it, so a NaN anywhere rejects
     the step."""
     ratio = "abs(h * e{i}) / (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"
-    lines = ["err = " + ratio.format(i=0)]
-    for i in range(1, dim):
-        lines += ["q = " + ratio.format(i=i), "if q > err or q != q:", "    err = q"]
-    return lines
+    return _max_lines("err", [ratio.format(i=i) for i in range(dim)])
 
 
 def _loop_source(dim: int) -> str:
@@ -194,7 +202,9 @@ def _loop_source(dim: int) -> str:
     error sums ``e{i}`` and the error norm (:func:`_norm_lines`).  Weights
     and stage times are float literals (``repr`` of a float reads back to
     the same value).  No expression nests deeper with ``dim``, so any
-    dimension compiles.
+    dimension compiles.  An attempt whose step is below the smallest step
+    ``16 eps |t|`` raises; ``h_cap``, that floor at the span's largest
+    ``|t|``, keeps the test to one comparison for every larger step.
     """
     def each(form, sep=", "):
         return sep.join(form.format(i=i) for i in range(dim))
@@ -215,9 +225,12 @@ def _loop_source(dim: int) -> str:
              *per("a{i} = abs(x{i})", "    "),
              "    times, states, step_h, stages = [t], [x], [], []",
              "    n_rej = 0",
+             f"    h_cap = {_MIN_STEP_PER_T!r} * max(abs(t), abs(tf))",
              "    while t < tf:",
              "        if len(step_h) + n_rej >= max_steps:",
              "            raise _exhausted(max_steps, t, len(step_h), n_rej)",
+             f"        if h < h_cap and h < {_MIN_STEP_PER_T!r} * abs(t):",
+             "            raise _too_small(t, h, states[-1])",
              "        h = min(h, tf - t)"]
     for s in range(1, 6):
         states = each("x{i} + h * (" + weighted(_A[s]) + ")")
@@ -250,7 +263,8 @@ def _loop_source(dim: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _step_loop(dim: int) -> Callable:
     """The step loop of :func:`_loop_source`, compiled once per dimension."""
-    namespace = dict(isfinite=math.isfinite, _exhausted=_exhausted, _non_finite=_non_finite)
+    namespace = dict(isfinite=math.isfinite, _exhausted=_exhausted, _too_small=_too_small,
+                     _non_finite=_non_finite)
     exec(compile(_loop_source(dim), f"<Dormand-Prince step loop, dim {dim}>", "exec"),
          namespace)
     return namespace["loop"]
@@ -267,7 +281,8 @@ def rk45_integrate(system: OdeSystem, t0: float, tf: float, x0: np.ndarray,
     counted, both as rejections and through the system's rhs counter.
     Raises :class:`ConvergenceError` when ``max_steps`` attempts are
     exhausted and :class:`DomainViolationError` when the state or rhs
-    leaves the finite domain.
+    leaves the finite domain, or when an attempt's step falls below the
+    smallest step ``16 eps |t|`` (near a singularity).
     """
     x = _checked_start(system, t0, tf, x0)
 

@@ -272,7 +272,7 @@ def test_tangent_p80_loose_stage_keeps_its_shot_margin(grid):
 # total shots as a plain value, so that a red hash says whether the search
 # cost moved.
 GRID_SHOTS = 1730
-GRID_SHA256 = "cff61d9d1ba2746c37336277806d40c8c7653264f274239eca90e43fb3d5f819"
+GRID_SHA256 = "ecec8e8c20064599ec0a3f8729c790389b2a1307aade0ab03675688b08867a21"
 ORACLE_SHOTS = 155
 ORACLE_SHA256 = "59adf028bf88e7a76c13944e651a22f0cfd08a1aa021e454e494cfb8b62862e1"
 

@@ -73,11 +73,24 @@ def test_operator_exactness(n, dt):
         assert np.max(np.abs(ops.p_mat @ v - iv)) <= tol * max(1.0, np.max(np.abs(iv)))
 
 
+def test_small_operator_sets_are_shared():
+    """A set of up to ``_MAX_CACHED_N`` nodes is built once per (N, dt) and
+    shared, its matrices read-only; a larger one is built per call."""
+    ops = build_operators(7, 0.1)
+    assert build_operators(7, 0.1) is ops
+    assert build_operators(7, 0.2) is not ops
+    assert not any(a.flags.writeable for a in (ops.p_mat, ops.q_mat, ops.h_mat, ops.offsets))
+    big = cheb._MAX_CACHED_N + 1
+    assert build_operators(big, 0.1) is not build_operators(big, 0.1)
+
+
 def test_first_rows_pinned_to_zero():
+    # the compiled sweep leaves these zeros, and H's zero diagonal, out
     for n in (2, 5, 13):
         ops = build_operators(n, 3.7)
         assert np.all(ops.p_mat[0] == 0.0)
         assert np.all(ops.h_mat[0] == 0.0)
+        assert np.all(np.diag(ops.h_mat) == 0.0)
 
 
 def test_h_matches_commutator():

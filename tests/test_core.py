@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import lvim
-from lvim import core, problems, shooting
+from lvim import cheb, core, problems, shooting
 from lvim.cheb import build_operators, cgl_nodes
 from lvim.core import OdeSystem, SolverConfig, iterate_segment, march, residual
 from lvim.errors import ConvergenceError, DomainViolationError, LvimError
@@ -42,7 +42,7 @@ MATHIEU = OdeSystem(
     dim=2,
     rhs=lambda t, x: [x[1], -(0.5 + 0.1 * math.cos(t)) * x[0]],
     jac=lambda t, x: np.array([[[0.0, 1.0], [-(0.5 + 0.1 * math.cos(s)), 0.0]]
-                               for s in t.tolist()]),
+                               for s in t]),
 )
 
 
@@ -401,7 +401,7 @@ def test_jacobian_overflow_is_domain_violation():
     """An overflow anywhere in a batch is traced back row by row: the error
     names the first node that overflows on its own."""
     def jac(t, x):
-        return np.array([[[math.exp(v)]] for v in x[:, 0].tolist()])
+        return np.array([[[math.exp(row[0])]] for row in x])
 
     sys_ = OdeSystem(dim=1, rhs=lambda t, x: x, jac=jac)
     t_nodes = np.array([1.0, 2.0, 3.0])
@@ -428,23 +428,76 @@ def test_eval_jac_refuses_a_per_point_result(mode):
 @pytest.mark.parametrize("mode", ["full", "frozen"])
 def test_one_jac_call_per_sweep(mode):
     """Full mode makes one ``jac`` call on all N nodes per sweep; frozen
-    mode one call per segment, on the segment's first node."""
+    mode one call per segment, on the segment's first node; ``jac_evals``
+    counts each.  The stock N = 5 sweeps in compiled Python floats, N = 13
+    over numpy arrays."""
     spec = problems.pendulum()
-    calls = []
     jac = spec.system.jac
+    for n_basis in (5, 13):
+        calls = []
 
-    def spy(t, x):
-        calls.append((len(t), x.shape))
-        return jac(t, x)
+        def spy(t, x):
+            calls.append((len(t), np.shape(x)))
+            return jac(t, x)
 
-    system = replace(spec.system, jac=spy)
-    cfg = replace(spec.lvim_defaults, jacobian_mode=mode)
-    tr = march(system, 0.0, 5.0, spec.x0, cfg)
-    rows = cfg.n_basis if mode == "full" else 1
-    expected = (int(np.sum(tr.segment_iterations)) if mode == "full"
-                else tr.segment_iterations.size)
-    assert len(calls) == expected
-    assert set(calls) == {(rows, (rows, 2))}
+        system = replace(spec.system, jac=spy)
+        cfg = replace(spec.lvim_defaults, n_basis=n_basis, jacobian_mode=mode)
+        assert core._compiled(n_basis, system.dim) == (n_basis == 5)
+        tr = march(system, 0.0, 5.0, spec.x0, cfg)
+        rows = cfg.n_basis if mode == "full" else 1
+        expected = (int(np.sum(tr.segment_iterations)) if mode == "full"
+                    else tr.segment_iterations.size)
+        assert len(calls) == expected
+        assert set(calls) == {(rows, (rows, 2))}
+        assert system.jac_evals == expected
+        march(system, 0.0, 5.0, spec.x0, cfg)
+        assert system.jac_evals == 2 * expected
+
+
+# The side of ``core._COMPILED_MAX_SIZE`` each stock grid sweeps on, as the
+# per-sweep table in the README's numerical notes measures them.
+STOCK_SWEEP_PATHS = {
+    "blasius": "compiled",      # N = 5, D = 3
+    "emden": "numpy",           # N = 13, D = 2
+    "white-dwarf": "compiled",  # N = 5, D = 2
+    "mathieu": "compiled",      # N = 5, D = 2
+    "pendulum": "compiled",     # N = 5, D = 2
+    "buckled-bar": "compiled",  # N = 7, D = 2
+    "elastica": "compiled",     # N = 7, D = 1
+    "leo": "numpy",             # N = 26, D = 6
+}
+
+
+@pytest.mark.parametrize("name", STOCK_SWEEP_PATHS)
+def test_stock_grid_sweeps_on_its_side_of_the_bound(name):
+    """A segment of each stock problem binds a compiled sweep for its
+    dimension and mode to its operator set exactly when the table puts its
+    grid on the compiled side."""
+    spec = STOCK[name]()
+    cfg = spec.lvim_defaults
+    ops = build_operators(cfg.n_basis, cfg.dt)
+    iterate_segment(ops, spec.system, spec.x0, cfg, t_start=spec.t0)
+    side = "compiled" if (spec.system.dim, cfg.jacobian_mode) in ops.kernels else "numpy"
+    assert side == STOCK_SWEEP_PATHS[name]
+    assert core._compiled(cfg.n_basis, spec.system.dim) == (side == "compiled")
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen"])
+def test_second_march_of_a_grid_compiles_nothing(mode):
+    """The residual and the sweep of a grid compile on its first march in
+    a process; a second march compiles nothing, and neither does a march
+    on operator sets built anew."""
+    spec = problems.mathieu()
+    cfg = replace(spec.lvim_defaults, n_basis=6, jacobian_mode=mode)
+    core._binder.cache_clear()
+    cheb._cached_operator_set.cache_clear()
+    march(spec.system, 0.0, 2.0, spec.x0, cfg)
+    assert core._binder.cache_info().misses == 2
+    march(spec.system, 0.0, 2.0, spec.x0, cfg)
+    assert core._binder.cache_info().misses == 2
+    cheb._cached_operator_set.cache_clear()
+    march(spec.system, 0.0, 2.0, spec.x0, cfg)
+    assert core._binder.cache_info().misses == 2
 
 
 # ------------------------------------------------ seeded marches
@@ -564,7 +617,7 @@ def _draw_with_specials(rng, shape):
 
 @pytest.mark.parametrize("n", [2, 5, 7, 13, 26, 40])
 def test_sweep_products_are_matmul_bitwise(n):
-    """The sweep forms ``Q x``, ``H r`` and ``P r`` with ``ndarray.dot``;
+    """The numpy sweep forms ``Q x``, ``H r`` and ``P r`` with ``ndarray.dot``;
     each must be the ``@`` product byte for byte (signs of zero and NaNs
     included) on every state width of the stock problems."""
     rng = np.random.default_rng(n)
@@ -613,14 +666,60 @@ def _iterate_ref(ops, system, x0, config, t_start):
     raise ConvergenceError("reference segment did not converge")
 
 
+def _left_sum(terms):
+    """A sum of floats taken left to right (``sum`` may compensate)."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _iterate_floats_ref(ops, system, x0, config, t_start):
+    """The textbook sweep over Python floats, node by node: ``r = Q x -
+    g``, then for each node after the first (the first rows of P and H are
+    zero) ``a = H r`` (the diagonal of H is zero), the correction ``J a - P
+    r`` and the new row, every sum left to right over its other terms; the
+    correction's max-norm is NaN when any entry is."""
+    q, p, h = (a.tolist() for a in (ops.q_mat, ops.p_mat, ops.h_mat))
+    t_nodes = (t_start + ops.offsets).tolist()
+    m, d = len(t_nodes), system.dim
+    nodes, comps = range(m), range(d)
+    x = [x0.tolist() for _ in nodes]
+    if config.jacobian_mode == "frozen":
+        j_frozen = system.eval_jac(t_nodes[:1], x[:1])[0]
+    for it in range(1, config.max_iter + 1):
+        g = [system.eval_rhs(t_nodes[i], x[i]) for i in nodes]
+        r = [[_left_sum(q[i][k] * x[k][c] for k in nodes) - g[i][c] for c in comps]
+             for i in nodes]
+        new, corrections = [x[0]], []
+        for i in range(1, m):
+            jac = (j_frozen if config.jacobian_mode == "frozen"
+                   else system.eval_jac(t_nodes[i:i + 1], x[i:i + 1])[0])
+            a = [_left_sum(h[i][k] * r[k][c] for k in nodes if k != i) for c in comps]
+            c = [_left_sum(jac[row][b] * a[b] for b in comps)
+                 - _left_sum(p[i][k] * r[k][row] for k in nodes) for row in comps]
+            new.append([x[i][row] + c[row] for row in comps])
+            corrections += [abs(v) for v in c]
+        x = new
+        corr = math.nan if any(map(math.isnan, corrections)) else max(corrections)
+        if corr < config.tol:
+            return np.array(x), it
+    raise ConvergenceError("reference segment did not converge")
+
+
 def _march_ref(system, t0, tf, x0, config):
     """The per-node march with a lazily built operator cache and a
     separate schedule for a span shorter than one segment: the reference
-    ``march`` must reproduce bit for bit.  It evaluates the Jacobian one
-    node per call, so a match also shows that a factory's batched rows
-    equal its one-node rows inside a real march.  Its rhs calls alone
-    follow the point contract (Python floats in, the list wrapped in
-    ``np.array`` on the way out)."""
+    ``march`` must reproduce bit for bit.  Grids up to
+    ``core._COMPILED_MAX_SIZE`` run the textbook sweep over Python floats
+    (:func:`_iterate_floats_ref`), larger ones the sweep over arrays.  It
+    evaluates the Jacobian one node per call, so a match also shows that a
+    factory's batched rows equal its one-node rows inside a real march.
+    Its rhs calls follow the point contract (Python floats in; on the
+    array sweep the list is wrapped in ``np.array`` on the way out)."""
+    iterate = (_iterate_floats_ref if core._compiled(config.n_basis, system.dim)
+               else _iterate_ref)
     x0 = np.asarray(x0, dtype=float)
     span = tf - t0
     n_full = int(np.floor(span / config.dt + 1e-12))
@@ -644,7 +743,7 @@ def _march_ref(system, t0, tf, x0, config):
         ops = ops_cache.get(seg_len)
         if ops is None:
             ops = ops_cache[seg_len] = build_operators(config.n_basis, seg_len)
-        nodes, it = _iterate_ref(ops, system, x, config, t_seg)
+        nodes, it = iterate(ops, system, x, config, t_seg)
         times.extend(t_seg + ops.offsets[1:])
         states.extend(nodes[1:])
         iters.append(it)
@@ -655,8 +754,8 @@ def _march_ref(system, t0, tf, x0, config):
 
 def _assert_same(tr, ref):
     times, states, iters, evals = ref
-    assert np.array_equal(tr.times, times)
-    assert np.array_equal(tr.states, states)
+    assert tr.times.tobytes() == times.tobytes()
+    assert tr.states.tobytes() == states.tobytes()
     assert np.array_equal(tr.segment_iterations, iters)
     assert tr.total_rhs_evals == evals
 

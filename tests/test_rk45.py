@@ -189,6 +189,20 @@ def test_domain_violation_propagates():
         rk45_integrate(blowup, 0.0, 5.0, np.array([1.0]), RkConfig())
 
 
+def test_step_below_the_smallest_step_is_a_domain_violation():
+    """x' = x^2 from 1 blows up at t = 1; the attempt whose step falls
+    below 16 eps |t| stops there (at the stock tolerances the oracle spent
+    268,946 evaluations crawling on until the rhs overflowed)."""
+    blowup = OdeSystem(dim=1, rhs=lambda t, x: [x[0] * x[0]])
+    with pytest.raises(DomainViolationError, match=r"^the step fell to h=3\.52908223148573e-15 "
+                       r"at t=0\.9999999999993686, below the smallest step 16 eps \|t\| = "
+                       r"3\.552713678798258e-15$") as info:
+        rk45_integrate(blowup, 0.0, 5.0, np.array([1.0]), RkConfig())
+    assert info.value.t == 0.9999999999993686
+    assert info.value.state.tolist() == [2597626867450.8643]
+    assert blowup.rhs_evals == 21737
+
+
 def test_trajectory_is_core_trajectory():
     from lvim.core import Trajectory
     tr = rk45_integrate(DECAY, 0.0, 1.0, np.array([1.0]), RkConfig())
